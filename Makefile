@@ -18,7 +18,7 @@ CHAOSADDR := 127.0.0.1:39141
 # duplicates, injected 500s and delays, all on the seeded schedule.
 CHAOSWIRE := drop=0.05,droprsp=0.05,dup=0.1,err=0.1,delay=0.2:5ms
 
-.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check check
+.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check loc check
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,14 @@ bench-replay:
 
 bench-replay-check:
 	$(GO) run ./cmd/benchreplay -check-only
+
+# Non-test Go lines per internal/* and cmd/* package and in total, counted
+# with wc -l (blank and comment lines included): the net line count a
+# change reports.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; sum += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", sum }'
 
 # Go allows one -fuzz target per invocation, so each runs separately.
 fuzz:

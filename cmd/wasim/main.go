@@ -118,26 +118,11 @@ func run() error {
 		cfg.Seed = *seed
 	}
 	if explicit["policy"] || *confPath == "" {
-		switch *policyName {
-		case "default":
-			cfg.Scheduler.Policy = core.Default
-		case "easy":
-			cfg.Scheduler.Policy = core.EASY
-		case "io-aware":
-			cfg.Scheduler.Policy = core.IOAware
-		case "adaptive":
-			cfg.Scheduler.Policy = core.Adaptive
-		case "adaptive-naive":
-			cfg.Scheduler.Policy = core.AdaptiveNaive
-		case "plan":
-			cfg.Scheduler.Policy = core.Plan
-		case "tbf":
-			cfg.Scheduler.Policy = core.TBF
-		case "tbf-straggler":
-			cfg.Scheduler.Policy = core.TBFStraggler
-		default:
-			return fmt.Errorf("unknown policy %q", *policyName)
+		k, err := core.ParsePolicyKind(*policyName)
+		if err != nil {
+			return err
 		}
+		cfg.Scheduler.Policy = k
 	}
 	if explicit["limit"] || cfg.Scheduler.ThroughputLimit == 0 {
 		cfg.Scheduler.ThroughputLimit = *limit * pfs.GiB

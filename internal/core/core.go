@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"wasched/internal/analytics"
 	"wasched/internal/bb"
@@ -64,6 +65,8 @@ const (
 	TBF
 	// TBFStraggler is TBF with straggler-aware allowance weighting.
 	TBFStraggler
+
+	numPolicyKinds
 )
 
 // String names the policy kind.
@@ -88,6 +91,24 @@ func (k PolicyKind) String() string {
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
+}
+
+// ParsePolicyKind is the inverse of PolicyKind.String. It ignores case
+// and also accepts the slurm.conf spellings "ioaware" and "adaptivenaive".
+func ParsePolicyKind(name string) (PolicyKind, error) {
+	lower := strings.ToLower(name)
+	switch lower {
+	case "ioaware":
+		return IOAware, nil
+	case "adaptivenaive":
+		return AdaptiveNaive, nil
+	}
+	for k := Default; k < numPolicyKinds; k++ {
+		if k.String() == lower {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
 }
 
 // SchedulerConfig selects and parameterises the scheduling policy.

@@ -35,6 +35,23 @@ func TestPolicyKindString(t *testing.T) {
 	}
 }
 
+func TestParsePolicyKindRoundTrips(t *testing.T) {
+	for k := Default; k < numPolicyKinds; k++ {
+		got, err := ParsePolicyKind(k.String())
+		if err != nil || got != k {
+			t.Fatalf("ParsePolicyKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for name, want := range map[string]PolicyKind{"IOAware": IOAware, "adaptivenaive": AdaptiveNaive, "TBF-Straggler": TBFStraggler} {
+		if got, err := ParsePolicyKind(name); err != nil || got != want {
+			t.Fatalf("ParsePolicyKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParsePolicyKind("lazy"); err == nil || !strings.Contains(err.Error(), `"lazy"`) {
+		t.Fatalf("unknown name: err = %v", err)
+	}
+}
+
 func TestNewSystemValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 0

@@ -60,11 +60,6 @@ func (nt *NodeTracker) Profile() *Profile { return nt.profile }
 // Reset removes all reservations, keeping the backing storage for reuse.
 func (nt *NodeTracker) Reset() { nt.profile.Reset() }
 
-// LoadFrom replaces the tracker's reservations with a copy of src, reusing
-// the tracker's backing storage (the snapshot step of incremental backfill
-// sessions: base profile in, speculative per-round reservations on top).
-func (nt *NodeTracker) LoadFrom(src *Profile) { nt.profile.CopyFrom(src) }
-
 // BandwidthTracker tracks reservations of a bandwidth-type resource (bytes
 // per second) against a configurable limit. It implements the "LT" tracker
 // of Algorithm 2 and, with a different limit, the "AT" tracker of
@@ -132,7 +127,3 @@ func (bt *BandwidthTracker) Profile() *Profile { return bt.profile }
 
 // Reset removes all reservations, keeping the backing storage for reuse.
 func (bt *BandwidthTracker) Reset() { bt.profile.Reset() }
-
-// LoadFrom replaces the tracker's reservations with a copy of src, reusing
-// the tracker's backing storage (see NodeTracker.LoadFrom).
-func (bt *BandwidthTracker) LoadFrom(src *Profile) { bt.profile.CopyFrom(src) }

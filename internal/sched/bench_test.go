@@ -71,6 +71,6 @@ func BenchmarkTwoGroupSplit(b *testing.B) {
 	p := AdaptivePolicy{TotalNodes: 15, ThroughputLimit: 20e9, TwoGroup: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.twoGroupSplit(in.Waiting)
+		p.twoGroupSplit(in.Waiting, &splitScratch{})
 	}
 }

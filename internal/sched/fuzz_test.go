@@ -177,7 +177,7 @@ func FuzzTwoGroupSplit(f *testing.F) {
 		}
 		for _, twoGroup := range []bool{true, false} {
 			p := AdaptivePolicy{TotalNodes: fuzzNodes, ThroughputLimit: fuzzLimit, TwoGroup: twoGroup, QoSFraction: frac}
-			rStar, rZeroBar := p.twoGroupSplit(waiting)
+			rStar, rZeroBar := p.twoGroupSplit(waiting, &splitScratch{})
 			if math.IsNaN(rStar) || math.IsInf(rStar, 0) || rStar < 0 {
 				t.Fatalf("twoGroupSplit rStar = %g for %d jobs (twoGroup=%v)", rStar, len(waiting), twoGroup)
 			}
@@ -187,8 +187,8 @@ func FuzzTwoGroupSplit(f *testing.F) {
 			if !twoGroup && (rStar != 0 || rZeroBar != 0) {
 				t.Fatalf("naive split returned (%g, %g), want (0, 0)", rStar, rZeroBar)
 			}
-			round := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(*adaptiveRound)
-			if at := round.at.Limit(); math.IsNaN(at) || math.IsInf(at, 0) || at < 0 {
+			round := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(diagRound)
+			if at := round.ov.adjTarget; math.IsNaN(at) || math.IsInf(at, 0) || at < 0 {
 				t.Fatalf("adjusted target %g (twoGroup=%v)", at, twoGroup)
 			}
 		}

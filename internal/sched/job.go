@@ -2,7 +2,16 @@
 // backfill algorithm (paper Algorithm 1) as a policy-parameterised engine,
 // with policies for node-only scheduling (default Slurm), I/O-aware
 // scheduling (paper Algorithms 2–4) and workload-adaptive scheduling with
-// the two-group approximation (paper Algorithms 5–7, Equations 1–5).
+// the two-group approximation (paper Algorithms 5–7, Equations 1–5), plus
+// the rival plan-based burst-buffer, token-bucket and TETRIS policies.
+//
+// Every built-in policy maps to one reservation model: an ordered list of
+// resource dimensions (nodes, R_limit bandwidth, burst-buffer bytes), a
+// plan horizon, the measured-throughput guard and, for the adaptive
+// policy, the R̃ / two-group / AT overlay. Wrappers compose models: bb+
+// appends a BB dimension, tetris+ and tbf+ pass theirs through. One round
+// type finds a job's earliest start over all dimensions (Algorithm 4), and
+// one Session carries the model's profiles across rounds for trace replay.
 //
 // The package is pure scheduling logic: it never touches the simulator or
 // the analytics service. The controller (internal/slurm) assembles a

@@ -1,0 +1,74 @@
+package sched
+
+import (
+	"math"
+	"testing"
+)
+
+// foreignPolicy is a policy from outside the package's reservation model.
+type foreignPolicy struct{ NodePolicy }
+
+func (foreignPolicy) Name() string { return "foreign" }
+
+// Both construction paths validate through modelOf, so a malformed policy
+// panics from NewSession exactly when it panics from NewRound.
+func TestMalformedPoliciesPanicOnBothPaths(t *testing.T) {
+	node := NodePolicy{TotalNodes: 4}
+	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 10}
+	for name, p := range map[string]Policy{
+		"node/0 nodes":                NodePolicy{},
+		"io-aware/0 nodes":            IOAwarePolicy{ThroughputLimit: 10},
+		"io-aware/0 limit":            IOAwarePolicy{TotalNodes: 4},
+		"adaptive/0 nodes":            AdaptivePolicy{ThroughputLimit: 10},
+		"adaptive/0 limit":            AdaptivePolicy{TotalNodes: 4},
+		"adaptive/qos 1.5":            AdaptivePolicy{TotalNodes: 4, ThroughputLimit: 10, QoSFraction: 1.5},
+		"plan/0 nodes":                PlanPolicy{BBCapacity: 1},
+		"plan/negative capacity":      PlanPolicy{TotalNodes: 4, BBCapacity: -1},
+		"plan/NaN capacity":           PlanPolicy{TotalNodes: 4, BBCapacity: math.NaN()},
+		"plan/negative limit":         PlanPolicy{TotalNodes: 4, ThroughputLimit: -1},
+		"plan/negative horizon":       PlanPolicy{TotalNodes: 4, Horizon: -1},
+		"tbf/0 nodes":                 TBFPolicy{},
+		"tetris/no inner":             TetrisPolicy{TotalNodes: 4},
+		"tetris/0 nodes":              TetrisPolicy{Inner: node},
+		"tetris/malformed inner":      TetrisPolicy{Inner: NodePolicy{}, TotalNodes: 4},
+		"tbf+/no inner":               TBFAwarePolicy{},
+		"tbf+/malformed inner":        TBFAwarePolicy{Inner: IOAwarePolicy{TotalNodes: 4}},
+		"bb+/no inner":                BBAwarePolicy{Capacity: 1},
+		"bb+/negative capacity":       BBAwarePolicy{Inner: io, Capacity: -1},
+		"bb+/malformed inner":         BBAwarePolicy{Inner: AdaptivePolicy{TotalNodes: 4}, Capacity: 1},
+		"bb+/foreign inner":           BBAwarePolicy{Inner: foreignPolicy{node}, Capacity: 1},
+		"bb+/tetris foreign inner":    BBAwarePolicy{Inner: TetrisPolicy{Inner: foreignPolicy{node}, TotalNodes: 4}, Capacity: 1},
+		"tbf+/tetris/malformed inner": TBFAwarePolicy{Inner: TetrisPolicy{Inner: PlanPolicy{TotalNodes: 4, Horizon: -1}, TotalNodes: 4}},
+	} {
+		for path, build := range map[string]func(){
+			"NewRound":   func() { p.NewRound(RoundInput{}) },
+			"NewSession": func() { NewSession(p) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", name, path)
+					}
+				}()
+				build()
+			}()
+		}
+	}
+}
+
+// Wrappers that only reorder or rename keep working around a policy from
+// outside the package: NewRound delegates to it, and there is no session.
+func TestPassThroughWrappersAroundForeignPolicy(t *testing.T) {
+	foreign := foreignPolicy{NodePolicy{TotalNodes: 4}}
+	for _, p := range []Policy{
+		TetrisPolicy{Inner: foreign, TotalNodes: 4},
+		TBFAwarePolicy{Inner: foreign},
+	} {
+		if r := p.NewRound(RoundInput{}); r == nil {
+			t.Errorf("%s: NewRound returned nil", p.Name())
+		}
+		if s := NewSession(p); s != nil {
+			t.Errorf("%s: NewSession = %T, want nil", p.Name(), s)
+		}
+	}
+}

@@ -1,11 +1,8 @@
 package sched
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
-	"wasched/internal/des"
 	"wasched/internal/restrack"
 )
 
@@ -42,24 +39,26 @@ func (p AdaptivePolicy) Name() string {
 	return "adaptive-naive"
 }
 
-func (p AdaptivePolicy) validate() {
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: AdaptivePolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-	if p.ThroughputLimit <= 0 {
-		panic(fmt.Sprintf("sched: AdaptivePolicy.ThroughputLimit must be positive, got %g", p.ThroughputLimit))
-	}
-	if p.QoSFraction < 0 || p.QoSFraction > 1 {
-		panic(fmt.Sprintf("sched: AdaptivePolicy.QoSFraction must be in [0,1], got %g", p.QoSFraction))
-	}
+// NewRound implements Policy (Algorithm 5).
+func (p AdaptivePolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }
+
+// overlay is the adaptive state of a round (Algorithm 5 lines 3–11): the
+// target R̃, the two-group split and the adjusted tracker AT. All of it is
+// by definition a function of this round's queue, so it is recomputed
+// every round — into reused buffers when a session carries the round.
+type overlay struct {
+	target    float64 // R̃
+	adjTarget float64 // R̃', AT's limit
+	rStar     float64
+	rZeroBar  float64
+	at        restrack.Profile
+	scratch   splitScratch
 }
 
-// NewRound implements Policy (Algorithm 5).
-func (p AdaptivePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	inner := IOAwarePolicy{TotalNodes: p.TotalNodes, ThroughputLimit: p.ThroughputLimit}
-	rt := inner.NewRound(in).(*ioAwareRound)
-
+// fill recomputes the overlay for this round.
+//
+//waschedlint:hotpath
+func (o *overlay) fill(p *AdaptivePolicy, in RoundInput) {
 	// Lines 3–5: the target throughput from the remaining I/O volume and
 	// the minimum node-constrained completion time of the backlog.
 	vIO := 0.0     // bytes: Σ r_j · (remaining or estimated runtime)
@@ -81,44 +80,37 @@ func (p AdaptivePolicy) NewRound(in RoundInput) Round {
 		vIO += clampNonNeg(j.Rate) * d
 		nodeSec += float64(j.Nodes) * d
 	}
-	target := 0.0 // R̃
+	o.target = 0
 	if nodeSec > 0 {
-		target = vIO * float64(p.TotalNodes) / nodeSec
+		o.target = vIO * float64(p.TotalNodes) / nodeSec
 	}
 
 	// Lines 6–8: two-group split of the waiting queue.
-	rStar, rZeroBar := p.twoGroupSplit(in.Waiting)
-	adjTarget := target - float64(p.TotalNodes)*rZeroBar // R̃' (Eq. 4)
-	if adjTarget < 0 {
-		adjTarget = 0
+	o.rStar, o.rZeroBar = p.twoGroupSplit(in.Waiting, &o.scratch)
+	o.adjTarget = o.target - float64(p.TotalNodes)*o.rZeroBar // R̃' (Eq. 4)
+	if o.adjTarget < 0 {
+		o.adjTarget = 0
 	}
 
-	// Lines 9–11: the adjusted tracker, seeded with the running jobs'
-	// adjusted contributions r_j − n_j·r̄_zero (signed; see
-	// restrack.ReserveSigned).
-	at := restrack.NewBandwidthTracker(adjTarget)
+	// Lines 9–11: AT, seeded with the running jobs' adjusted contributions
+	// r_j − n_j·r̄_zero (signed: a job quieter than the zero-group average
+	// credits capacity back, keeping the time-averaged sum equivalent to
+	// the original problem, Eq. 5).
+	o.at.Reset()
 	for _, j := range in.Running {
-		// A running job's rate is an external estimate like any other: a
-		// NaN or negative value must not poison the adjusted tracker.
-		at.ReserveSigned(in.Now, j.StartedAt.Add(j.Limit), clampNonNeg(j.Rate)-float64(j.Nodes)*rZeroBar)
-	}
-	return &adaptiveRound{
-		p:        p,
-		rt:       rt,
-		at:       at,
-		rStar:    rStar,
-		rZeroBar: rZeroBar,
-		target:   target,
+		o.at.Add(in.Now, j.StartedAt.Add(j.Limit), o.adjusted(j))
 	}
 }
 
-// clampNonNeg treats an invalid (negative or NaN) rate estimate as zero so
-// that it cannot push the target throughput R̃ negative or poison it.
-func clampNonNeg(r float64) float64 {
-	if r < 0 || math.IsNaN(r) {
-		return 0
-	}
-	return r
+// isZeroJob applies the two-group classification r_j <= n_j·r*.
+func (o *overlay) isZeroJob(j *Job) bool {
+	return j.Rate <= float64(j.Nodes)*o.rStar
+}
+
+// adjusted is j's AT contribution r_j − n_j·r̄_zero. A rate is an external
+// estimate like any other: a NaN or negative value must not poison AT.
+func (o *overlay) adjusted(j *Job) float64 {
+	return clampNonNeg(j.Rate) - float64(j.Nodes)*o.rZeroBar
 }
 
 // splitEntry is one queued job's contribution to the two-group split.
@@ -126,16 +118,6 @@ type splitEntry struct {
 	ratio   float64 // r_j / n_j
 	nodeSec float64 // n_j · d_j
 	rate    float64 // r_j
-}
-
-// twoGroupSplit chooses the minimum threshold r* such that the zero group
-// holds at least QoSFraction of the queued node·seconds (Eq. 2), and
-// returns it with the zero group's average per-node load r̄_zero (Eq. 3).
-// With TwoGroup disabled it returns (0, 0): only genuinely zero-throughput
-// jobs form the zero group and no adjustment applies.
-func (p AdaptivePolicy) twoGroupSplit(waiting []*Job) (rStar, rZeroBar float64) {
-	var sc splitScratch
-	return p.twoGroupSplitInto(waiting, &sc)
 }
 
 // splitScratch is the two-group split's reusable buffer. It implements
@@ -150,10 +132,13 @@ func (s *splitScratch) Len() int           { return len(s.entries) }
 func (s *splitScratch) Less(a, b int) bool { return s.entries[a].ratio < s.entries[b].ratio }
 func (s *splitScratch) Swap(a, b int)      { s.entries[a], s.entries[b] = s.entries[b], s.entries[a] }
 
-// twoGroupSplitInto is twoGroupSplit with a caller-supplied scratch
-// buffer, reused across rounds — adaptive sessions call this every round,
-// and the entry slice was the split's dominant allocation.
-func (p AdaptivePolicy) twoGroupSplitInto(waiting []*Job, sc *splitScratch) (rStar, rZeroBar float64) {
+// twoGroupSplit chooses the minimum threshold r* such that the zero group
+// holds at least QoSFraction of the queued node·seconds (Eq. 2), and
+// returns it with the zero group's average per-node load r̄_zero (Eq. 3).
+// With TwoGroup disabled it returns (0, 0): only genuinely zero-throughput
+// jobs form the zero group and no adjustment applies. sc is reused across
+// rounds; its entry slice was the split's dominant allocation.
+func (p *AdaptivePolicy) twoGroupSplit(waiting []*Job, sc *splitScratch) (rStar, rZeroBar float64) {
 	sc.entries = sc.entries[:0]
 	if !p.TwoGroup || len(waiting) == 0 {
 		return 0, 0
@@ -219,66 +204,4 @@ func (p AdaptivePolicy) twoGroupSplitInto(waiting []*Job, sc *splitScratch) (rSt
 		return rStar, 0
 	}
 	return rStar, zeroLoad / zeroNodeSec
-}
-
-type adaptiveRound struct {
-	p        AdaptivePolicy
-	rt       *ioAwareRound
-	at       *restrack.BandwidthTracker
-	rStar    float64
-	rZeroBar float64
-	target   float64
-}
-
-// isZeroJob applies the two-group classification r_j <= n_j·r*.
-func (r *adaptiveRound) isZeroJob(j *Job) bool {
-	return j.Rate <= float64(j.Nodes)*r.rStar
-}
-
-// EarliestStart implements Algorithm 7: zero jobs schedule under the
-// I/O-aware constraints only; regular jobs additionally wait for intervals
-// where the adjusted reservations stay within the adjusted target R̃'.
-func (r *adaptiveRound) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
-	if r.isZeroJob(j) {
-		return r.rt.EarliestStart(j, tmin)
-	}
-	t := tmin
-	for {
-		tRT, ok := r.rt.EarliestStart(j, t)
-		if !ok {
-			return des.MaxTime, false
-		}
-		// "Earliest time not earlier than tRT when no more than R̃' is
-		// reserved in AT": the job's own contribution is not part of the
-		// test — the target is a level to fill up to, not a cap on the
-		// job itself.
-		tAT, ok := r.at.EarliestFit(tRT, j.Limit, 0)
-		if !ok {
-			return des.MaxTime, false
-		}
-		if tAT == tRT {
-			return tAT, true
-		}
-		t = tAT
-	}
-}
-
-// Reserve implements Algorithm 6.
-func (r *adaptiveRound) Reserve(j *Job, t des.Time) {
-	r.rt.Reserve(j, t)
-	if !r.isZeroJob(j) {
-		r.at.ReserveSigned(t, t.Add(j.Limit), clampNonNeg(j.Rate)-float64(j.Nodes)*r.rZeroBar)
-	}
-}
-
-// Diagnostics implements Diagnoser: the adaptive target R̃, the adjusted
-// target R̃', the two-group threshold r* and the zero-group load r̄_zero.
-func (r *adaptiveRound) Diagnostics() map[string]float64 {
-	return map[string]float64{
-		"target":          r.target,
-		"adjusted_target": r.at.Limit(),
-		"r_star":          r.rStar,
-		"r_zero_bar":      r.rZeroBar,
-		"limit":           r.p.ThroughputLimit,
-	}
 }

@@ -29,15 +29,15 @@ func TestAdaptiveTargetComputation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		waiting = append(waiting, estjob("w"+string(rune('0'+i)), 1, 200*sec, 4, 100*sec))
 	}
-	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(*adaptiveRound)
-	if math.Abs(r.target-20) > 1e-9 {
-		t.Fatalf("target = %v, want 20", r.target)
+	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(diagRound)
+	if math.Abs(r.ov.target-20) > 1e-9 {
+		t.Fatalf("target = %v, want 20", r.ov.target)
 	}
-	if r.rStar != 0 || r.rZeroBar != 0 {
-		t.Fatalf("two-group split: r*=%v r̄=%v, want 0,0 (sleeps hold half)", r.rStar, r.rZeroBar)
+	if r.ov.rStar != 0 || r.ov.rZeroBar != 0 {
+		t.Fatalf("two-group split: r*=%v r̄=%v, want 0,0 (sleeps hold half)", r.ov.rStar, r.ov.rZeroBar)
 	}
-	if r.at.Limit() != 20 {
-		t.Fatalf("adjusted target = %v", r.at.Limit())
+	if r.ov.adjTarget != 20 {
+		t.Fatalf("adjusted target = %v", r.ov.adjTarget)
 	}
 }
 
@@ -83,24 +83,24 @@ func TestAdaptiveTwoGroupPromotesLightJobs(t *testing.T) {
 		estjob("c", 1, 200*sec, 3, 100*sec),
 		estjob("d", 1, 200*sec, 4, 100*sec),
 	}
-	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(*adaptiveRound)
-	if math.Abs(r.rStar-2) > 1e-9 {
-		t.Fatalf("r* = %v, want 2", r.rStar)
+	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(diagRound)
+	if math.Abs(r.ov.rStar-2) > 1e-9 {
+		t.Fatalf("r* = %v, want 2", r.ov.rStar)
 	}
-	if math.Abs(r.rZeroBar-1.5) > 1e-9 {
-		t.Fatalf("r̄_zero = %v, want 1.5", r.rZeroBar)
+	if math.Abs(r.ov.rZeroBar-1.5) > 1e-9 {
+		t.Fatalf("r̄_zero = %v, want 1.5", r.ov.rZeroBar)
 	}
-	if math.Abs(r.target-25) > 1e-9 {
-		t.Fatalf("target = %v, want 25", r.target)
+	if math.Abs(r.ov.target-25) > 1e-9 {
+		t.Fatalf("target = %v, want 25", r.ov.target)
 	}
-	if math.Abs(r.at.Limit()-10) > 1e-9 {
-		t.Fatalf("adjusted target = %v, want 10", r.at.Limit())
+	if math.Abs(r.ov.adjTarget-10) > 1e-9 {
+		t.Fatalf("adjusted target = %v, want 10", r.ov.adjTarget)
 	}
 	// a and b are zero jobs, c and d regular.
-	if !r.isZeroJob(waiting[0]) || !r.isZeroJob(waiting[1]) {
+	if !r.ov.isZeroJob(waiting[0]) || !r.ov.isZeroJob(waiting[1]) {
 		t.Fatal("a,b must be zero jobs")
 	}
-	if r.isZeroJob(waiting[2]) || r.isZeroJob(waiting[3]) {
+	if r.ov.isZeroJob(waiting[2]) || r.ov.isZeroJob(waiting[3]) {
 		t.Fatal("c,d must be regular jobs")
 	}
 }
@@ -118,12 +118,12 @@ func TestAdaptiveNaiveMode(t *testing.T) {
 		estjob("c", 1, 200*sec, 3, 100*sec),
 		estjob("d", 1, 200*sec, 4, 100*sec),
 	}
-	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(*adaptiveRound)
-	if r.rStar != 0 || r.rZeroBar != 0 {
-		t.Fatalf("naive split: %v %v", r.rStar, r.rZeroBar)
+	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(diagRound)
+	if r.ov.rStar != 0 || r.ov.rZeroBar != 0 {
+		t.Fatalf("naive split: %v %v", r.ov.rStar, r.ov.rZeroBar)
 	}
 	for _, j := range waiting {
-		if r.isZeroJob(j) {
+		if r.ov.isZeroJob(j) {
 			t.Fatalf("job %s with positive rate must be regular in naive mode", j.ID)
 		}
 	}
@@ -143,14 +143,14 @@ func TestAdaptiveRunningJobsReduceTarget(t *testing.T) {
 			estjob("w1", 1, 50*sec, 8, 25*sec),
 		},
 	}
-	r := p.NewRound(in).(*adaptiveRound)
+	r := p.NewRound(in).(diagRound)
 	// V_IO = 8·50 (running) + 8·25 (w1) = 600; node·s = 1·50 + 100 + 25 = 175.
 	wantTarget := 600.0 * 10 / 175
-	if math.Abs(r.target-wantTarget) > 1e-9 {
-		t.Fatalf("target = %v, want %v", r.target, wantTarget)
+	if math.Abs(r.ov.target-wantTarget) > 1e-9 {
+		t.Fatalf("target = %v, want %v", r.ov.target, wantTarget)
 	}
 	// AT already carries the running job's 8 bytes/s until its limit.
-	if got := r.at.UsedAt(tsec(20)); math.Abs(got-8) > 1e-9 {
+	if got := r.ov.at.ValueAt(tsec(20)); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("AT usage = %v, want 8", got)
 	}
 }
@@ -167,17 +167,17 @@ func TestAdaptiveSignedAdjustmentForQuietRunners(t *testing.T) {
 		estjob("c", 1, 200*sec, 3, 100*sec),
 		estjob("d", 1, 200*sec, 4, 100*sec),
 	}
-	r := p.NewRound(RoundInput{Now: tsec(10), Running: []*Job{quiet}, Waiting: waiting}).(*adaptiveRound)
+	r := p.NewRound(RoundInput{Now: tsec(10), Running: []*Job{quiet}, Waiting: waiting}).(diagRound)
 	// r̄_zero = 1.5 (from a,b); the runner's adjusted rate = 0.5 − 1.5 < 0.
-	if got := r.at.UsedAt(tsec(20)); got >= 0 {
+	if got := r.ov.at.ValueAt(tsec(20)); got >= 0 {
 		t.Fatalf("AT usage = %v, want negative credit", got)
 	}
 }
 
 func TestAdaptiveEmptyQueue(t *testing.T) {
 	p := adaptive(10, 1000)
-	r := p.NewRound(RoundInput{Now: 0}).(*adaptiveRound)
-	if r.target != 0 || r.rStar != 0 || r.rZeroBar != 0 {
+	r := p.NewRound(RoundInput{Now: 0}).(diagRound)
+	if r.ov.target != 0 || r.ov.rStar != 0 || r.ov.rZeroBar != 0 {
 		t.Fatalf("empty round: %+v", r.Diagnostics())
 	}
 }
@@ -272,8 +272,8 @@ func TestAdaptiveQoSFractionExtremes(t *testing.T) {
 	}
 	// QoS fraction ~1: everything lands in the zero group.
 	p := AdaptivePolicy{TotalNodes: 10, ThroughputLimit: 1000, TwoGroup: true, QoSFraction: 1}
-	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(*adaptiveRound)
-	if !r.isZeroJob(waiting[1]) {
+	r := p.NewRound(RoundInput{Now: 0, Waiting: waiting}).(diagRound)
+	if !r.ov.isZeroJob(waiting[1]) {
 		t.Fatal("with QoS fraction 1 all jobs must be zero jobs")
 	}
 }

@@ -1,12 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-
-	"wasched/internal/des"
-	"wasched/internal/restrack"
-)
+import "wasched/internal/des"
 
 // IOAwarePolicy implements the paper's I/O-aware scheduling (§VI,
 // Algorithms 2–4): Lustre throughput becomes a reservable cluster-wide
@@ -37,107 +31,4 @@ func (p IOAwarePolicy) Name() string { return "io-aware" }
 const MeasuredResidualHorizon = 30 * des.Second
 
 // NewRound implements Policy (Algorithm 2).
-func (p IOAwarePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	nt := restrack.NewNodeTracker(p.TotalNodes)
-	if in.UnavailableNodes > 0 {
-		nt.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	lt := restrack.NewBandwidthTracker(p.ThroughputLimit)
-	sumRunning := 0.0
-	maxEnd := in.Now
-	for _, j := range in.Running {
-		end := j.StartedAt.Add(j.Limit)
-		nt.Reserve(in.Now, end, j.Nodes)
-		r := p.clampRate(j.Rate)
-		lt.Reserve(in.Now, end, r)
-		sumRunning += r
-		if end > maxEnd {
-			maxEnd = end
-		}
-	}
-	// Algorithm 2 lines 7–8: when the measured throughput exceeds the sum
-	// of the running jobs' estimates, reserve the difference so the
-	// schedule cannot overload the file system on the strength of
-	// under-estimates (e.g. jobs with no history yet). With running jobs
-	// the excess is booked until the last of them ends; with none, the
-	// traffic is residual/external and is booked over a short sliding
-	// horizon instead (see MeasuredResidualHorizon) — previously the guard
-	// silently vanished whenever the running set was empty.
-	if !p.IgnoreMeasured && in.MeasuredThroughput > sumRunning {
-		end := maxEnd
-		if len(in.Running) == 0 {
-			end = in.Now.Add(MeasuredResidualHorizon)
-		}
-		lt.Reserve(in.Now, end, in.MeasuredThroughput-sumRunning)
-	}
-	return &ioAwareRound{p: p, nt: nt, lt: lt}
-}
-
-func (p IOAwarePolicy) validate() {
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: IOAwarePolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-	if p.ThroughputLimit <= 0 {
-		panic(fmt.Sprintf("sched: IOAwarePolicy.ThroughputLimit must be positive, got %g", p.ThroughputLimit))
-	}
-}
-
-// clampRate caps a job's estimated rate at the throughput limit: no single
-// job can demand more than the entire file system, and an estimate above
-// the limit (possible under congested measurements) would otherwise pend
-// the job forever.
-func (p IOAwarePolicy) clampRate(r float64) float64 {
-	if r > p.ThroughputLimit {
-		return p.ThroughputLimit
-	}
-	if r < 0 || math.IsNaN(r) {
-		return 0
-	}
-	return r
-}
-
-type ioAwareRound struct {
-	p  IOAwarePolicy
-	nt *restrack.NodeTracker
-	lt *restrack.BandwidthTracker
-}
-
-// EarliestStart implements Algorithm 4: alternate between the node tracker
-// and the throughput tracker until both constraints are satisfied at the
-// same time.
-func (r *ioAwareRound) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
-	if j.Nodes > r.nt.Total() {
-		return des.MaxTime, false
-	}
-	rate := r.p.clampRate(j.Rate)
-	t := tmin
-	for {
-		tNT, ok := r.nt.EarliestFit(t, j.Limit, j.Nodes)
-		if !ok {
-			return des.MaxTime, false
-		}
-		tLT, ok := r.lt.EarliestFit(tNT, j.Limit, rate)
-		if !ok {
-			return des.MaxTime, false
-		}
-		if tLT == tNT {
-			return tLT, true
-		}
-		t = tLT
-	}
-}
-
-// Reserve implements Algorithm 3.
-func (r *ioAwareRound) Reserve(j *Job, t des.Time) {
-	end := t.Add(j.Limit)
-	r.nt.Reserve(t, end, j.Nodes)
-	r.lt.Reserve(t, end, r.p.clampRate(j.Rate))
-}
-
-// Diagnostics implements Diagnoser.
-func (r *ioAwareRound) Diagnostics() map[string]float64 {
-	return map[string]float64{
-		"limit": r.p.ThroughputLimit,
-	}
-}
+func (p IOAwarePolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }

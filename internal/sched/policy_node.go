@@ -1,12 +1,5 @@
 package sched
 
-import (
-	"fmt"
-
-	"wasched/internal/des"
-	"wasched/internal/restrack"
-)
-
 // NodePolicy schedules on node availability only — the behaviour of the
 // default Slurm backfill scheduler the paper compares against (§V). It is
 // oblivious to file-system utilisation.
@@ -18,37 +11,6 @@ type NodePolicy struct {
 // Name implements Policy.
 func (p NodePolicy) Name() string { return "default" }
 
-func (p NodePolicy) validate() {
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: NodePolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-}
-
-// NewRound implements Policy: it initialises the node tracker NT with the
-// running jobs' allocations held until their time limits.
-func (p NodePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	nt := restrack.NewNodeTracker(p.TotalNodes)
-	if in.UnavailableNodes > 0 {
-		nt.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	for _, j := range in.Running {
-		nt.Reserve(in.Now, j.StartedAt.Add(j.Limit), j.Nodes)
-	}
-	return &nodeRound{nt: nt}
-}
-
-type nodeRound struct {
-	nt *restrack.NodeTracker
-}
-
-func (r *nodeRound) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
-	if j.Nodes > r.nt.Total() {
-		return des.MaxTime, false
-	}
-	return r.nt.EarliestFit(tmin, j.Limit, j.Nodes)
-}
-
-func (r *nodeRound) Reserve(j *Job, t des.Time) {
-	r.nt.Reserve(t, t.Add(j.Limit), j.Nodes)
-}
+// NewRound implements Policy: the node tracker NT holds the running jobs'
+// allocations until their time limits.
+func (p NodePolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }

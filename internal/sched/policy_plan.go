@@ -1,12 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-
-	"wasched/internal/des"
-	"wasched/internal/restrack"
-)
+import "wasched/internal/des"
 
 // PlanPolicy is the plan-based burst-buffer co-scheduling policy after
 // Kopanski/Rzadca ("Plan-based Job Scheduling for Supercomputers with
@@ -43,165 +37,19 @@ type PlanPolicy struct {
 // Name implements Policy.
 func (p PlanPolicy) Name() string { return "plan" }
 
-func (p PlanPolicy) validate() {
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: PlanPolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-	if p.BBCapacity < 0 || math.IsNaN(p.BBCapacity) {
-		panic(fmt.Sprintf("sched: PlanPolicy.BBCapacity must be non-negative, got %g", p.BBCapacity))
-	}
-	if p.ThroughputLimit < 0 || math.IsNaN(p.ThroughputLimit) {
-		panic(fmt.Sprintf("sched: PlanPolicy.ThroughputLimit must be non-negative, got %g", p.ThroughputLimit))
-	}
-	if p.Horizon < 0 {
-		panic(fmt.Sprintf("sched: PlanPolicy.Horizon must be non-negative, got %d", p.Horizon))
-	}
-}
+// NewRound implements Policy: nodes, burst-buffer bytes and, with a
+// ThroughputLimit, bandwidth, all seeded with the running set.
+func (p PlanPolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }
 
-// clampRate caps a job's estimated rate at the throughput limit (same
-// semantics as IOAwarePolicy.clampRate; only used when ThroughputLimit>0).
-func (p PlanPolicy) clampRate(r float64) float64 {
-	if r > p.ThroughputLimit {
-		return p.ThroughputLimit
-	}
-	if r < 0 || math.IsNaN(r) {
-		return 0
-	}
-	return r
-}
-
-// NewRound implements Policy: node tracker + BB byte tracker (+ optional
-// throughput tracker), all seeded with the running set's reservations.
-func (p PlanPolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	nt := restrack.NewNodeTracker(p.TotalNodes)
-	if in.UnavailableNodes > 0 {
-		nt.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	bt := restrack.NewBandwidthTracker(p.BBCapacity)
-	var lt *restrack.BandwidthTracker
-	if p.ThroughputLimit > 0 {
-		lt = restrack.NewBandwidthTracker(p.ThroughputLimit)
-	}
-	sumRunning := 0.0
-	maxEnd := in.Now
-	for _, j := range in.Running {
-		end := j.StartedAt.Add(j.Limit)
-		nt.Reserve(in.Now, end, j.Nodes)
-		bt.Reserve(in.Now, end, clampNonNeg(j.BBBytes))
-		if lt != nil {
-			r := p.clampRate(j.Rate)
-			lt.Reserve(in.Now, end, r)
-			sumRunning += r
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if lt != nil && !p.IgnoreMeasured && in.MeasuredThroughput > sumRunning {
-		end := maxEnd
-		if len(in.Running) == 0 {
-			end = in.Now.Add(MeasuredResidualHorizon)
-		}
-		lt.Reserve(in.Now, end, in.MeasuredThroughput-sumRunning)
-	}
-	return &planRound{p: p, nt: nt, bt: bt, lt: lt, horizon: planHorizon(p.Horizon, in.Now)}
-}
-
-// planHorizon resolves the lookahead cutoff for a round.
-func planHorizon(h des.Duration, now des.Time) des.Time {
-	if h <= 0 {
-		return des.MaxTime
-	}
-	return now.Add(h)
-}
-
-type planRound struct {
-	p       PlanPolicy
-	nt      *restrack.NodeTracker
-	bt      *restrack.BandwidthTracker
-	lt      *restrack.BandwidthTracker // nil without a ThroughputLimit
-	horizon des.Time
-}
-
-// EarliestStart alternates node, burst-buffer and (optionally) throughput
-// fits until all constraints hold at the same instant — the same fixpoint
-// iteration Algorithm 4 uses for two resources, extended to three. A
-// feasible start beyond the lookahead horizon reports infeasible: the
-// backfill engine then skips the job without burning backfill budget, and
-// the job is re-planned next round.
-func (r *planRound) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
-	if j.Nodes > r.nt.Total() {
-		return des.MaxTime, false
-	}
-	demand := clampNonNeg(j.BBBytes)
-	if demand > r.bt.Limit() {
-		return des.MaxTime, false
-	}
-	rate := 0.0
-	if r.lt != nil {
-		rate = r.p.clampRate(j.Rate)
-	}
-	t := tmin
-	for {
-		tNT, ok := r.nt.EarliestFit(t, j.Limit, j.Nodes)
-		if !ok {
-			return des.MaxTime, false
-		}
-		tBB, ok := r.bt.EarliestFit(tNT, j.Limit, demand)
-		if !ok {
-			return des.MaxTime, false
-		}
-		if tBB != tNT {
-			t = tBB
-			continue
-		}
-		if r.lt == nil {
-			if tBB > r.horizon {
-				return des.MaxTime, false
-			}
-			return tBB, true
-		}
-		tLT, ok := r.lt.EarliestFit(tBB, j.Limit, rate)
-		if !ok {
-			return des.MaxTime, false
-		}
-		if tLT == tBB {
-			if tLT > r.horizon {
-				return des.MaxTime, false
-			}
-			return tLT, true
-		}
-		t = tLT
-	}
-}
-
-// Reserve commits nodes, burst-buffer bytes and (optionally) bandwidth.
-func (r *planRound) Reserve(j *Job, t des.Time) {
-	end := t.Add(j.Limit)
-	r.nt.Reserve(t, end, j.Nodes)
-	r.bt.Reserve(t, end, clampNonNeg(j.BBBytes))
-	if r.lt != nil {
-		r.lt.Reserve(t, end, r.p.clampRate(j.Rate))
-	}
-}
-
-// Diagnostics implements Diagnoser.
-func (r *planRound) Diagnostics() map[string]float64 {
-	return map[string]float64{
-		"bb_capacity": r.p.BBCapacity,
-		"limit":       r.p.ThroughputLimit,
-	}
-}
-
-// BBAwarePolicy is the opt-in burst-buffer hook for existing policies: it
-// layers a shared-BB reservation profile over any inner policy's round, so
-// the inner policy's backfill reservations (nodes, bandwidth, adaptive
-// target, Tetris ordering via its inner) additionally respect BB capacity.
-// Unlike PlanPolicy it has no lookahead horizon of its own — the inner
-// policy's semantics are preserved, only constrained.
+// BBAwarePolicy is the opt-in burst-buffer hook for the built-in
+// policies: it appends a shared-BB dimension to the inner policy's
+// reservation model, so the inner policy's backfill reservations (nodes,
+// bandwidth, adaptive target, Tetris ordering via its inner) additionally
+// respect BB capacity. Unlike PlanPolicy it has no lookahead horizon of
+// its own — the inner policy's semantics are preserved, only constrained.
 type BBAwarePolicy struct {
-	// Inner is the wrapped policy.
+	// Inner is the wrapped policy; it must be one of this package's
+	// policies (NewRound and NewSession panic otherwise).
 	Inner Policy
 	// Capacity is the shared burst-buffer pool size in bytes.
 	Capacity float64
@@ -210,26 +58,9 @@ type BBAwarePolicy struct {
 // Name implements Policy.
 func (p BBAwarePolicy) Name() string { return "bb+" + p.Inner.Name() }
 
-func (p BBAwarePolicy) validate() {
-	if p.Inner == nil {
-		panic("sched: BBAwarePolicy needs an inner policy")
-	}
-	if p.Capacity < 0 || math.IsNaN(p.Capacity) {
-		panic(fmt.Sprintf("sched: BBAwarePolicy.Capacity must be non-negative, got %g", p.Capacity))
-	}
-}
-
-// NewRound implements Policy: the inner round plus a BB byte tracker
-// seeded with the running set.
-func (p BBAwarePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	inner := p.Inner.NewRound(in)
-	bt := restrack.NewBandwidthTracker(p.Capacity)
-	for _, j := range in.Running {
-		bt.Reserve(in.Now, j.StartedAt.Add(j.Limit), clampNonNeg(j.BBBytes))
-	}
-	return &bbAwareRound{inner: inner, bt: bt}
-}
+// NewRound implements Policy: the inner policy's model plus a BB
+// dimension.
+func (p BBAwarePolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }
 
 // OrderWindow implements WindowOrderer by delegating to the inner policy
 // when it is one (e.g. Tetris); otherwise the window order is untouched.
@@ -237,48 +68,4 @@ func (p BBAwarePolicy) OrderWindow(in RoundInput, window []*Job) {
 	if o, ok := p.Inner.(WindowOrderer); ok {
 		o.OrderWindow(in, window)
 	}
-}
-
-type bbAwareRound struct {
-	inner Round
-	bt    *restrack.BandwidthTracker
-}
-
-// EarliestStart alternates the inner policy's fit with the BB fit until
-// both agree.
-func (r *bbAwareRound) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
-	demand := clampNonNeg(j.BBBytes)
-	if demand > r.bt.Limit() {
-		return des.MaxTime, false
-	}
-	t := tmin
-	for {
-		tIn, ok := r.inner.EarliestStart(j, t)
-		if !ok {
-			return des.MaxTime, false
-		}
-		tBB, ok := r.bt.EarliestFit(tIn, j.Limit, demand)
-		if !ok {
-			return des.MaxTime, false
-		}
-		if tBB == tIn {
-			return tBB, true
-		}
-		t = tBB
-	}
-}
-
-// Reserve commits the inner reservation plus the BB bytes.
-func (r *bbAwareRound) Reserve(j *Job, t des.Time) {
-	r.inner.Reserve(j, t)
-	r.bt.Reserve(t, t.Add(j.Limit), clampNonNeg(j.BBBytes))
-}
-
-// Diagnostics implements Diagnoser, passing the inner round's diagnostics
-// through so adaptive/two-group internals stay visible under the wrapper.
-func (r *bbAwareRound) Diagnostics() map[string]float64 {
-	if d, ok := r.inner.(Diagnoser); ok {
-		return d.Diagnostics()
-	}
-	return nil
 }

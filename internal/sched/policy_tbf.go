@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // TBFPolicy schedules on node availability only, like NodePolicy, but
 // declares that running jobs' PFS bandwidth is regulated client-side by
 // the token-bucket layer (internal/tbf) instead of central reservations —
@@ -29,18 +27,9 @@ func (p TBFPolicy) Name() string {
 	return "tbf"
 }
 
-func (p TBFPolicy) validate() {
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: TBFPolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-}
-
 // NewRound implements Policy. The reservation model is NodePolicy's: the
 // token layer, not the scheduler, owns bandwidth.
-func (p TBFPolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	return NodePolicy{TotalNodes: p.TotalNodes}.NewRound(in)
-}
+func (p TBFPolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) }
 
 // TBFAwarePolicy wraps any inner policy so its schedule runs under the
 // token-bucket bandwidth layer (the `tbf+<policy>` family). The wrapper
@@ -56,17 +45,8 @@ type TBFAwarePolicy struct {
 // Name implements Policy.
 func (p TBFAwarePolicy) Name() string { return "tbf+" + p.Inner.Name() }
 
-func (p TBFAwarePolicy) validate() {
-	if p.Inner == nil {
-		panic("sched: TBFAwarePolicy needs an inner policy")
-	}
-}
-
-// NewRound implements Policy by delegating to the inner policy.
-func (p TBFAwarePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	return p.Inner.NewRound(in)
-}
+// NewRound implements Policy with the inner policy's model.
+func (p TBFAwarePolicy) NewRound(in RoundInput) Round { return newRound(p, p.Inner, in) }
 
 // OrderWindow implements WindowOrderer when the inner policy does.
 func (p TBFAwarePolicy) OrderWindow(in RoundInput, window []*Job) {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -38,16 +37,8 @@ type TetrisPolicy struct {
 // Name implements Policy.
 func (p TetrisPolicy) Name() string { return "tetris+" + p.Inner.Name() }
 
-// NewRound implements Policy by delegating to the inner policy.
-func (p TetrisPolicy) NewRound(in RoundInput) Round {
-	if p.Inner == nil {
-		panic("sched: TetrisPolicy needs an inner policy")
-	}
-	if p.TotalNodes <= 0 {
-		panic(fmt.Sprintf("sched: TetrisPolicy.TotalNodes must be positive, got %d", p.TotalNodes))
-	}
-	return p.Inner.NewRound(in)
-}
+// NewRound implements Policy with the inner policy's model.
+func (p TetrisPolicy) NewRound(in RoundInput) Round { return newRound(p, p.Inner, in) }
 
 // OrderWindow implements WindowOrderer: descending alignment between each
 // job's normalised demand vector and the normalised available-capacity

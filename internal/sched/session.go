@@ -37,63 +37,13 @@ type Session interface {
 }
 
 // NewSession returns an incremental Session for p, or nil when p has no
-// session support (custom policies fall back to per-round NewRound).
+// reservation model (custom policies fall back to per-round NewRound).
 func NewSession(p Policy) Session {
-	switch pol := p.(type) {
-	case NodePolicy:
-		pol.validate()
-		return &nodeSession{p: pol, work: restrack.NewNodeTracker(pol.TotalNodes)}
-	case IOAwarePolicy:
-		return newIOSession(pol)
-	case AdaptivePolicy:
-		pol.validate()
-		return &adaptiveSession{
-			p:     pol,
-			inner: newIOSession(IOAwarePolicy{TotalNodes: pol.TotalNodes, ThroughputLimit: pol.ThroughputLimit}),
-			at:    restrack.NewBandwidthTracker(0),
-		}
-	case TetrisPolicy:
-		// Tetris is a window ordering layered on its inner policy's
-		// reservation model; the session is the inner policy's.
-		if pol.Inner == nil {
-			panic("sched: TetrisPolicy needs an inner policy")
-		}
-		return NewSession(pol.Inner)
-	case PlanPolicy:
-		pol.validate()
-		s := &planSession{
-			p:  pol,
-			nt: restrack.NewNodeTracker(pol.TotalNodes),
-			bt: restrack.NewBandwidthTracker(pol.BBCapacity),
-		}
-		if pol.ThroughputLimit > 0 {
-			s.lt = restrack.NewBandwidthTracker(pol.ThroughputLimit)
-		}
-		return s
-	case BBAwarePolicy:
-		pol.validate()
-		inner := NewSession(pol.Inner)
-		if inner == nil {
-			return nil
-		}
-		return &bbSession{
-			p:     pol,
-			inner: inner,
-			bt:    restrack.NewBandwidthTracker(pol.Capacity),
-		}
-	case TBFPolicy:
-		// Token-bucket policies schedule on nodes only (bandwidth is
-		// regulated client-side), so the node session is exact for them.
-		pol.validate()
-		return &nodeSession{p: NodePolicy{TotalNodes: pol.TotalNodes}, work: restrack.NewNodeTracker(pol.TotalNodes)}
-	case TBFAwarePolicy:
-		// The tbf+ wrapper changes no decision; the session is the inner
-		// policy's.
-		pol.validate()
-		return NewSession(pol.Inner)
-	default:
+	m, ok := modelOf(p)
+	if !ok {
 		return nil
 	}
+	return &session{base: make([]restrack.Profile, len(m.dims)), rnd: emptyRound(m)}
 }
 
 // trimEvery bounds base-profile growth: every this many rounds the dead
@@ -101,281 +51,45 @@ func NewSession(p Policy) Session {
 // without recomputing values, so it cannot perturb decisions.
 const trimEvery = 64
 
-// nodeSession is the incremental form of NodePolicy.
-type nodeSession struct {
-	p      NodePolicy
-	base   restrack.Profile
-	work   *restrack.NodeTracker
-	round  nodeRound
+// session carries one base profile per model dimension: the running set's
+// reservations, updated by start/finish deltas with the same clamped
+// per-job values the from-scratch build books. Everything that is a
+// function of this round's input (unavailable nodes, the guard, the
+// adaptive overlay) is recomputed onto the working copy by round.begin,
+// the code NewRound runs too.
+type session struct {
+	base   []restrack.Profile
+	rnd    *round
 	rounds int
 }
 
 //waschedlint:hotpath
-func (s *nodeSession) BeginRound(in RoundInput) Round {
-	if s.rounds++; s.rounds%trimEvery == 0 {
-		s.base.TrimBefore(in.Now)
-	}
-	s.work.LoadFrom(&s.base)
-	if in.UnavailableNodes > 0 {
-		s.work.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	s.round = nodeRound{nt: s.work}
-	return &s.round
-}
-
-//waschedlint:hotpath
-func (s *nodeSession) JobStarted(j *Job) {
-	s.base.Add(j.StartedAt, j.StartedAt.Add(j.Limit), float64(j.Nodes))
-}
-
-//waschedlint:hotpath
-func (s *nodeSession) JobFinished(j *Job, end des.Time) {
-	if limEnd := j.StartedAt.Add(j.Limit); end < limEnd {
-		s.base.Add(end, limEnd, -float64(j.Nodes))
-	}
-}
-
-// ioSession is the incremental form of IOAwarePolicy: base node and
-// bandwidth profiles carry the running set's reservations; the
-// measured-throughput guard — a function of this round's measurement —
-// is recomputed onto the working copy each round, exactly as Algorithm 2
-// lines 7–8 do.
-type ioSession struct {
-	p        IOAwarePolicy
-	baseNode restrack.Profile
-	baseRate restrack.Profile
-	nt       *restrack.NodeTracker
-	lt       *restrack.BandwidthTracker
-	round    ioAwareRound
-	rounds   int
-}
-
-func newIOSession(p IOAwarePolicy) *ioSession {
-	p.validate()
-	return &ioSession{
-		p:  p,
-		nt: restrack.NewNodeTracker(p.TotalNodes),
-		lt: restrack.NewBandwidthTracker(p.ThroughputLimit),
-	}
-}
-
-//waschedlint:hotpath
-func (s *ioSession) BeginRound(in RoundInput) Round {
-	if s.rounds++; s.rounds%trimEvery == 0 {
-		s.baseNode.TrimBefore(in.Now)
-		s.baseRate.TrimBefore(in.Now)
-	}
-	s.nt.LoadFrom(&s.baseNode)
-	s.lt.LoadFrom(&s.baseRate)
-	if in.UnavailableNodes > 0 {
-		s.nt.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	sumRunning := 0.0
-	maxEnd := in.Now
-	for _, j := range in.Running {
-		sumRunning += s.p.clampRate(j.Rate)
-		if end := j.StartedAt.Add(j.Limit); end > maxEnd {
-			maxEnd = end
+func (s *session) BeginRound(in RoundInput) Round {
+	s.rounds++
+	for i := range s.base {
+		if s.rounds%trimEvery == 0 {
+			s.base[i].TrimBefore(in.Now)
 		}
+		s.rnd.work[i].CopyFrom(&s.base[i])
 	}
-	if !s.p.IgnoreMeasured && in.MeasuredThroughput > sumRunning {
-		end := maxEnd
-		if len(in.Running) == 0 {
-			end = in.Now.Add(MeasuredResidualHorizon)
-		}
-		s.lt.Reserve(in.Now, end, in.MeasuredThroughput-sumRunning)
-	}
-	s.round = ioAwareRound{p: s.p, nt: s.nt, lt: s.lt}
-	return &s.round
+	return s.rnd.begin(in)
 }
 
 //waschedlint:hotpath
-func (s *ioSession) JobStarted(j *Job) {
+func (s *session) JobStarted(j *Job) {
 	end := j.StartedAt.Add(j.Limit)
-	s.baseNode.Add(j.StartedAt, end, float64(j.Nodes))
-	s.baseRate.Add(j.StartedAt, end, s.p.clampRate(j.Rate))
+	for i := range s.base {
+		s.base[i].Add(j.StartedAt, end, s.rnd.m.dims[i].need(j))
+	}
 }
 
 //waschedlint:hotpath
-func (s *ioSession) JobFinished(j *Job, end des.Time) {
+func (s *session) JobFinished(j *Job, end des.Time) {
 	limEnd := j.StartedAt.Add(j.Limit)
 	if end >= limEnd {
 		return
 	}
-	s.baseNode.Add(end, limEnd, -float64(j.Nodes))
-	s.baseRate.Add(end, limEnd, -s.p.clampRate(j.Rate))
-}
-
-// adaptiveSession is the incremental form of AdaptivePolicy. The target,
-// the two-group split and the adjusted tracker AT are by definition
-// functions of this round's queue, so they are recomputed every round with
-// the same operation order as NewRound — but into reused buffers (the
-// split's entry slice, the AT profile), which removes the per-round
-// allocation churn without moving a single float.
-type adaptiveSession struct {
-	p       AdaptivePolicy
-	inner   *ioSession
-	at      *restrack.BandwidthTracker
-	scratch splitScratch
-	round   adaptiveRound
-}
-
-//waschedlint:hotpath
-func (s *adaptiveSession) BeginRound(in RoundInput) Round {
-	rt := s.inner.BeginRound(in).(*ioAwareRound)
-
-	vIO := 0.0
-	nodeSec := 0.0
-	for _, j := range in.Running {
-		rem := j.remaining(in.Now).Seconds()
-		vIO += clampNonNeg(j.Rate) * rem
-		nodeSec += float64(j.Nodes) * rem
-	}
-	for _, j := range in.Waiting {
-		d := j.estRuntime().Seconds()
-		if d <= 0 || j.Nodes < 1 {
-			continue
-		}
-		vIO += clampNonNeg(j.Rate) * d
-		nodeSec += float64(j.Nodes) * d
-	}
-	target := 0.0
-	if nodeSec > 0 {
-		target = vIO * float64(s.p.TotalNodes) / nodeSec
-	}
-
-	rStar, rZeroBar := s.p.twoGroupSplitInto(in.Waiting, &s.scratch)
-	adjTarget := target - float64(s.p.TotalNodes)*rZeroBar
-	if adjTarget < 0 {
-		adjTarget = 0
-	}
-
-	s.at.Reset()
-	s.at.SetLimit(adjTarget)
-	for _, j := range in.Running {
-		s.at.ReserveSigned(in.Now, j.StartedAt.Add(j.Limit), clampNonNeg(j.Rate)-float64(j.Nodes)*rZeroBar)
-	}
-	s.round = adaptiveRound{
-		p:        s.p,
-		rt:       rt,
-		at:       s.at,
-		rStar:    rStar,
-		rZeroBar: rZeroBar,
-		target:   target,
-	}
-	return &s.round
-}
-
-//waschedlint:hotpath
-func (s *adaptiveSession) JobStarted(j *Job) { s.inner.JobStarted(j) }
-
-//waschedlint:hotpath
-func (s *adaptiveSession) JobFinished(j *Job, end des.Time) { s.inner.JobFinished(j, end) }
-
-// planSession is the incremental form of PlanPolicy: node, burst-buffer
-// and (optionally) bandwidth base profiles carry the running set; the
-// measured-throughput guard is recomputed per round like ioSession's.
-type planSession struct {
-	p        PlanPolicy
-	baseNode restrack.Profile
-	baseBB   restrack.Profile
-	baseRate restrack.Profile
-	nt       *restrack.NodeTracker
-	bt       *restrack.BandwidthTracker
-	lt       *restrack.BandwidthTracker // nil without a ThroughputLimit
-	round    planRound
-	rounds   int
-}
-
-//waschedlint:hotpath
-func (s *planSession) BeginRound(in RoundInput) Round {
-	if s.rounds++; s.rounds%trimEvery == 0 {
-		s.baseNode.TrimBefore(in.Now)
-		s.baseBB.TrimBefore(in.Now)
-		s.baseRate.TrimBefore(in.Now)
-	}
-	s.nt.LoadFrom(&s.baseNode)
-	s.bt.LoadFrom(&s.baseBB)
-	if in.UnavailableNodes > 0 {
-		s.nt.Reserve(in.Now, des.MaxTime, in.UnavailableNodes)
-	}
-	if s.lt != nil {
-		s.lt.LoadFrom(&s.baseRate)
-		sumRunning := 0.0
-		maxEnd := in.Now
-		for _, j := range in.Running {
-			sumRunning += s.p.clampRate(j.Rate)
-			if end := j.StartedAt.Add(j.Limit); end > maxEnd {
-				maxEnd = end
-			}
-		}
-		if !s.p.IgnoreMeasured && in.MeasuredThroughput > sumRunning {
-			end := maxEnd
-			if len(in.Running) == 0 {
-				end = in.Now.Add(MeasuredResidualHorizon)
-			}
-			s.lt.Reserve(in.Now, end, in.MeasuredThroughput-sumRunning)
-		}
-	}
-	s.round = planRound{p: s.p, nt: s.nt, bt: s.bt, lt: s.lt, horizon: planHorizon(s.p.Horizon, in.Now)}
-	return &s.round
-}
-
-//waschedlint:hotpath
-func (s *planSession) JobStarted(j *Job) {
-	end := j.StartedAt.Add(j.Limit)
-	s.baseNode.Add(j.StartedAt, end, float64(j.Nodes))
-	s.baseBB.Add(j.StartedAt, end, clampNonNeg(j.BBBytes))
-	if s.lt != nil {
-		s.baseRate.Add(j.StartedAt, end, s.p.clampRate(j.Rate))
-	}
-}
-
-//waschedlint:hotpath
-func (s *planSession) JobFinished(j *Job, end des.Time) {
-	limEnd := j.StartedAt.Add(j.Limit)
-	if end >= limEnd {
-		return
-	}
-	s.baseNode.Add(end, limEnd, -float64(j.Nodes))
-	s.baseBB.Add(end, limEnd, -clampNonNeg(j.BBBytes))
-	if s.lt != nil {
-		s.baseRate.Add(end, limEnd, -s.p.clampRate(j.Rate))
-	}
-}
-
-// bbSession is the incremental form of BBAwarePolicy: the inner policy's
-// session plus a burst-buffer base profile layered on its rounds.
-type bbSession struct {
-	p      BBAwarePolicy
-	inner  Session
-	baseBB restrack.Profile
-	bt     *restrack.BandwidthTracker
-	round  bbAwareRound
-	rounds int
-}
-
-//waschedlint:hotpath
-func (s *bbSession) BeginRound(in RoundInput) Round {
-	if s.rounds++; s.rounds%trimEvery == 0 {
-		s.baseBB.TrimBefore(in.Now)
-	}
-	innerRound := s.inner.BeginRound(in)
-	s.bt.LoadFrom(&s.baseBB)
-	s.round = bbAwareRound{inner: innerRound, bt: s.bt}
-	return &s.round
-}
-
-//waschedlint:hotpath
-func (s *bbSession) JobStarted(j *Job) {
-	s.inner.JobStarted(j)
-	s.baseBB.Add(j.StartedAt, j.StartedAt.Add(j.Limit), clampNonNeg(j.BBBytes))
-}
-
-//waschedlint:hotpath
-func (s *bbSession) JobFinished(j *Job, end des.Time) {
-	s.inner.JobFinished(j, end)
-	if limEnd := j.StartedAt.Add(j.Limit); end < limEnd {
-		s.baseBB.Add(end, limEnd, -clampNonNeg(j.BBBytes))
+	for i := range s.base {
+		s.base[i].Add(end, limEnd, -s.rnd.m.dims[i].need(j))
 	}
 }

@@ -8,7 +8,7 @@
 //	ClusterName=stria
 //	Nodes=15
 //	Seed=42
-//	SchedulerPolicy=adaptive          # default|easy|io-aware|adaptive|adaptive-naive
+//	SchedulerPolicy=adaptive          # default|easy|io-aware|adaptive|adaptive-naive|plan|tbf|tbf-straggler
 //	ThroughputLimit=20GiB             # bytes/s; accepts GiB/MiB suffixes
 //	SchedulerParameters=bf_interval=30,bf_max_job_test=100,bf_max_job_start=0
 //	TwoGroupQoSFraction=0.5
@@ -174,20 +174,11 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Seed = s
 	case "schedulerpolicy":
-		switch strings.ToLower(value) {
-		case "default":
-			cfg.Scheduler.Policy = core.Default
-		case "easy":
-			cfg.Scheduler.Policy = core.EASY
-		case "io-aware", "ioaware":
-			cfg.Scheduler.Policy = core.IOAware
-		case "adaptive":
-			cfg.Scheduler.Policy = core.Adaptive
-		case "adaptive-naive", "adaptivenaive":
-			cfg.Scheduler.Policy = core.AdaptiveNaive
-		default:
-			return fmt.Errorf("SchedulerPolicy: unknown policy %q", value)
+		k, err := core.ParsePolicyKind(value)
+		if err != nil {
+			return fmt.Errorf("SchedulerPolicy: %w", err)
 		}
+		cfg.Scheduler.Policy = k
 	case "throughputlimit":
 		v, err := parseBytes(value)
 		if err != nil {

@@ -108,6 +108,25 @@ func TestParsePolicyNames(t *testing.T) {
 	}
 }
 
+// Every policy kind the library knows is reachable from slurm.conf under
+// the name PolicyKind.String gives it (and wasim's -policy accepts).
+func TestParseEveryPolicyKind(t *testing.T) {
+	n := 0
+	for k := core.Default; !strings.HasPrefix(k.String(), "PolicyKind("); k++ {
+		n++
+		cfg, err := Parse(strings.NewReader("SchedulerPolicy=" + k.String()))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if cfg.Scheduler.Policy != k {
+			t.Fatalf("%s → %v", k, cfg.Scheduler.Policy)
+		}
+	}
+	if n <= int(core.TBFStraggler) {
+		t.Fatalf("only %d policy kinds checked", n)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"NotAKey=1",
