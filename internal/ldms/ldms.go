@@ -145,6 +145,10 @@ func (d *Daemon) sample(node string, now des.Time) {
 	})
 }
 
+// flush moves the buffered samples into the store. It runs once per
+// aggregation period, so it must not allocate per record.
+//
+//waschedlint:hotpath
 func (d *Daemon) flush() {
 	for i := range d.pending {
 		r := &d.pending[i]

@@ -73,10 +73,13 @@ func hasPathPrefix(path, prefix string) bool {
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
 //   - hotalloc runs on the replay hot path's packages (des, sched, pfs,
-//     schedcheck, bb, tbf); it only fires inside //waschedlint:hotpath
-//     functions and their package-local callees. The tbf tick runs once
-//     per simulated second, so its settle/redistribute/cap pass must not
-//     allocate.
+//     schedcheck, bb, tbf) and on the prototype's monitoring path (ldms,
+//     sos); it only fires inside //waschedlint:hotpath functions and
+//     their package-local callees. The tbf tick runs once per simulated
+//     second, so its settle/redistribute/cap pass must not allocate; the
+//     LDMS flush and the SOS append/trim it drives run once per node per
+//     second, so a per-record row allocation or a per-tick copy there
+//     dominates the full prototype.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{
@@ -153,6 +156,8 @@ func Suite() []ScopedAnalyzer {
 				"wasched/internal/schedcheck",
 				"wasched/internal/bb",
 				"wasched/internal/tbf",
+				"wasched/internal/ldms",
+				"wasched/internal/sos",
 			},
 		},
 	}

@@ -10,6 +10,8 @@ import (
 
 // The wire format mirrors SOS's on-disk container dumps: a store is a
 // sequence of containers, each with its schema and per-source column data.
+// Values are stored as one row per record on the wire; Save builds those
+// rows from the flat in-memory layout, so old dumps still load.
 
 type wireStore struct {
 	Containers []wireContainer
@@ -33,12 +35,15 @@ func (st *Store) Save(w io.Writer) error {
 	for _, name := range st.names {
 		c := st.containers[name]
 		wc := wireContainer{Schema: c.schema}
-		for _, src := range c.sources {
-			s := c.bySource[src]
+		for _, s := range c.order {
+			rows := make([][]float64, len(s.times))
+			for k := range rows {
+				rows[k] = s.row(k, c.width)
+			}
 			wc.Sources = append(wc.Sources, wireSeries{
-				Source: src,
+				Source: s.source,
 				Times:  s.times,
-				Values: s.values,
+				Values: rows,
 			})
 		}
 		ws.Containers = append(ws.Containers, wc)
@@ -69,6 +74,7 @@ func (st *Store) Load(r io.Reader) error {
 				return fmt.Errorf("sos: container %q source %q: %d times, %d rows",
 					wc.Schema.Name, s.Source, len(s.Times), len(s.Values))
 			}
+			c.seriesOf(s.Source) // a source trimmed to empty still round-trips
 			for i := range s.Times {
 				if err := c.Append(s.Source, s.Times[i], s.Values[i]); err != nil {
 					return err
@@ -93,13 +99,12 @@ func (c *Container) ExportCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	for _, src := range c.sources {
-		s := c.bySource[src]
+	for _, s := range c.order {
 		for i := range s.times {
-			if _, err := fmt.Fprintf(w, "%s,%.6f", src, s.times[i].Seconds()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s,%.6f", s.source, s.times[i].Seconds()); err != nil {
 				return err
 			}
-			for _, v := range s.values[i] {
+			for _, v := range s.row(i, c.width) {
 				if _, err := fmt.Fprintf(w, ",%g", v); err != nil {
 					return err
 				}

@@ -8,11 +8,20 @@
 // this layer explicit — instead of letting the scheduler read simulator
 // ground truth — preserves the estimate-versus-reality gap that the paper's
 // design contends with.
+//
+// Storage is columnar: each source keeps its timestamps in one slice and
+// its values in one flat row-major slice of len(times)×width, so an append
+// copies the row into shared storage instead of allocating it. Records
+// returned by queries are capped views into that storage. Trim reslices
+// past the expired rows and never writes in place, so records handed out
+// earlier stay valid; the expired prefix is dropped when a later append
+// outgrows the capacity and copies only the live rows. A retention trim
+// therefore costs amortized O(1) per appended row, whatever the window.
 package sos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wasched/internal/des"
 )
@@ -58,7 +67,7 @@ func (s Schema) Column(metric string) int {
 type Record struct {
 	At     des.Time
 	Source string
-	Values []float64 // aligned with Schema.Metrics; do not mutate
+	Values []float64 // aligned with Schema.Metrics; a view into the store, do not mutate
 }
 
 // Value returns the record's value in the given schema column.
@@ -67,17 +76,35 @@ func (r Record) Value(col int) float64 { return r.Values[col] }
 // Container is an append-only series of records under one schema, indexed
 // by source and time.
 type Container struct {
-	schema Schema
-	// Per-source column stores. Records within a source are strictly
-	// ordered by time (samplers emit monotonically).
+	schema   Schema
+	width    int // len(schema.Metrics)
 	bySource map[string]*series
-	sources  []string // deterministic iteration order
+	order    []*series // first-seen order, for deterministic iteration
 	count    int
 }
 
+// series is one source's records in columnar form. Records within a
+// source are ordered by time (samplers emit monotonically).
 type series struct {
+	source string
 	times  []des.Time
-	values [][]float64 // one row per record
+	vals   []float64 // row-major, len(times)×width
+}
+
+// row returns record k's values as a view whose capacity ends with the
+// row, so an append to it reallocates instead of overwriting record k+1.
+func (s *series) row(k, w int) []float64 {
+	return s.vals[k*w : (k+1)*w : (k+1)*w]
+}
+
+func (s *series) record(k, w int) Record {
+	return Record{At: s.times[k], Source: s.source, Values: s.row(k, w)}
+}
+
+// lowerBound returns the index of the first time >= t.
+func lowerBound(times []des.Time, t des.Time) int {
+	i, _ := slices.BinarySearch(times, t)
+	return i
 }
 
 // Store is a named collection of containers.
@@ -104,7 +131,7 @@ func (st *Store) CreateContainer(schema Schema) (*Container, error) {
 		}
 		return c, nil
 	}
-	c := &Container{schema: schema, bySource: make(map[string]*series)}
+	c := &Container{schema: schema, width: len(schema.Metrics), bySource: make(map[string]*series)}
 	st.containers[schema.Name] = c
 	st.names = append(st.names, schema.Name)
 	return c, nil
@@ -143,42 +170,51 @@ func (c *Container) Len() int { return c.count }
 
 // Sources returns the source names seen so far, in first-seen order.
 func (c *Container) Sources() []string {
-	out := make([]string, len(c.sources))
-	copy(out, c.sources)
+	out := make([]string, len(c.order))
+	for i, s := range c.order {
+		out[i] = s.source
+	}
 	return out
 }
 
 // Append adds one record. Values must match the schema width, and time must
 // not go backwards within a source (samplers are monotone).
+//
+//waschedlint:hotpath
 func (c *Container) Append(source string, at des.Time, values []float64) error {
-	if len(values) != len(c.schema.Metrics) {
-		return fmt.Errorf("sos: container %q: got %d values, schema has %d",
-			c.schema.Name, len(values), len(c.schema.Metrics))
+	if len(values) != c.width {
+		//waschedlint:allow hotalloc error path: a width mismatch is a caller bug, never taken by the samplers
+		return fmt.Errorf("sos: container %q: got %d values, schema has %d", c.schema.Name, len(values), c.width)
 	}
-	s, ok := c.bySource[source]
-	if !ok {
-		s = &series{}
-		c.bySource[source] = s
-		c.sources = append(c.sources, source)
-	}
+	s := c.seriesOf(source)
 	if n := len(s.times); n > 0 && at < s.times[n-1] {
-		return fmt.Errorf("sos: container %q source %q: time %v precedes last %v",
-			c.schema.Name, source, at, s.times[n-1])
+		//waschedlint:allow hotalloc error path: time going backwards is a caller bug, never taken by the samplers
+		return fmt.Errorf("sos: container %q source %q: time %v precedes last %v", c.schema.Name, source, at, s.times[n-1])
 	}
-	row := make([]float64, len(values))
-	copy(row, values)
 	s.times = append(s.times, at)
-	s.values = append(s.values, row)
+	s.vals = append(s.vals, values...)
 	c.count++
 	return nil
+}
+
+// seriesOf returns the source's series, creating it on first sight.
+func (c *Container) seriesOf(source string) *series {
+	s, ok := c.bySource[source]
+	if !ok {
+		//waschedlint:allow hotalloc once per source: the first record of a node creates its series
+		s = &series{source: source}
+		c.bySource[source] = s
+		c.order = append(c.order, s)
+	}
+	return s
 }
 
 // Range returns all records with lo <= At < hi across all sources, ordered
 // by source (first-seen order) then time.
 func (c *Container) Range(lo, hi des.Time) []Record {
 	var out []Record
-	for _, src := range c.sources {
-		out = append(out, c.RangeBySource(src, lo, hi)...)
+	for _, s := range c.order {
+		out = append(out, c.RangeBySource(s.source, lo, hi)...)
 	}
 	return out
 }
@@ -190,11 +226,11 @@ func (c *Container) RangeBySource(source string, lo, hi des.Time) []Record {
 	if !ok {
 		return nil
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= lo })
-	j := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= hi })
+	i := lowerBound(s.times, lo)
+	j := max(i, lowerBound(s.times, hi))
 	out := make([]Record, 0, j-i)
 	for k := i; k < j; k++ {
-		out = append(out, Record{At: s.times[k], Source: source, Values: s.values[k]})
+		out = append(out, s.record(k, c.width))
 	}
 	return out
 }
@@ -202,14 +238,17 @@ func (c *Container) RangeBySource(source string, lo, hi des.Time) []Record {
 // LastBefore returns the newest record of a source with At <= at.
 func (c *Container) LastBefore(source string, at des.Time) (Record, bool) {
 	s, ok := c.bySource[source]
-	if !ok || len(s.times) == 0 {
+	if !ok {
 		return Record{}, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] > at }) - 1
-	if i < 0 {
+	i := len(s.times) // one past the last record with At <= at
+	if at < des.MaxTime {
+		i = lowerBound(s.times, at+1)
+	}
+	if i == 0 {
 		return Record{}, false
 	}
-	return Record{At: s.times[i], Source: source, Values: s.values[i]}, true
+	return s.record(i-1, c.width), true
 }
 
 // FirstAfter returns the oldest record of a source with At >= at.
@@ -218,11 +257,11 @@ func (c *Container) FirstAfter(source string, at des.Time) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= at })
+	i := lowerBound(s.times, at)
 	if i >= len(s.times) {
 		return Record{}, false
 	}
-	return Record{At: s.times[i], Source: source, Values: s.values[i]}, true
+	return s.record(i, c.width), true
 }
 
 // DeltaOver computes, for one source and one metric column, the increase of
@@ -248,35 +287,33 @@ func (c *Container) interp(source string, col int, t des.Time) (float64, bool) {
 	if !ok || len(s.times) == 0 {
 		return 0, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= t })
+	w := c.width
+	i := lowerBound(s.times, t)
 	if i == 0 {
-		return s.values[0][col], true
+		return s.row(0, w)[col], true
 	}
 	if i == len(s.times) {
-		return s.values[len(s.times)-1][col], true
+		return s.row(i-1, w)[col], true
 	}
 	t0, t1 := s.times[i-1], s.times[i]
-	v0, v1 := s.values[i-1][col], s.values[i][col]
-	if t1 == t0 {
-		return v1, true
-	}
+	v0, v1 := s.row(i-1, w)[col], s.row(i, w)[col]
 	f := float64(t-t0) / float64(t1-t0)
 	return v0 + f*(v1-v0), true
 }
 
 // Trim discards records older than the cutoff to bound memory during long
-// runs. Records exactly at the cutoff are retained.
+// runs. Records exactly at the cutoff are retained. It reslices past the
+// expired rows without copying, so its cost does not depend on how many
+// rows are retained.
+//
+//waschedlint:hotpath
 func (c *Container) Trim(before des.Time) int {
 	removed := 0
-	for _, src := range c.sources {
-		s := c.bySource[src]
-		i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= before })
-		if i == 0 {
-			continue
-		}
+	for _, s := range c.order {
+		i := lowerBound(s.times, before)
 		removed += i
-		s.times = append(s.times[:0], s.times[i:]...)
-		s.values = append(s.values[:0], s.values[i:]...)
+		s.times = s.times[i:]
+		s.vals = s.vals[i*c.width:]
 	}
 	c.count -= removed
 	return removed

@@ -2,7 +2,9 @@ package sos
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -293,4 +295,166 @@ func TestExportCSV(t *testing.T) {
 	if strings.Count(out, "\n") != 3 {
 		t.Fatalf("rows: %q", out)
 	}
+}
+
+func TestRecordsSurviveAppendAndTrim(t *testing.T) {
+	st := NewStore()
+	c, _ := st.CreateContainer(testSchema())
+	for i := int64(0); i < 10; i++ {
+		_ = c.Append("n1", ts(i), []float64{float64(i), float64(-i)})
+	}
+	recs := c.RangeBySource("n1", ts(0), ts(10))
+	last, _ := c.LastBefore("n1", ts(9))
+	first, _ := c.FirstAfter("n1", ts(0))
+	// Trim everything those records cover, then append far past the
+	// backing arrays' capacity so they are reallocated.
+	c.Trim(ts(10))
+	for i := int64(10); i < 2000; i++ {
+		_ = c.Append("n1", ts(i), []float64{1e6, 1e6})
+		c.Trim(ts(i - 5))
+	}
+	for i, r := range recs {
+		if r.At != ts(int64(i)) || r.Value(0) != float64(i) || r.Value(1) != float64(-i) {
+			t.Fatalf("record %d changed after Append/Trim: %+v", i, r)
+		}
+	}
+	if last.At != ts(9) || last.Value(0) != 9 || last.Value(1) != -9 {
+		t.Fatalf("LastBefore record changed: %+v", last)
+	}
+	if first.At != ts(0) || first.Value(0) != 0 || first.Value(1) != 0 {
+		t.Fatalf("FirstAfter record changed: %+v", first)
+	}
+}
+
+func TestAppendToRecordValuesDoesNotAlias(t *testing.T) {
+	st := NewStore()
+	c, _ := st.CreateContainer(testSchema())
+	_ = c.Append("n1", ts(0), []float64{1, 2})
+	_ = c.Append("n1", ts(1), []float64{3, 4})
+	recs := c.RangeBySource("n1", ts(0), ts(2))
+	_ = append(recs[0].Values, 99, 99)
+	if got := c.RangeBySource("n1", ts(1), ts(2))[0].Values; got[0] != 3 || got[1] != 4 {
+		t.Fatalf("append to record 0 overwrote record 1: %v", got)
+	}
+	// Growing the newest row must not share the slots the next Append
+	// fills, in either direction.
+	grown := append(recs[1].Values, 42)
+	_ = c.Append("n1", ts(2), []float64{5, 6})
+	if grown[2] != 42 {
+		t.Fatalf("Append overwrote a caller's grown row: %v", grown)
+	}
+	if got, _ := c.LastBefore("n1", ts(2)); got.Values[0] != 5 || got.Values[1] != 6 {
+		t.Fatalf("newest record: %v", got.Values)
+	}
+}
+
+// trimmedStore returns a two-container store whose sources have been
+// trimmed, one of them to empty.
+func trimmedStore() *Store {
+	st := NewStore()
+	a, _ := st.CreateContainer(Schema{Name: "alpha", Metrics: []string{"x", "y"}})
+	b, _ := st.CreateContainer(Schema{Name: "beta", Metrics: []string{"z"}})
+	for i := int64(0); i < 40; i++ {
+		_ = a.Append("n1", ts(i), []float64{float64(i) * 1.5, float64(-i)})
+		if i < 20 {
+			_ = a.Append("n2", ts(i), []float64{float64(3 * i), 0.25})
+		}
+		_ = b.Append("n3", ts(i*2), []float64{float64(i * i)})
+	}
+	a.Trim(ts(25))
+	b.Trim(ts(31))
+	return st
+}
+
+func TestPersistRoundTripAfterTrim(t *testing.T) {
+	st := trimmedStore()
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	st2 := NewStore()
+	if err := st2.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range st.Names() {
+		c, _ := st.Container(name)
+		c2, _ := st2.Container(name)
+		if c2 == nil || c2.Len() != c.Len() {
+			t.Fatalf("%s: loaded %v records, saved %d", name, c2, c.Len())
+		}
+		for _, src := range c.Sources() {
+			want := c.RangeBySource(src, ts(0), des.MaxTime)
+			got := c2.RangeBySource(src, ts(0), des.MaxTime)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d records, want %d", name, src, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].At != want[i].At || !equalBits(got[i].Values, want[i].Values) {
+					t.Fatalf("%s/%s record %d: %+v, want %+v", name, src, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := st2.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != saved {
+		t.Fatal("Save → Load → Save is not byte-identical")
+	}
+}
+
+// The wire format predates the columnar layout: a dump written with one
+// heap row per record must load, and saving the same store must still
+// produce it byte for byte.
+func TestPersistWireFormatStable(t *testing.T) {
+	golden, err := os.ReadFile("testdata/trimmed-store.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trimmedStore().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("Save output differs from the recorded dump")
+	}
+	st := NewStore()
+	if err := st.Load(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := st.Container("alpha")
+	if r, ok := a.LastBefore("n1", ts(100)); !ok || r.At != ts(39) || r.Value(0) != 58.5 || r.Value(1) != -39 {
+		t.Fatalf("loaded alpha/n1 newest: %+v %v", r, ok)
+	}
+}
+
+func TestExportCSVAfterTrim(t *testing.T) {
+	st := trimmedStore()
+	a, _ := st.Container("alpha")
+	var buf bytes.Buffer
+	if err := a.ExportCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	want.WriteString("source,time_s,x,y\n")
+	for i := 25; i < 40; i++ {
+		fmt.Fprintf(&want, "n1,%d.000000,%g,%g\n", i, float64(i)*1.5, float64(-i))
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("CSV after trim:\n%s\nwant:\n%s", buf.String(), want.String())
+	}
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
