@@ -34,10 +34,8 @@ lint:
 test:
 	$(GO) test ./...
 
-# The race detector slows internal/experiments (~3.5 min plain) well past
-# go test's default 10 min timeout on small machines, so give it headroom.
 race:
-	$(GO) test -race -timeout 45m ./...
+	$(GO) test -race ./...
 
 # Interrupt a tiny 2-worker sweep after three cells (exit 3 = resumable
 # checkpoint), then resume it from the journal and confirm the status shows
@@ -145,7 +143,8 @@ loc:
 
 # Go allows one -fuzz target per invocation, so each runs separately.
 fuzz:
-	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzProfile -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/restrack -run='^$$' -fuzz='^FuzzProfile$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzProfileLocalCompact -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzTrackers -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)

@@ -30,17 +30,16 @@ var Maporder = &analysis.Analyzer{
 // methodSinks are callee names (methods or functions, any package) whose
 // invocation order is observable.
 var methodSinks = map[string]bool{
-	"Submit":        true,
-	"Reserve":       true,
-	"ReserveSigned": true,
-	"Enqueue":       true,
-	"Push":          true,
-	"Schedule":      true,
-	"record":        true,
-	"violatef":      true,
-	"Write":         true,
-	"WriteString":   true,
-	"Encode":        true,
+	"Submit":      true,
+	"Reserve":     true,
+	"Enqueue":     true,
+	"Push":        true,
+	"Schedule":    true,
+	"record":      true,
+	"violatef":    true,
+	"Write":       true,
+	"WriteString": true,
+	"Encode":      true,
 }
 
 func runMaporder(pass *analysis.Pass) error {

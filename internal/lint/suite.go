@@ -72,14 +72,17 @@ func hasPathPrefix(path, prefix string) bool {
 //   - unitsafe runs where bytes/GiB/rate/time arithmetic mixes: the
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
-//   - hotalloc runs on the replay hot path's packages (des, sched, pfs,
-//     schedcheck, bb, tbf) and on the prototype's monitoring path (ldms,
-//     sos); it only fires inside //waschedlint:hotpath functions and
-//     their package-local callees. The tbf tick runs once per simulated
-//     second, so its settle/redistribute/cap pass must not allocate; the
-//     LDMS flush and the SOS append/trim it drives run once per node per
-//     second, so a per-record row allocation or a per-tick copy there
-//     dominates the full prototype.
+//   - hotalloc runs on the replay hot path's packages (des, sched,
+//     restrack, pfs, schedcheck, bb, tbf) and on the prototype's
+//     monitoring path (ldms, sos); it only fires inside
+//     //waschedlint:hotpath functions and their package-local callees.
+//     Every backfill probe and reservation is a restrack.Profile
+//     EarliestFit or Add, so those stay free of closures (a sort.Search
+//     predicate, say) and fresh slices. The tbf tick runs once per
+//     simulated second, so its settle/redistribute/cap pass must not
+//     allocate; the LDMS flush and the SOS append/trim it drives run once
+//     per node per second, so a per-record row allocation or a per-tick
+//     copy there dominates the full prototype.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{
@@ -152,6 +155,7 @@ func Suite() []ScopedAnalyzer {
 			Include: []string{
 				"wasched/internal/des",
 				"wasched/internal/sched",
+				"wasched/internal/restrack",
 				"wasched/internal/pfs",
 				"wasched/internal/schedcheck",
 				"wasched/internal/bb",

@@ -11,8 +11,8 @@ import (
 // FuzzProfile drives the piecewise-constant profile with arbitrary
 // reservation sequences and cross-checks it against a brute-force reference:
 // a plain list of (interval, delta) superpositions. Every decoded input
-// exercises Add/compact, ValueAt, and one EarliestFit query whose answer is
-// verified for feasibility AND minimality.
+// exercises Add and its compaction, ValueAt, and one EarliestFit query
+// whose answer is verified for feasibility AND minimality.
 //
 // Values are small integers, so reference comparisons are exact and the
 // profile's 1e-9 relative tolerances can never flip an outcome.
@@ -160,4 +160,167 @@ func FuzzTrackers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzProfileLocalCompact holds Add's local compaction to the whole-profile
+// merge pass it replaced. Each decoded operation is applied to the profile
+// and to a reference breakpoint slice that is edited by linear scan and then
+// compacted by compactAll; the two slices must be identical bit for bit
+// after every operation.
+//
+// Unlike FuzzProfile it uses bandwidth-scale floats and residues near the
+// 1e-9 tolerance, where sameValue is not transitive, and TrimBefore, which
+// can leave a head within tolerance of zero.
+//
+// Each operation takes four bytes: kind, then three parameters.
+//
+//	kind%5 == 0: node-style integer Add
+//	kind%5 == 1: bandwidth-scale float Add
+//	kind%5 == 2: release of an earlier reservation (negated delta)
+//	kind%5 == 3: open-ended Add up to des.MaxTime
+//	kind%5 == 4: TrimBefore
+func FuzzProfileLocalCompact(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 10, 20, 3, 1, 15, 30, 2, 2, 0, 0, 0, 1, 5, 40, 7, 2, 1, 0, 0})
+	// A 5e-10 residue after a node-scale step outlives the closing
+	// breakpoint (it is within tolerance of zero there but not of 5), and
+	// the trim at 15 s makes it the head.
+	f.Add([]byte{0, 0, 10, 5, 1, 10, 10, 9, 4, 15, 0, 0})
+	f.Add([]byte{3, 0, 0, 3, 1, 5, 50, 1, 1, 5, 50, 129, 4, 30, 0, 0, 1, 20, 60, 4, 2, 1, 0, 0})
+	f.Add([]byte{1, 10, 30, 6, 1, 10, 30, 7, 2, 0, 0, 0, 2, 0, 0, 0, 1, 40, 20, 8, 4, 45, 0, 0, 1, 40, 20, 136})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type resv struct {
+			lo, hi des.Time
+			delta  float64
+		}
+		p := NewProfile()
+		var ref []point
+		var booked []resv
+		for n := 0; len(data) >= 4 && n < 64; n++ {
+			kind, b1, b2, b3 := data[0]%5, data[1], data[2], data[3]
+			data = data[4:]
+			lo := des.Time(b1) * des.Time(des.Second)
+			hi := lo.Add(des.Duration(b2%100) * des.Second)
+			var r resv
+			switch kind {
+			case 0:
+				r = resv{lo, hi, float64(int8(b3) % 16)}
+			case 1:
+				r = resv{lo, hi, fuzzRate(b3)}
+			case 2:
+				if len(booked) == 0 {
+					continue
+				}
+				k := int(b1) % len(booked)
+				r = booked[k]
+				r.delta = -r.delta
+				booked = append(booked[:k], booked[k+1:]...)
+			case 3:
+				r = resv{lo, des.MaxTime, fuzzRate(b3)}
+			case 4:
+				p.TrimBefore(lo)
+				ref = refTrim(ref, lo)
+				checkSamePoints(t, p, ref, "TrimBefore(%v)", lo)
+				continue
+			}
+			p.Add(r.lo, r.hi, r.delta)
+			ref = refAdd(ref, r.lo, r.hi, r.delta)
+			checkSamePoints(t, p, ref, "Add(%v, %v, %g)", r.lo, r.hi, r.delta)
+			if kind != 2 {
+				booked = append(booked, r)
+			}
+		}
+	})
+}
+
+// fuzzRates are bandwidth-scale deltas in bytes/s, a few off by a relative
+// 1e-9 or less, and residues just around the absolute tolerance near zero.
+var fuzzRates = [...]float64{
+	1e9, 2.5e9, 7.3e9, 1.7e10, 3e10,
+	2.5e9 * (1 + 1e-9), 2.5e9 * (1 + 2e-9), 3e10 * (1 - 5e-10), 1e9 + 0.1,
+	5e-10, 1e-9, 1.5e-9, 3e-9,
+}
+
+// fuzzRate decodes a signed bandwidth-scale delta from one byte.
+func fuzzRate(b byte) float64 {
+	r := fuzzRates[int(b&0x7f)%len(fuzzRates)]
+	if b&0x80 != 0 {
+		return -r
+	}
+	return r
+}
+
+// compactAll is the whole-profile merge pass, the reference for
+// compactFrom: it drops every breakpoint whose value is the same (by
+// sameValue) as the last one kept, starting from the implicit zero before
+// the first breakpoint.
+func compactAll(pts []point) []point {
+	out := pts[:0]
+	prev := 0.0
+	for _, pt := range pts {
+		if sameValue(pt.v, prev) {
+			continue
+		}
+		out = append(out, pt)
+		prev = pt.v
+	}
+	return out
+}
+
+// refAdd is Add on a plain breakpoint slice by linear scan, followed by
+// the whole-profile merge pass.
+func refAdd(pts []point, lo, hi des.Time, delta float64) []point {
+	if hi <= lo || delta == 0 {
+		return pts
+	}
+	pts = refBreak(pts, lo)
+	if hi != des.MaxTime {
+		pts = refBreak(pts, hi)
+	}
+	for k := range pts {
+		if pts[k].t >= lo && pts[k].t < hi {
+			pts[k].v += delta
+		}
+	}
+	return compactAll(pts)
+}
+
+// refBreak inserts a breakpoint at t carrying the value in force there,
+// unless one exists.
+func refBreak(pts []point, t des.Time) []point {
+	v := 0.0
+	for k, pt := range pts {
+		if pt.t == t {
+			return pts
+		}
+		if pt.t > t {
+			pts = append(pts[:k+1], pts[k:]...)
+			pts[k] = point{t: t, v: v}
+			return pts
+		}
+		v = pt.v
+	}
+	return append(pts, point{t: t, v: v})
+}
+
+// refTrim drops the breakpoints before the last one at or before t, then
+// runs the whole-profile merge pass.
+func refTrim(pts []point, t des.Time) []point {
+	k := 0
+	for k+1 < len(pts) && pts[k+1].t <= t {
+		k++
+	}
+	return compactAll(append(pts[:0], pts[k:]...))
+}
+
+func checkSamePoints(t *testing.T, p *Profile, ref []point, format string, args ...any) {
+	t.Helper()
+	same := len(p.pts) == len(ref)
+	for k := 0; same && k < len(ref); k++ {
+		same = p.pts[k].t == ref[k].t && math.Float64bits(p.pts[k].v) == math.Float64bits(ref[k].v)
+	}
+	if !same {
+		t.Fatalf("after "+format+": local compaction gives %v, whole-profile pass %v",
+			append(args, p.pts, ref)...)
+	}
 }

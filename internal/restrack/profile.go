@@ -11,7 +11,6 @@ package restrack
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"wasched/internal/des"
@@ -32,7 +31,7 @@ type point struct {
 // removing many bandwidth reservations: all capacity comparisons use a
 // relative tolerance (see fits).
 type Profile struct {
-	pts []point // sorted by t; invariant: len==0 or pts[0].v may be any value, value before pts[0].t is 0
+	pts []point // sorted by t and compact (see compactFrom); the value before pts[0].t is 0
 }
 
 // NewProfile returns an empty profile (zero usage everywhere).
@@ -55,15 +54,21 @@ func (p *Profile) Reset() { p.pts = p.pts[:0] }
 // It is the per-round snapshot step of incremental backfill sessions:
 // copying a base profile into a reusable working profile is a single
 // memmove, where rebuilding it from the running set is one Add per job.
+//
+//waschedlint:hotpath
 func (p *Profile) CopyFrom(src *Profile) {
 	p.pts = append(p.pts[:0], src.pts...)
 }
 
 // TrimBefore drops breakpoints strictly before the last one at or before
 // t, bounding a long-lived profile's memory to its active horizon. Values
-// at every time >= t are unchanged (bit-identically: surviving breakpoints
-// are moved, not recomputed); queries before t afterwards see a zero
-// prefix and are no longer meaningful.
+// at every time >= t are unchanged (surviving breakpoints are moved, not
+// recomputed), except that a surviving head within tolerance of zero is
+// merged into the zero prefix, as every profile keeps no breakpoint equal
+// to its predecessor (see compactFrom). Queries before t afterwards see a
+// zero prefix and are no longer meaningful.
+//
+//waschedlint:hotpath
 func (p *Profile) TrimBefore(t des.Time) {
 	i := p.locate(t)
 	if i <= 0 {
@@ -71,17 +76,41 @@ func (p *Profile) TrimBefore(t des.Time) {
 	}
 	n := copy(p.pts, p.pts[i:])
 	p.pts = p.pts[:n]
+	// The new head is now measured against the implicit zero prefix, not
+	// against the breakpoint it followed.
+	p.compactFrom(0, 0)
 }
 
 // locate returns the index of the last breakpoint with t <= x, or -1 when x
 // precedes all breakpoints.
 func (p *Profile) locate(x des.Time) int {
-	return sort.Search(len(p.pts), func(i int) bool { return p.pts[i].t > x }) - 1
+	return p.locateIn(0, len(p.pts), x)
+}
+
+// locateIn is locate restricted to pts[lo:hi]: it returns the index of the
+// last breakpoint in that range with t <= x, or lo-1 when there is none.
+// Callers that already know a breakpoint at or before x pass its index + 1
+// as lo.
+func (p *Profile) locateIn(lo, hi int, x des.Time) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.pts[m].t > x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo - 1
 }
 
 // ValueAt returns the usage at time t.
 func (p *Profile) ValueAt(t des.Time) float64 {
-	i := p.locate(t)
+	return p.valueOf(p.locate(t))
+}
+
+// valueOf returns the value of the segment starting at breakpoint i, where
+// i == -1 is the zero prefix.
+func (p *Profile) valueOf(i int) float64 {
 	if i < 0 {
 		return 0
 	}
@@ -89,16 +118,14 @@ func (p *Profile) ValueAt(t des.Time) float64 {
 }
 
 // ensureBreak inserts a breakpoint at t (if absent) whose value equals the
-// profile's value at t, and returns its index.
-func (p *Profile) ensureBreak(t des.Time) int {
-	i := p.locate(t)
+// profile's value at t, and returns its index. Breakpoints before index
+// from must all lie before t.
+func (p *Profile) ensureBreak(from int, t des.Time) int {
+	i := p.locateIn(from, len(p.pts), t)
 	if i >= 0 && p.pts[i].t == t {
 		return i
 	}
-	v := 0.0
-	if i >= 0 {
-		v = p.pts[i].v
-	}
+	v := p.valueOf(i)
 	p.pts = append(p.pts, point{})
 	copy(p.pts[i+2:], p.pts[i+1:])
 	p.pts[i+1] = point{t: t, v: v}
@@ -108,56 +135,82 @@ func (p *Profile) ensureBreak(t des.Time) int {
 // Add superimposes delta over the half-open interval [lo, hi). Negative
 // deltas release previously added reservations. Empty or inverted intervals
 // are no-ops. hi may be des.MaxTime for an open-ended reservation.
+//
+//waschedlint:hotpath
 func (p *Profile) Add(lo, hi des.Time, delta float64) {
 	if hi <= lo || delta == 0 {
 		return
 	}
-	i := p.ensureBreak(lo)
-	var j int
-	if hi == des.MaxTime {
-		j = len(p.pts) // no closing breakpoint: delta extends forever
-	} else {
-		j = p.ensureBreak(hi)
+	i := p.ensureBreak(0, lo)
+	j := len(p.pts) // no closing breakpoint: delta extends forever
+	if hi != des.MaxTime {
+		j = p.ensureBreak(i+1, hi)
 	}
 	for k := i; k < j; k++ {
 		p.pts[k].v += delta
 	}
-	p.compact()
+	p.compactFrom(i, j)
 }
 
-// compact merges adjacent breakpoints whose values became (numerically)
-// identical and drops a leading zero run, bounding memory over long runs.
-func (p *Profile) compact() {
-	if len(p.pts) == 0 {
-		return
-	}
-	out := p.pts[:0]
-	prev := 0.0 // value before the first breakpoint is 0
-	for _, pt := range p.pts {
+// compactFrom merges breakpoints whose values became (numerically) identical
+// to the last kept one, starting at index i and measuring pts[i] against
+// pts[i-1] (or the zero prefix when i == 0). It stops right after the first
+// breakpoint it keeps at index j or beyond.
+//
+// Every profile is compact between calls: no breakpoint has the same value
+// (by sameValue) as its predecessor, and the first is not the same as zero.
+// An Add edits only pts[i:j], so when the profile was compact before it,
+// every comparison after the first breakpoint kept at or beyond j is one
+// the profile already passed, and stopping there gives exactly the result
+// of a merge pass over the whole profile.
+func (p *Profile) compactFrom(i, j int) {
+	prev := p.valueOf(i - 1)
+	w, r := i, i
+	for r < len(p.pts) {
+		pt := p.pts[r]
+		r++
 		if sameValue(pt.v, prev) {
 			continue
 		}
-		out = append(out, pt)
+		p.pts[w] = pt
+		w++
 		prev = pt.v
+		if r > j {
+			break
+		}
 	}
-	p.pts = out
+	if w < r {
+		n := copy(p.pts[w:], p.pts[r:])
+		p.pts = p.pts[:w+n]
+	}
 }
 
 // sameValue reports whether two usage values are equal within the
-// accumulated floating-point tolerance of reservation arithmetic.
+// accumulated floating-point tolerance of reservation arithmetic. The
+// branches compute math.Max(scale, 1) of two absolute values bit for bit,
+// without the call math.Max costs on the hot path.
 func sameValue(a, b float64) bool {
 	d := math.Abs(a - b)
 	if d == 0 {
 		return true
 	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return d <= 1e-9*math.Max(scale, 1)
+	scale := math.Abs(a)
+	if s := math.Abs(b); s > scale {
+		scale = s
+	}
+	if scale < 1 {
+		scale = 1
+	}
+	return d <= 1e-9*scale
 }
 
 // fits reports whether usage+need stays within limit, with tolerance.
 func fits(usage, need, limit float64) bool {
-	slack := 1e-9 * math.Max(math.Abs(limit), 1)
-	return usage+need <= limit+slack
+	scale := math.Abs(limit)
+	if scale < 1 {
+		scale = 1
+	}
+	return usage+need <= limit+1e-9*scale
 }
 
 // MaxOver returns the maximum usage over [lo, hi). An empty interval
@@ -166,9 +219,9 @@ func (p *Profile) MaxOver(lo, hi des.Time) float64 {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	max := p.ValueAt(lo)
-	i := p.locate(lo) + 1
-	for ; i < len(p.pts) && p.pts[i].t < hi; i++ {
+	i := p.locate(lo)
+	max := p.valueOf(i)
+	for i++; i < len(p.pts) && p.pts[i].t < hi; i++ {
 		if p.pts[i].v > max {
 			max = p.pts[i].v
 		}
@@ -184,9 +237,9 @@ func (p *Profile) IntegralOver(lo, hi des.Time) float64 {
 	}
 	total := 0.0
 	t := lo
-	v := p.ValueAt(lo)
-	i := p.locate(lo) + 1
-	for ; i < len(p.pts) && p.pts[i].t < hi; i++ {
+	i := p.locate(lo)
+	v := p.valueOf(i)
+	for i++; i < len(p.pts) && p.pts[i].t < hi; i++ {
 		total += v * p.pts[i].t.Sub(t).Seconds()
 		t = p.pts[i].t
 		v = p.pts[i].v
@@ -202,43 +255,40 @@ func (p *Profile) IntegralOver(lo, hi des.Time) float64 {
 //
 // This is the primitive behind EarliestStartTime in paper Algorithms 1, 4
 // and 7.
+//
+//waschedlint:hotpath
 func (p *Profile) EarliestFit(from des.Time, dur des.Duration, need, limit float64) (des.Time, bool) {
 	if dur < 0 {
 		panic("restrack: negative duration")
 	}
 	t := from
+	k := p.locate(t) // breakpoint of the segment holding t; -1 is the zero prefix
 	for {
-		end := t.Add(des.Duration(dur))
-		// Scan [t, end) for a violation.
-		viol := des.Time(-1)
-		if !fits(p.ValueAt(t), need, limit) {
-			viol = t
-		} else {
-			for i := p.locate(t) + 1; i < len(p.pts) && p.pts[i].t < end; i++ {
-				if !fits(p.pts[i].v, need, limit) {
-					viol = p.pts[i].t
+		end := t.Add(dur)
+		// Scan [t, end) for the first violating segment.
+		viol := k
+		if fits(p.valueOf(k), need, limit) {
+			for viol = k + 1; viol < len(p.pts) && p.pts[viol].t < end; viol++ {
+				if !fits(p.pts[viol].v, need, limit) {
 					break
 				}
 			}
-		}
-		if viol < 0 {
-			return t, true
-		}
-		// Advance past the violating segment: the earliest possible fit
-		// starts at the next breakpoint after viol where usage drops enough.
-		next := des.MaxTime
-		for i := p.locate(viol) + 1; i < len(p.pts); i++ {
-			if fits(p.pts[i].v, need, limit) {
-				next = p.pts[i].t
-				break
+			if viol == len(p.pts) || p.pts[viol].t >= end {
+				return t, true
 			}
 		}
-		if next == des.MaxTime {
+		// Advance past the violating segment: the earliest possible fit
+		// starts at the next breakpoint after it where usage drops enough.
+		k = viol + 1
+		for k < len(p.pts) && !fits(p.pts[k].v, need, limit) {
+			k++
+		}
+		if k == len(p.pts) {
 			// Usage never drops enough after viol; beyond the final
 			// breakpoint the value is the last value, already checked.
 			return des.MaxTime, false
 		}
-		t = next
+		t = p.pts[k].t
 	}
 }
 

@@ -342,14 +342,6 @@ func TestBandwidthTracker(t *testing.T) {
 	if bt.UsedAt(0) != 25*gib {
 		t.Fatalf("over-limit reserve: used = %v", bt.UsedAt(0))
 	}
-	bt.SetLimit(30 * gib)
-	if bt.Limit() != 30*gib {
-		t.Fatal("SetLimit")
-	}
-	bt.SetLimit(-5)
-	if bt.Limit() != 0 {
-		t.Fatal("negative limit must clamp to zero")
-	}
 }
 
 func TestBandwidthTrackerZeroLimit(t *testing.T) {

@@ -57,9 +57,6 @@ func (nt *NodeTracker) EarliestFit(from des.Time, dur des.Duration, n int) (des.
 // Profile exposes the underlying profile for diagnostics and trace export.
 func (nt *NodeTracker) Profile() *Profile { return nt.profile }
 
-// Reset removes all reservations, keeping the backing storage for reuse.
-func (nt *NodeTracker) Reset() { nt.profile.Reset() }
-
 // BandwidthTracker tracks reservations of a bandwidth-type resource (bytes
 // per second) against a configurable limit. It implements the "LT" tracker
 // of Algorithm 2 and, with a different limit, the "AT" tracker of
@@ -82,15 +79,6 @@ func NewBandwidthTracker(limit float64) *BandwidthTracker {
 // Limit returns the tracker's capacity in bytes per second.
 func (bt *BandwidthTracker) Limit() float64 { return bt.limit }
 
-// SetLimit adjusts the capacity; the workload-adaptive scheduler recomputes
-// the adjusted target every scheduling round.
-func (bt *BandwidthTracker) SetLimit(limit float64) {
-	if limit < 0 {
-		limit = 0
-	}
-	bt.limit = limit
-}
-
 // Reserve commits rate bytes/s over [lo, hi). Like the node tracker it does
 // not enforce the limit: Algorithm 2 reserves the *measured* current
 // throughput even when it exceeds the configured limit.
@@ -98,16 +86,6 @@ func (bt *BandwidthTracker) Reserve(lo, hi des.Time, rate float64) {
 	if rate < 0 {
 		panic(fmt.Sprintf("restrack: negative bandwidth reservation %g", rate))
 	}
-	bt.profile.Add(lo, hi, rate)
-}
-
-// ReserveSigned commits a possibly-negative rate over [lo, hi). The
-// workload-adaptive scheduler's adjusted tracker AT books running jobs at
-// r_j − n_j·r̄_zero (paper Algorithm 5 line 11), which is negative for jobs
-// quieter than the zero-group average; the negative contribution credits
-// capacity back, keeping the time-averaged sum equivalent to the original
-// problem (paper Eq. 5).
-func (bt *BandwidthTracker) ReserveSigned(lo, hi des.Time, rate float64) {
 	bt.profile.Add(lo, hi, rate)
 }
 
@@ -124,6 +102,3 @@ func (bt *BandwidthTracker) EarliestFit(from des.Time, dur des.Duration, rate fl
 
 // Profile exposes the underlying profile for diagnostics and trace export.
 func (bt *BandwidthTracker) Profile() *Profile { return bt.profile }
-
-// Reset removes all reservations, keeping the backing storage for reuse.
-func (bt *BandwidthTracker) Reset() { bt.profile.Reset() }
