@@ -1,5 +1,5 @@
 # Development targets. `make check` is the pre-merge gate: static vetting,
-# the waschedlint analyzer suite, the full test suite under the race
+# the gofmt check, the waschedlint analyzer suite, the full test suite under the race
 # detector, the burst-buffer and token-bucket replay smoke tests (all
 # invariant checks on), the sweep checkpoint/resume smoke test, the distributed
 # (coordinator + loopback workers) smoke test, the chaos crash-recovery
@@ -18,13 +18,20 @@ CHAOSADDR := 127.0.0.1:39141
 # duplicates, injected 500s and delays, all on the seeded schedule.
 CHAOSWIRE := drop=0.05,droprsp=0.05,dup=0.1,err=0.1,delay=0.2:5ms
 
-.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check loc check
+.PHONY: build vet fmt-check lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check loc check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every Go file outside testdata directories (the analyzers'
+# testdata holds deliberately unformatted inputs); any file it lists
+# fails the target.
+fmt-check:
+	@out=$$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.*' -print | xargs gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The repo's own analyzer suite (cmd/waschedlint): determinism and
 # resource-hygiene invariants vet cannot see. Exits non-zero on findings.
@@ -148,8 +155,9 @@ fuzz:
 	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzTrackers -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzReplayMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
 
-check: vet lint race bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke fuzz
+check: vet fmt-check lint race bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke fuzz

@@ -444,7 +444,8 @@ func (s *System) measureIsolated(spec slurm.JobSpec) (analytics.Estimate, error)
 	cfg.FS = s.cfg.FS
 	cfg.BB = s.cfg.BB   // BB-requesting specs need a tier on the scratch system too
 	cfg.TBF = s.cfg.TBF // measure under the same throttling regime the real run sees
-	cfg.Seed = s.cfg.Seed ^ 0x9E3779B97F4A7C15 // independent timeline per system seed
+	// An independent timeline per system seed.
+	cfg.Seed = s.cfg.Seed ^ 0x9E3779B97F4A7C15
 	cfg.TracePeriod = des.Second
 	scratch, err := NewSystem(cfg)
 	if err != nil {

@@ -26,9 +26,9 @@ type progress struct {
 
 func startProgress(name string, total, cached int, opts Options) *progress {
 	p := &progress{
-		w:       opts.Progress,
-		name:    name,
-		total:   total,
+		w:      opts.Progress,
+		name:   name,
+		total:  total,
 		cached: int64(cached),
 		//waschedlint:allow nodeterminism progress wall-clock only feeds the live report, never sweep results
 		started: time.Now(),

@@ -199,7 +199,13 @@ type round struct {
 	// placing, computed once per call.
 	need    []float64
 	horizon des.Time
-	ov      overlay
+	// wake is the earliest time at which a round over the same profiles
+	// and queue could decide differently from this one (Session.Quiet):
+	// the least start EarliestStart returned, the time a job rejected by
+	// the horizon comes into the plan window, and now itself when a
+	// booking moves with now.
+	wake des.Time
+	ov   overlay
 }
 
 func emptyRound(m model) *round {
@@ -210,6 +216,7 @@ func emptyRound(m model) *round {
 // in r.work: unavailable nodes for the whole horizon, the
 // measured-throughput guard and the adaptive overlay.
 func (r *round) begin(in RoundInput) Round {
+	r.wake = des.MaxTime
 	r.horizon = des.MaxTime
 	if r.m.horizon > 0 {
 		r.horizon = in.Now.Add(r.m.horizon)
@@ -220,7 +227,9 @@ func (r *round) begin(in RoundInput) Round {
 		case d.kind == dimNodes && in.UnavailableNodes > 0:
 			r.work[i].Add(in.Now, des.MaxTime, float64(in.UnavailableNodes))
 		case d.guard:
-			bookGuard(&r.work[i], d.limit, in)
+			if bookGuard(&r.work[i], d.limit, in) {
+				r.wake = in.Now
+			}
 		}
 	}
 	if r.m.adaptive != nil {
@@ -237,8 +246,9 @@ func (r *round) begin(in RoundInput) Round {
 // the schedule cannot overload the file system on the strength of
 // under-estimates (e.g. jobs with no history yet). With running jobs the
 // excess is booked until the last of them ends; with none, the traffic is
-// residual/external and is booked over MeasuredResidualHorizon.
-func bookGuard(w *restrack.Profile, limit float64, in RoundInput) {
+// residual/external and is booked over MeasuredResidualHorizon; bookGuard
+// then returns true, because that window moves with now.
+func bookGuard(w *restrack.Profile, limit float64, in RoundInput) bool {
 	sumRunning := 0.0
 	end := in.Now
 	for _, j := range in.Running {
@@ -247,12 +257,15 @@ func bookGuard(w *restrack.Profile, limit float64, in RoundInput) {
 			end = e
 		}
 	}
-	if in.MeasuredThroughput > sumRunning {
-		if len(in.Running) == 0 {
-			end = in.Now.Add(MeasuredResidualHorizon)
-		}
-		w.Add(in.Now, end, in.MeasuredThroughput-sumRunning)
+	if !(in.MeasuredThroughput > sumRunning) { // a NaN measurement books nothing
+		return false
 	}
+	residual := len(in.Running) == 0
+	if residual {
+		end = in.Now.Add(MeasuredResidualHorizon)
+	}
+	w.Add(in.Now, end, in.MeasuredThroughput-sumRunning)
+	return residual
 }
 
 // EarliestStart is Algorithm 4 over every dimension: fit each in turn
@@ -262,7 +275,8 @@ func bookGuard(w *restrack.Profile, limit float64, in RoundInput) {
 // feasible time at or after its argument, so the fixpoint is the least
 // time feasible everywhere whatever the dimension order. A start past the
 // plan horizon is infeasible: the engine skips the job without burning
-// backfill budget and it is re-planned next round.
+// backfill budget and it is re-planned next round. Both outcomes lower
+// the round's wake time.
 func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 	for i := range r.m.dims {
 		if r.need[i] = r.m.dims[i].need(j); r.need[i] > r.m.dims[i].limit {
@@ -287,9 +301,29 @@ func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 		t = u
 	}
 	if t > r.horizon {
+		// The job enters the plan window once now reaches t − horizon.
+		r.wake = min(r.wake, t.Add(-r.m.horizon))
 		return des.MaxTime, false
 	}
+	r.wake = min(r.wake, t)
 	return t, true
+}
+
+// quiet reports whether a round at in.Now over this round's profiles and
+// queue would decide as this one did. Every fit returns the least feasible
+// time at or after its argument, so from a now before the wake time each
+// job lands on the same start as here, books the same reservation in the
+// same order, and none starts now. The bookings made from now (running
+// jobs, the guard while jobs run, unavailable nodes, AT) keep their values
+// over [in.Now, ∞). The adaptive target R̃ reads the running jobs'
+// remaining(now), so an adaptive round is quiet only if its R̃' comes out
+// bit-equal at in.Now.
+func (r *round) quiet(in RoundInput) bool {
+	if in.Now >= r.wake {
+		return false
+	}
+	p := r.m.adaptive
+	return p == nil || p.adjustedTarget(p.target(in), r.ov.rZeroBar) == r.ov.adjTarget
 }
 
 // fit is dimension i's earliest fit for j from t; the index past the last

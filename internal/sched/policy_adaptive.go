@@ -59,8 +59,26 @@ type overlay struct {
 //
 //waschedlint:hotpath
 func (o *overlay) fill(p *AdaptivePolicy, in RoundInput) {
-	// Lines 3–5: the target throughput from the remaining I/O volume and
-	// the minimum node-constrained completion time of the backlog.
+	o.target = p.target(in)
+	// Lines 6–8: two-group split of the waiting queue.
+	o.rStar, o.rZeroBar = p.twoGroupSplit(in.Waiting, &o.scratch)
+	o.adjTarget = p.adjustedTarget(o.target, o.rZeroBar)
+
+	// Lines 9–11: AT, seeded with the running jobs' adjusted contributions
+	// r_j − n_j·r̄_zero (signed: a job quieter than the zero-group average
+	// credits capacity back, keeping the time-averaged sum equivalent to
+	// the original problem, Eq. 5).
+	o.at.Reset()
+	for _, j := range in.Running {
+		o.at.Add(in.Now, j.StartedAt.Add(j.Limit), o.adjusted(j))
+	}
+}
+
+// target is Algorithm 5 lines 3–5, Eq. 1: the target throughput R̃ from
+// the remaining I/O volume and the minimum node-constrained completion
+// time of the backlog. Session.Quiet recomputes it at a skipped round's
+// now, so fill and Quiet share this one copy of the arithmetic.
+func (p *AdaptivePolicy) target(in RoundInput) float64 {
 	vIO := 0.0     // bytes: Σ r_j · (remaining or estimated runtime)
 	nodeSec := 0.0 // node·s: Σ n_j · (remaining or estimated runtime)
 	for _, j := range in.Running {
@@ -80,26 +98,19 @@ func (o *overlay) fill(p *AdaptivePolicy, in RoundInput) {
 		vIO += clampNonNeg(j.Rate) * d
 		nodeSec += float64(j.Nodes) * d
 	}
-	o.target = 0
 	if nodeSec > 0 {
-		o.target = vIO * float64(p.TotalNodes) / nodeSec
+		return vIO * float64(p.TotalNodes) / nodeSec
 	}
+	return 0
+}
 
-	// Lines 6–8: two-group split of the waiting queue.
-	o.rStar, o.rZeroBar = p.twoGroupSplit(in.Waiting, &o.scratch)
-	o.adjTarget = o.target - float64(p.TotalNodes)*o.rZeroBar // R̃' (Eq. 4)
-	if o.adjTarget < 0 {
-		o.adjTarget = 0
+// adjustedTarget is R̃' (Eq. 4), clamped at zero.
+func (p *AdaptivePolicy) adjustedTarget(target, rZeroBar float64) float64 {
+	adj := target - float64(p.TotalNodes)*rZeroBar
+	if adj < 0 {
+		return 0
 	}
-
-	// Lines 9–11: AT, seeded with the running jobs' adjusted contributions
-	// r_j − n_j·r̄_zero (signed: a job quieter than the zero-group average
-	// credits capacity back, keeping the time-averaged sum equivalent to
-	// the original problem, Eq. 5).
-	o.at.Reset()
-	for _, j := range in.Running {
-		o.at.Add(in.Now, j.StartedAt.Add(j.Limit), o.adjusted(j))
-	}
+	return adj
 }
 
 // isZeroJob applies the two-group classification r_j <= n_j·r*.

@@ -68,8 +68,8 @@ func TestPlanPolicyHorizonSkipsFarStarts(t *testing.T) {
 		Now:     tsec(0),
 		Running: []*Job{r0},
 		Waiting: []*Job{
-			bbJob("far", 2, 50*sec, 50),   // earliest feasible start t=100 > horizon
-			bbJob("near", 2, 30*sec, 0),   // starts now
+			bbJob("far", 2, 50*sec, 50), // earliest feasible start t=100 > horizon
+			bbJob("near", 2, 30*sec, 0), // starts now
 		},
 	}
 	ds, _ := RunRound(p, in, Options{})

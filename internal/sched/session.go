@@ -28,6 +28,12 @@ type Session interface {
 	// BeginRound returns this round's reservation state. The Round (and
 	// any decisions referencing it) is valid until the next BeginRound.
 	BeginRound(in RoundInput) Round
+	// Quiet reports whether the round at in.Now would decide exactly as
+	// the last BeginRound's did, and so start nothing. The caller asks
+	// only when no job started, finished or arrived since that round, and
+	// skips BeginRound and the backfill engine when the answer is true. A
+	// quiet round still counts on the clock that trims the base profiles.
+	Quiet(in RoundInput) bool
 	// JobStarted records that j started at j.StartedAt (already set by the
 	// caller), reserving [StartedAt, StartedAt+Limit) in the base state.
 	JobStarted(j *Job)
@@ -65,14 +71,33 @@ type session struct {
 
 //waschedlint:hotpath
 func (s *session) BeginRound(in RoundInput) Round {
-	s.rounds++
+	s.tick(in.Now)
 	for i := range s.base {
-		if s.rounds%trimEvery == 0 {
-			s.base[i].TrimBefore(in.Now)
-		}
 		s.rnd.work[i].CopyFrom(&s.base[i])
 	}
 	return s.rnd.begin(in)
+}
+
+//waschedlint:hotpath
+func (s *session) Quiet(in RoundInput) bool {
+	if !s.rnd.quiet(in) {
+		return false
+	}
+	s.tick(in.Now)
+	return true
+}
+
+// tick counts a round, executed or quiet, and trims the base profiles on
+// every trimEvery-th, so skipping rounds leaves the trim boundaries where
+// running every round puts them.
+func (s *session) tick(now des.Time) {
+	s.rounds++
+	if s.rounds%trimEvery != 0 {
+		return
+	}
+	for i := range s.base {
+		s.base[i].TrimBefore(now)
+	}
 }
 
 //waschedlint:hotpath

@@ -108,6 +108,11 @@ type ReplayResult struct {
 	// Makespan is the last completion time.
 	Makespan des.Time
 	Rounds   int
+	// Scheduled counts the rounds that ran the backfill engine. Replay
+	// skips a round that no completion, arrival or start separates from
+	// the last scheduled one when its session proves it quiet
+	// (sched.Session.Quiet); replayReference leaves it zero.
+	Scheduled int
 	// Check holds the per-round and schedule-level invariant findings.
 	Check Result
 }
@@ -135,6 +140,13 @@ type runJob struct {
 // oracle — which TestReplayMatchesReferenceOnCorpus enforces over the
 // whole differential corpus. Policies without session support fall back
 // to the reference path.
+//
+// A round that no completion, arrival or start separates from the last
+// scheduled round is skipped when the session proves it quiet. BB drain
+// releases do not count: the scheduler's BB dimension books [start,
+// start+limit) and never sees drains, and a round whose start BB admission
+// deferred had a start-now decision, so the session never calls the next
+// one quiet.
 func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	if cfg.Policy == nil {
 		panic("schedcheck: Replay needs a policy")
@@ -195,6 +207,9 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		runningViews []*sched.Job
 		runner       sched.Runner
 		started      = make(map[*sched.Job]bool)
+		// dirty is set by every completion, arrival and start since the
+		// last scheduled round; only a clean round may be quiet.
+		dirty = true
 	)
 	next := 0 // index into pending of the next arrival
 
@@ -233,6 +248,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				}
 				session.JobFinished(r.view, r.end)
 				completed = true
+				dirty = true
 				continue
 			}
 			kept = append(kept, r)
@@ -247,6 +263,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			waiting = append(waiting, j)
 			waitingViews = queueInsert(waitingViews, viewOf[j])
 			next++
+			dirty = true
 		}
 		res.Rounds = round + 1
 		if len(waiting) == 0 && len(running) == 0 && next == len(pending) {
@@ -268,6 +285,11 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			Waiting:            waitingViews,
 			MeasuredThroughput: measured,
 		}
+		if !dirty && session.Quiet(in) {
+			continue
+		}
+		dirty = false
+		res.Scheduled++
 		state := session.BeginRound(in)
 		decisions := runner.RunRound(cfg.Policy, state, in, cfg.Options)
 		if !cfg.SkipRoundChecks {
@@ -300,6 +322,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			}
 			v.StartedAt = now
 			session.JobStarted(v)
+			dirty = true
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
 			res.Starts[j.ID] = now

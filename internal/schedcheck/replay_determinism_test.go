@@ -1,11 +1,16 @@
 package schedcheck
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"wasched/internal/pfs"
 	"wasched/internal/sched"
+	"wasched/internal/workload"
 )
 
 // replayVariants mirrors RunDifferential's policy set: the four paper
@@ -157,6 +162,68 @@ func TestReplayMatchesReferenceUnlimitedWindow(t *testing.T) {
 					kind, v.label, clipDigest(got), clipDigest(want))
 			}
 		}
+	}
+}
+
+// TestReplayMatchesReferenceOnTrace holds the quiet-round skip to the
+// oracle at trace scale: the bundled 10k-job SWF trace through every pin
+// variant, plan with a one-hour horizon and the bb+ family included. The
+// corpus is too small to reach the regimes where a wrong wake time or a
+// wrong adaptive key shows: long backlogs whose heads wait for hours, and
+// rounds where the adaptive target drifts while nothing else changes.
+func TestReplayMatchesReferenceOnTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays a 10k-job trace through every policy twice")
+	}
+	const nodes = 15
+	const limit = 20 * pfs.GiB
+	const capacity = 64 * pfs.GiB
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "swf", "synthetic-10k.swf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(opts workload.SWFOptions) []SimJob {
+		jobs, _, err := LoadSWFSimJobs(bytes.NewReader(raw), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs
+	}
+	plain := load(workload.DefaultSWFOptions())
+	bbOpts := workload.DefaultSWFOptions()
+	bbOpts.BBFraction = 0.3
+	bbOpts.BBGiBPerNode = 4
+	withBB := load(bbOpts)
+	for _, v := range pinVariants(nodes, limit, capacity) {
+		v := v
+		t.Run(v.label, func(t *testing.T) {
+			t.Parallel()
+			jobs := plain
+			cfg := ReplayConfig{
+				Policy:    v.policy,
+				Options:   sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
+				Nodes:     nodes,
+				Limit:     v.limit,
+				MaxRounds: 200000,
+			}
+			if v.bb {
+				jobs = withBB
+				cfg.BBCapacity = capacity
+				cfg.BBStageRate = CorpusBBStageRate
+				cfg.BBDrainRate = CorpusBBDrainRate
+			}
+			if strings.HasPrefix(v.label, "tbf+") {
+				cfg.TBFCapacity = CorpusTBFCapacity
+				cfg.TBFServers = CorpusTBFServers
+			}
+			fast := Replay(jobs, cfg)
+			got, want := scheduleDigest(fast), scheduleDigest(replayReference(jobs, cfg))
+			if got != want {
+				t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
+					clipDigest(got), clipDigest(want))
+			}
+			t.Logf("%d of %d rounds scheduled", fast.Scheduled, fast.Rounds)
+		})
 	}
 }
 

@@ -1,8 +1,11 @@
 package schedcheck
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"wasched/internal/pfs"
 	"wasched/internal/slurm"
@@ -76,14 +79,20 @@ func ValidateJobs(jobs []trace.JobTrace, opts ValidateOptions) Result {
 		t     float64
 		nodes int // +n at start, -n at end
 	}
+	// The checks see started jobs only. A replay records no other kind,
+	// so the input serves as is; only a trace with never-started jobs
+	// pays for a filtered copy.
+	started := jobs
+	if slices.ContainsFunc(jobs, neverStarted) {
+		started = slices.DeleteFunc(slices.Clone(jobs), neverStarted)
+	}
 	var events []interval
-	started := make([]trace.JobTrace, 0, len(jobs))
-	for _, j := range jobs {
-		if j.State == slurm.StateCancelled || (j.Start == 0 && j.End == 0) {
-			continue
-		}
+	if opts.Nodes > 0 {
+		events = make([]interval, 0, 2*len(started))
+	}
+	for i := range started {
+		j := &started[i]
 		res.JobsChecked++
-		started = append(started, j)
 		if j.Start < j.Submit-timeEps {
 			res.violatef("submit-before-start", "job %s started %.3fs before submit (%.3f < %.3f)",
 				j.ID, j.Submit-j.Start, j.Start, j.Submit)
@@ -105,11 +114,11 @@ func ValidateJobs(jobs []trace.JobTrace, opts ValidateOptions) Result {
 	if opts.Nodes > 0 {
 		// Sweep: releases before acquisitions at the same instant (a job
 		// may start the moment another ends on the same node).
-		sort.Slice(events, func(a, b int) bool {
-			if events[a].t != events[b].t {
-				return events[a].t < events[b].t
+		slices.SortFunc(events, func(a, b interval) int {
+			if c := cmp.Compare(a.t, b.t); c != 0 {
+				return c
 			}
-			return events[a].nodes < events[b].nodes
+			return cmp.Compare(a.nodes, b.nodes)
 		})
 		used, worst, worstAt := 0, 0, 0.0
 		for _, e := range events {
@@ -329,6 +338,11 @@ func checkNodeIdentity(jobs []trace.JobTrace, res *Result) {
 	}
 }
 
+// neverStarted reports a job cancelled before it started.
+func neverStarted(j trace.JobTrace) bool {
+	return j.State == slurm.StateCancelled || (j.Start == 0 && j.End == 0)
+}
+
 // classKey identifies jobs the scheduler cannot distinguish: same
 // fingerprint (hence same estimates), same node request, same limit, same
 // priority.
@@ -339,10 +353,14 @@ type classKey struct {
 	priority int64
 }
 
+func classOf(j *trace.JobTrace) classKey {
+	return classKey{fp: j.Fingerprint, nodes: j.Nodes, limit: j.Limit, priority: j.Priority}
+}
+
 // eligibleAt is when an attempt entered the pending queue: its recorded
 // Eligible time (set by requeue-aware recorders), falling back to Submit
 // for older traces where the fields coincide.
-func eligibleAt(j trace.JobTrace) float64 {
+func eligibleAt(j *trace.JobTrace) float64 {
 	if j.Eligible > 0 {
 		return j.Eligible
 	}
@@ -354,82 +372,90 @@ func eligibleAt(j trace.JobTrace) float64 {
 // report with one line per pair.
 const classOrderViolationCap = 5
 
+// checkClassOrder sorts one index slice by (class, submit, ID, attempt)
+// and sweeps each class's run; the jobs themselves are never copied.
+// Classes come in sorted key order, so the violation report is identical
+// across replays.
 func checkClassOrder(jobs []trace.JobTrace, res *Result) {
-	classes := make(map[classKey][]trace.JobTrace)
-	for _, j := range jobs {
-		k := classKey{fp: j.Fingerprint, nodes: j.Nodes, limit: j.Limit, priority: j.Priority}
-		classes[k] = append(classes[k], j)
+	order := make([]int32, len(jobs))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	// Iterate classes in a sorted order so that the violation report is
-	// identical across replays — map order must never reach output.
-	keys := make([]classKey, 0, len(classes))
-	for k := range classes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].fp != keys[b].fp {
-			return keys[a].fp < keys[b].fp
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := &jobs[a], &jobs[b]
+		if c := strings.Compare(x.Fingerprint, y.Fingerprint); c != 0 {
+			return c
 		}
-		if keys[a].nodes != keys[b].nodes {
-			return keys[a].nodes < keys[b].nodes
+		if c := cmp.Compare(x.Nodes, y.Nodes); c != 0 {
+			return c
 		}
-		if keys[a].limit != keys[b].limit {
-			return keys[a].limit < keys[b].limit
+		if c := cmp.Compare(x.Limit, y.Limit); c != 0 {
+			return c
 		}
-		return keys[a].priority < keys[b].priority
-	})
-	for _, k := range keys {
-		members := classes[k]
+		if c := cmp.Compare(x.Priority, y.Priority); c != 0 {
+			return c
+		}
 		// Queue order: FIFO within a class is by submit time (a requeued
 		// job keeps its original submit, so its later attempts still sit
 		// ahead of later-submitted twins).
-		sort.Slice(members, func(a, b int) bool {
-			if members[a].Submit != members[b].Submit {
-				return members[a].Submit < members[b].Submit
-			}
-			if members[a].ID != members[b].ID {
-				return members[a].ID < members[b].ID
-			}
-			return members[a].Attempt < members[b].Attempt
-		})
-		violations := 0
-		maxStart := 0.0 // max start among members[0..i-1]
-		if len(members) > 0 {
-			maxStart = members[0].Start
+		if c := cmp.Compare(x.Submit, y.Submit); c != 0 {
+			return c
 		}
-		for i := 1; i < len(members) && violations < classOrderViolationCap; i++ {
-			x := members[i]
-			// Fast path: if no earlier-queued attempt started after x, no
-			// pair can violate — keeps the sweep linear on clean traces
-			// (classes in million-job replays hold tens of thousands of
-			// members; the quadratic scan below only runs near a suspect).
-			if x.Start >= maxStart-timeEps {
-				if x.Start > maxStart {
-					maxStart = x.Start
-				}
-				continue
+		if c := strings.Compare(x.ID, y.ID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Attempt, y.Attempt); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for lo := 0; lo < len(order); {
+		k := classOf(&jobs[order[lo]])
+		hi := lo + 1
+		for hi < len(order) && classOf(&jobs[order[hi]]) == k {
+			hi++
+		}
+		checkClassRun(jobs, order[lo:hi], k, res)
+		lo = hi
+	}
+}
+
+// checkClassRun checks one class, members in queue order.
+func checkClassRun(jobs []trace.JobTrace, members []int32, k classKey, res *Result) {
+	violations := 0
+	maxStart := jobs[members[0]].Start // max start among members[0..i-1]
+	for i := 1; i < len(members) && violations < classOrderViolationCap; i++ {
+		x := &jobs[members[i]]
+		// Fast path: if no earlier-queued attempt started after x, no
+		// pair can violate — keeps the sweep linear on clean traces
+		// (classes in million-job replays hold tens of thousands of
+		// members; the quadratic scan below only runs near a suspect).
+		if x.Start >= maxStart-timeEps {
+			if x.Start > maxStart {
+				maxStart = x.Start
 			}
-			for p := 0; p < i; p++ {
-				y := members[p]
-				if y.ID == x.ID {
-					continue // attempts of one job order themselves
-				}
-				// x is queued behind y; x starting while y's attempt was
-				// pending means the scheduler passed over an identical job.
-				if x.Start < y.Start-timeEps && eligibleAt(y) <= x.Start+timeEps {
-					res.violatef("fifo-class-order",
-						"job %s (submit %.0f) started at %.3f while identical earlier job %s (submit %.0f, eligible %.0f) was pending until %.3f, class %s/%dn",
-						x.ID, x.Submit, x.Start, y.ID, y.Submit, eligibleAt(y), y.Start, k.fp, k.nodes)
-					if violations++; violations >= classOrderViolationCap {
-						break
-					}
+			continue
+		}
+		for _, p := range members[:i] {
+			y := &jobs[p]
+			if y.ID == x.ID {
+				continue // attempts of one job order themselves
+			}
+			// x is queued behind y; x starting while y's attempt was
+			// pending means the scheduler passed over an identical job.
+			if x.Start < y.Start-timeEps && eligibleAt(y) <= x.Start+timeEps {
+				res.violatef("fifo-class-order",
+					"job %s (submit %.0f) started at %.3f while identical earlier job %s (submit %.0f, eligible %.0f) was pending until %.3f, class %s/%dn",
+					x.ID, x.Submit, x.Start, y.ID, y.Submit, eligibleAt(y), y.Start, k.fp, k.nodes)
+				if violations++; violations >= classOrderViolationCap {
+					break
 				}
 			}
 		}
-		if violations >= classOrderViolationCap {
-			res.violatef("fifo-class-order",
-				"class %s/%dn: further violations suppressed after %d", k.fp, k.nodes, classOrderViolationCap)
-		}
+	}
+	if violations >= classOrderViolationCap {
+		res.violatef("fifo-class-order",
+			"class %s/%dn: further violations suppressed after %d", k.fp, k.nodes, classOrderViolationCap)
 	}
 }
 

@@ -1,8 +1,12 @@
 package schedcheck
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"wasched/internal/trace"
 )
@@ -216,4 +220,60 @@ func TestResultErrSummarises(t *testing.T) {
 	if clean.Err() != nil || !clean.OK() {
 		t.Fatal("clean result must be OK with nil Err")
 	}
+}
+
+// TestValidateJobsCostShape is a cost-shape test for the schedule
+// validator. Per job, a 100k-job trace may cost at most 3× what a 10k-job
+// trace does; the sorts add a log factor of about 1.25×, and a scan per
+// pair in the class-order check would add 10×. At both sizes validation
+// may allocate at most 64 bytes per job: the node sweep's two events and
+// the class-order index. It must not copy the jobs, which costs a
+// JobTrace (over 200 bytes) each.
+func TestValidateJobsCostShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped with -short")
+	}
+	small, large := classTrace(10_000), classTrace(100_000)
+	opts := ValidateOptions{Nodes: 1 << 20}
+	for _, jobs := range [][]trace.JobTrace{small, large} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := ValidateJobs(jobs, opts)
+		runtime.ReadMemStats(&after)
+		wantClean(t, res)
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64*uint64(len(jobs)) {
+			t.Fatalf("%d jobs: validation allocated %d bytes, %.0f per job", len(jobs), b, float64(b)/float64(len(jobs)))
+		}
+	}
+	bestSmall, bestLarge := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	// Interleave the runs so a noisy neighbour slows both sizes alike; the
+	// minimum over runs drops the noisy ones.
+	for r := 0; r < 5; r++ {
+		bestSmall = min(bestSmall, timeValidate(small, opts))
+		bestLarge = min(bestLarge, timeValidate(large, opts))
+	}
+	t.Logf("per job: 10k jobs %v, 100k jobs %v (%.2fx)", bestSmall, bestLarge, float64(bestLarge)/float64(bestSmall))
+	if bestLarge > 3*bestSmall {
+		t.Fatalf("validation costs %v per job at 100k jobs vs %v at 10k", bestLarge, bestSmall)
+	}
+}
+
+// classTrace is a clean n-job trace in completion-like (shuffled) order:
+// 24 classes, each started in queue order.
+func classTrace(n int) []trace.JobTrace {
+	jobs := make([]trace.JobTrace, n)
+	for i := range jobs {
+		at := float64(i)
+		jobs[i] = trace.JobTrace{ID: fmt.Sprintf("j%06d", i), Fingerprint: fmt.Sprintf("fp%d", i%8), Nodes: 1 + i%3,
+			Limit: 3600, Submit: at, Start: at + 30, End: at + 600}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
+	return jobs
+}
+
+// timeValidate returns the wall time of one validation per job.
+func timeValidate(jobs []trace.JobTrace, opts ValidateOptions) time.Duration {
+	start := time.Now()
+	ValidateJobs(jobs, opts)
+	return time.Since(start) / time.Duration(len(jobs))
 }
