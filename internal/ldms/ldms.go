@@ -110,11 +110,11 @@ func Start(eng *des.Engine, fs *pfs.FileSystem, store *sos.Store, nodes []string
 	}
 	d := &Daemon{eng: eng, fs: fs, container: container, cfg: cfg}
 	rng := des.NewRNG(seed, "ldms/jitter")
-	for _, node := range nodes {
-		node := node
+	for i, client := range fs.Clients(nodes) {
+		node := nodes[i]
 		start := func() {
 			stop := eng.Ticker(cfg.SampleInterval, "ldms/sample/"+node, func(now des.Time) {
-				d.sample(node, now)
+				d.sample(client, now)
 			})
 			d.stops = append(d.stops, stop)
 		}
@@ -135,11 +135,11 @@ func Start(eng *des.Engine, fs *pfs.FileSystem, store *sos.Store, nodes []string
 	return d, nil
 }
 
-func (d *Daemon) sample(node string, now des.Time) {
-	c := d.fs.NodeCounters(node)
+func (d *Daemon) sample(client *pfs.Client, now des.Time) {
+	c := client.Counters()
 	d.samples++
 	d.pending = append(d.pending, bufferedRecord{
-		source: node,
+		source: client.Name(),
 		at:     now,
 		values: [4]float64{c.WriteBytes, c.ReadBytes, float64(c.WriteOps), float64(c.ReadOps)},
 	})

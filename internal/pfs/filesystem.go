@@ -36,11 +36,62 @@ type Counters struct {
 // Total returns read plus write bytes.
 func (c Counters) Total() float64 { return c.WriteBytes + c.ReadBytes }
 
+// Client is one client node's handle on the file system: its cumulative
+// Lustre client counters, its token-bucket rate cap and the rate solver's
+// per-node scratch. The file system makes one Client per node name, on
+// first use, and returns the same pointer from then on, so streams, the
+// token layer and the LDMS samplers hold it instead of looking the node
+// up by name on every sync, recompute and sample.
+type Client struct {
+	fs       *FileSystem
+	name     string
+	counters Counters
+	// rateCap is the client-side cap in bytes/s; it binds only while
+	// capped is set.
+	rateCap float64
+	capped  bool
+	// demand is recompute scratch: the summed solver rates of the
+	// client's active streams while it is capped.
+	demand float64
+}
+
+// Name returns the client node's name.
+func (c *Client) Name() string { return c.name }
+
+// Counters returns a snapshot of the client's cumulative counters, current
+// as of now.
+func (c *Client) Counters() Counters {
+	c.fs.sync()
+	return c.counters
+}
+
+// SetRateCap caps the client's streams at bytesPerSec in total, shared in
+// proportion to their uncapped rates; a zero cap stalls them until it is
+// raised or cleared. Like every cap change it takes effect at the next
+// rate solve — a stream boundary, a noise tick or ApplyRateCaps —
+// whichever comes first. This is the enforcement hook of the
+// internal/tbf token-bucket limiter.
+func (c *Client) SetRateCap(bytesPerSec float64) {
+	if !c.capped {
+		c.capped = true
+		c.fs.capped++
+	}
+	c.rateCap = bytesPerSec
+}
+
+// ClearRateCap removes the client's cap, effective at the next rate solve.
+func (c *Client) ClearRateCap() {
+	if c.capped {
+		c.capped = false
+		c.fs.capped--
+	}
+}
+
 // Stream is one client I/O stream transferring a fixed number of bytes to
 // or from a single volume. Jobs with T I/O threads open T streams.
 type Stream struct {
 	fs       *FileSystem
-	node     string
+	client   *Client
 	kind     OpKind
 	volume   int
 	total    float64
@@ -56,7 +107,7 @@ type Stream struct {
 }
 
 // Node returns the client node the stream belongs to.
-func (s *Stream) Node() string { return s.node }
+func (s *Stream) Node() string { return s.client.name }
 
 // Volume returns the index of the volume the stream targets.
 func (s *Stream) Volume() int { return s.volume }
@@ -81,7 +132,7 @@ type FileSystem struct {
 	// accumulation order — and therefore every simulated byte count — is
 	// identical across runs with the same seed.
 	streams  []*Stream
-	perNode  map[string]*Counters
+	clients  map[string]*Client // nil until the first Client call
 	total    Counters
 	lastSync des.Time
 
@@ -96,17 +147,15 @@ type FileSystem struct {
 	volDegrade    []float64 // nil until first injection; factor per volume
 	globalDegrade float64   // 0 means 1 (healthy)
 
-	// nodeCaps holds client-side per-node rate caps in bytes/s, installed
-	// by the token-bucket limiter (SetNodeRateCaps). Nil or empty means no
-	// throttling; the caller retains ownership of the map.
-	nodeCaps map[string]float64
+	// capped counts the clients with a rate cap (Client.SetRateCap); the
+	// solver skips its client-throttling pass while it is zero.
+	capped int
 
 	// Solver scratch, reused across recompute() calls: the solver runs on
 	// every stream boundary and noise tick, so per-call slice allocations
 	// dominate the replay hot path without this.
-	volCountScratch   []int
-	srvDemandScratch  []float64
-	nodeDemandScratch map[string]float64
+	volCountScratch  []int
+	srvDemandScratch []float64
 
 	recomputes uint64
 }
@@ -119,14 +168,12 @@ func New(eng *des.Engine, cfg Config, seed uint64) (*FileSystem, error) {
 		return nil, err
 	}
 	fs := &FileSystem{
-		eng:               eng,
-		cfg:               cfg,
-		perNode:           make(map[string]*Counters),
-		volLogNoise:       make([]float64, cfg.Volumes),
-		noiseRNG:          des.NewRNG(seed, "pfs/noise"),
-		lastSync:          eng.Now(),
-		volCountScratch:   make([]int, cfg.Volumes),
-		nodeDemandScratch: make(map[string]float64),
+		eng:             eng,
+		cfg:             cfg,
+		volLogNoise:     make([]float64, cfg.Volumes),
+		noiseRNG:        des.NewRNG(seed, "pfs/noise"),
+		lastSync:        eng.Now(),
+		volCountScratch: make([]int, cfg.Volumes),
 	}
 	if cfg.Servers > 0 {
 		fs.srvDemandScratch = make([]float64, cfg.Servers)
@@ -231,7 +278,8 @@ func (fs *FileSystem) StartStream(node string, kind OpKind, volume int, bytes fl
 	if bytes <= 0 {
 		panic(fmt.Sprintf("pfs: stream size must be positive, got %g", bytes))
 	}
-	s := &Stream{fs: fs, node: node, kind: kind, volume: volume, total: bytes, complete: onComplete}
+	c := fs.Client(node)
+	s := &Stream{fs: fs, client: c, kind: kind, volume: volume, total: bytes, complete: onComplete}
 	// The boundary callback is built once here: every recompute reschedules
 	// every active stream's boundary, and a fresh closure per reschedule
 	// was the recompute loop's only allocation.
@@ -245,12 +293,11 @@ func (fs *FileSystem) StartStream(node string, kind OpKind, volume int, bytes fl
 		// Burst expired (or numerical shortfall): recompute rates.
 		fs.recompute()
 	}
-	c := fs.nodeCounters(node)
 	if kind == Write {
-		c.WriteOps++
+		c.counters.WriteOps++
 		fs.total.WriteOps++
 	} else {
-		c.ReadOps++
+		c.counters.ReadOps++
 		fs.total.ReadOps++
 	}
 	fs.eng.After(fs.mdsDelay(), "pfs/mds-create", func() {
@@ -282,13 +329,43 @@ func (fs *FileSystem) CancelStream(s *Stream) {
 	fs.recompute()
 }
 
-func (fs *FileSystem) nodeCounters(node string) *Counters {
-	c, ok := fs.perNode[node]
+// Client returns the handle of the named client node, creating it on
+// first use.
+func (fs *FileSystem) Client(node string) *Client {
+	c, ok := fs.clients[node]
 	if !ok {
-		c = &Counters{}
-		fs.perNode[node] = c
+		if fs.clients == nil {
+			fs.clients = make(map[string]*Client)
+		}
+		c = &Client{fs: fs, name: node}
+		fs.clients[node] = c
 	}
 	return c
+}
+
+// Clients returns the handles of the named client nodes, creating the
+// missing ones in one block: a monitor that resolves every node up front
+// costs a few allocations rather than one per node and per map growth.
+func (fs *FileSystem) Clients(nodes []string) []*Client {
+	if fs.clients == nil {
+		fs.clients = make(map[string]*Client, len(nodes))
+	}
+	out := make([]*Client, len(nodes))
+	var block []Client
+	for i, node := range nodes {
+		c, ok := fs.clients[node]
+		if !ok {
+			if len(block) == 0 {
+				block = make([]Client, len(nodes)-i)
+			}
+			c = &block[0]
+			block = block[1:]
+			*c = Client{fs: fs, name: node}
+			fs.clients[node] = c
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // sync integrates all active streams from the last rate change to now,
@@ -306,7 +383,7 @@ func (fs *FileSystem) sync() {
 			moved = s.total - s.done
 		}
 		s.done += moved
-		c := fs.nodeCounters(s.node)
+		c := &s.client.counters
 		if s.kind == Write {
 			c.WriteBytes += moved
 			fs.total.WriteBytes += moved
@@ -359,24 +436,23 @@ func (fs *FileSystem) recompute() {
 	// Client-side token-bucket throttling: streams on a capped node share
 	// its allowance proportionally, before server and backend contention —
 	// the throttle lives on the client, like a Lustre TBF/NRS rule.
-	if len(fs.nodeCaps) > 0 {
-		demand := fs.nodeDemandScratch
-		clear(demand)
+	if fs.capped > 0 {
 		for _, s := range fs.streams {
-			if _, ok := fs.nodeCaps[s.node]; ok {
-				demand[s.node] += s.rate
+			s.client.demand = 0
+		}
+		for _, s := range fs.streams {
+			if c := s.client; c.capped {
+				c.demand += s.rate
 			}
 		}
 		totalDemand = 0
 		for _, s := range fs.streams {
-			if capBW, ok := fs.nodeCaps[s.node]; ok {
-				if d := demand[s.node]; d > capBW {
-					if capBW <= 0 {
-						s.rate = 0
-					} else {
-						//waschedlint:allow floatguard d > capBW >= 0 on this branch, so the denominator is positive
-						s.rate *= capBW / d
-					}
+			if c := s.client; c.capped && c.demand > c.rateCap {
+				if c.rateCap <= 0 {
+					s.rate = 0
+				} else {
+					//waschedlint:allow floatguard demand > rateCap > 0 on this branch, so the denominator is positive
+					s.rate *= c.rateCap / c.demand
 				}
 			}
 			totalDemand += s.rate
@@ -429,12 +505,16 @@ func (fs *FileSystem) recompute() {
 }
 
 // scheduleBoundary (re)schedules the stream's next event: either its
-// completion or the expiry of its burst credit, whichever is sooner.
+// completion or the expiry of its burst credit, whichever is sooner. A
+// pending boundary moves in place: Reschedule draws a fresh sequence
+// number exactly as Cancel + At would, and events fire in strict
+// (time, sequence) order, so the firing order is the same either way.
 func (fs *FileSystem) scheduleBoundary(s *Stream, now des.Time) {
-	fs.eng.Cancel(s.event)
-	s.event = des.Event{}
 	if s.rate <= 0 {
-		return // stalled; the next noise tick or membership change revives it
+		// Stalled; the next noise tick or membership change revives it.
+		fs.eng.Cancel(s.event)
+		s.event = des.Event{}
+		return
 	}
 	remaining := s.total - s.done
 	next := remaining / s.rate
@@ -450,7 +530,9 @@ func (fs *FileSystem) scheduleBoundary(s *Stream, now des.Time) {
 	if d < 0 {
 		d = 0
 	}
-	s.event = fs.eng.At(now.Add(d), "pfs/stream", s.boundary)
+	if at := now.Add(d); !fs.eng.Reschedule(s.event, at) {
+		s.event = fs.eng.At(at, "pfs/stream", s.boundary)
+	}
 }
 
 func (fs *FileSystem) finish(s *Stream) {
@@ -458,7 +540,7 @@ func (fs *FileSystem) finish(s *Stream) {
 	// requested sizes exactly.
 	residue := s.total - s.done
 	if residue > 0 {
-		c := fs.nodeCounters(s.node)
+		c := &s.client.counters
 		if s.kind == Write {
 			c.WriteBytes += residue
 			fs.total.WriteBytes += residue
@@ -481,8 +563,8 @@ func (fs *FileSystem) finish(s *Stream) {
 // current as of now. Unknown nodes return zero counters.
 func (fs *FileSystem) NodeCounters(node string) Counters {
 	fs.sync()
-	if c, ok := fs.perNode[node]; ok {
-		return *c
+	if c, ok := fs.clients[node]; ok {
+		return c.counters
 	}
 	return Counters{}
 }
@@ -511,28 +593,21 @@ func (fs *FileSystem) CurrentAggregateRate() float64 {
 // cross-checks the two against the job-to-node allocation.
 func (fs *FileSystem) CurrentNodeRates(dst map[string]float64) map[string]float64 {
 	if dst == nil {
-		dst = make(map[string]float64, len(fs.perNode))
+		dst = make(map[string]float64, len(fs.clients))
 	} else {
 		clear(dst)
 	}
 	for _, s := range fs.streams {
-		dst[s.node] += s.rate
+		dst[s.client.name] += s.rate
 	}
 	return dst
 }
 
-// SetNodeRateCaps installs per-client-node rate caps in bytes/s and
-// re-solves stream rates immediately. A node absent from the map is
-// uncapped; a zero cap stalls the node's streams until the cap is raised.
-// The caller retains ownership of the map and may mutate entries between
-// calls — the solver reads the live reference on every recompute — but
-// must call SetNodeRateCaps again (or trigger any other recompute) for
-// rate changes on already-active streams to take effect. Passing nil
-// removes all caps. This is the enforcement hook of the internal/tbf
-// token-bucket limiter.
-func (fs *FileSystem) SetNodeRateCaps(caps map[string]float64) {
+// ApplyRateCaps re-solves stream rates now, so that the client caps set
+// or cleared since the last solve bind immediately rather than at the
+// next stream boundary or noise tick.
+func (fs *FileSystem) ApplyRateCaps() {
 	fs.sync()
-	fs.nodeCaps = caps
 	fs.recompute()
 }
 
