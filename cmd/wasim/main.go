@@ -8,6 +8,7 @@
 //	      [-bb-capacity-gib G] [-bb-aware]
 //	      [-tbf-capacity-gib G] [-tbf-burst-s S] [-tbf-servers N]
 //	      [-csv series.csv] [-jobs-csv jobs.csv] [-plot]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -bb-capacity-gib, a shared burst-buffer tier of that size is
 // attached: jobs declaring a reservation (the workload format's `bb <gib>`
@@ -29,6 +30,16 @@
 // monitoring, analytics, controller), schedules the trace under the chosen
 // policy, and reports the makespan plus optional CSV exports and ASCII
 // plots of the throughput and node-allocation series.
+//
+// -cpuprofile and -memprofile write Go pprof CPU and allocation profiles
+// of the whole run (pre-training included) for `go tool pprof`, e.g.
+//
+//	wagen -workload w2 -out w2.txt
+//	wasim -file w2.txt -policy tbf-straggler -pretrain -cpuprofile w2.cpu
+//	go tool pprof -top w2.cpu
+//
+// Profiling only observes the process; every simulated output stays the
+// same with or without it.
 package main
 
 import (
@@ -36,6 +47,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"wasched/internal/core"
 	"wasched/internal/des"
@@ -54,7 +67,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	file := flag.String("file", "", "workload trace file (required)")
 	confPath := flag.String("conf", "", "slurm.conf-style configuration file")
 	policyName := flag.String("policy", "default", "default, easy, io-aware, adaptive, adaptive-naive, plan, tbf or tbf-straggler")
@@ -74,7 +87,37 @@ func run() error {
 	sosOut := flag.String("sos", "", "dump the SOS metric store (gob) to this file")
 	plot := flag.Bool("plot", false, "print ASCII plots of the run")
 	gantt := flag.Bool("gantt", false, "print an ASCII node-occupancy Gantt chart")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			//waschedlint:allow checkederr the start error takes precedence; the profile is already known-bad
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			runtime.GC() // flush the allocations of the last cycle into the profile
+			if werr := writeFile(*memProfile, func(w io.Writer) error {
+				return pprof.Lookup("allocs").WriteTo(w, 0)
+			}); err == nil {
+				err = werr
+			}
+		}()
+	}
 
 	if *file == "" {
 		return fmt.Errorf("-file is required")

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,40 @@ func TestEngineReschedule(t *testing.T) {
 	}
 	if e.Reschedule(ev, Time(100*Second)) {
 		t.Fatal("rescheduling a fired event must fail")
+	}
+}
+
+// TestEngineRescheduleTieOrder pins that Reschedule draws a fresh sequence
+// number, exactly as Cancel + At does: an event moved onto time t fires
+// after every event already queued at t, and before every event queued at
+// t afterwards. A Reschedule that kept the event's original sequence
+// number would fire it first among the ties. pfs moves every stream
+// boundary in place on this guarantee.
+func TestEngineRescheduleTieOrder(t *testing.T) {
+	run := func(move func(e *Engine, ev Event, fn func(), at Time)) []string {
+		e := NewEngine()
+		var order []string
+		log := func(name string) func() { return func() { order = append(order, name) } }
+		moved := log("moved")
+		ev := e.At(Time(10*Second), "moved", moved) // oldest sequence number
+		e.At(Time(5*Second), "a", log("a"))
+		e.At(Time(5*Second), "b", log("b"))
+		move(e, ev, moved, Time(5*Second))
+		e.At(Time(5*Second), "c", log("c"))
+		e.RunUntilIdle(0)
+		return order
+	}
+	got := run(func(e *Engine, ev Event, _ func(), at Time) {
+		if !e.Reschedule(ev, at) {
+			t.Fatal("reschedule of a pending event failed")
+		}
+	})
+	want := run(func(e *Engine, ev Event, fn func(), at Time) {
+		e.Cancel(ev)
+		e.At(at, "moved", fn)
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got) != "[a b moved c]" {
+		t.Fatalf("Reschedule fired %v, Cancel + At fired %v, want [a b moved c]", got, want)
 	}
 }
 

@@ -8,21 +8,35 @@ import (
 )
 
 // BenchmarkRateSolver measures one recompute with 120 active streams (the
-// paper's worst case: 15 write×8 jobs).
+// paper's worst case: 15 write×8 jobs), without client caps and with every
+// node capped by the token layer (the client-throttling pass).
 func BenchmarkRateSolver(b *testing.B) {
-	eng := des.NewEngine()
-	cfg := DefaultConfig()
-	fs, _ := New(eng, cfg, 1)
-	rng := des.NewRNG(1, "bench")
-	for i := 0; i < 120; i++ {
-		fs.StartStream(fmt.Sprintf("n%d", i%15), Write, fs.RandomVolume(rng), 1e15, nil)
-	}
-	eng.Run(des.TimeFromSeconds(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.sync()
-		fs.recompute()
+	for _, capped := range []bool{false, true} {
+		name := "uncapped"
+		if capped {
+			name = "capped"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng := des.NewEngine()
+			fs, _ := New(eng, DefaultConfig(), 1)
+			rng := des.NewRNG(1, "bench")
+			for i := 0; i < 120; i++ {
+				fs.StartStream(fmt.Sprintf("n%d", i%15), Write, fs.RandomVolume(rng), 1e15, nil)
+			}
+			eng.Run(des.TimeFromSeconds(1))
+			if capped {
+				for n := 0; n < 15; n++ {
+					fs.Client(fmt.Sprintf("n%d", n)).SetRateCap(GiB)
+				}
+				fs.ApplyRateCaps()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.sync()
+				fs.recompute()
+			}
+		})
 	}
 }
 

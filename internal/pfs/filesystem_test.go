@@ -503,3 +503,67 @@ func TestByteConservationRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestClientHandles pins the client contract: one handle per node name,
+// shared by Client, Clients and the streams, with the counters NodeCounters
+// reports.
+func TestClientHandles(t *testing.T) {
+	eng := des.NewEngine()
+	fs, _ := New(eng, quietConfig(), 1)
+	if got := fs.NodeCounters("n0"); got != (Counters{}) {
+		t.Fatalf("unknown node has counters %+v", got)
+	}
+	cs := fs.Clients([]string{"n0", "n1", "n0"})
+	if cs[0] != fs.Client("n0") || cs[2] != cs[0] || cs[1] != fs.Client("n1") || cs[0] == cs[1] {
+		t.Fatal("Client and Clients must return one handle per node name")
+	}
+	if cs[1].Name() != "n1" {
+		t.Fatalf("Name = %q", cs[1].Name())
+	}
+	s := fs.StartStream("n1", Write, 0, GiB, nil)
+	eng.Run(des.TimeFromSeconds(1))
+	if got, want := cs[1].Counters(), fs.NodeCounters("n1"); got != want || got.WriteOps != 1 || got.WriteBytes <= 0 {
+		t.Fatalf("client counters %+v, NodeCounters %+v", got, want)
+	}
+	if s.Node() != "n1" {
+		t.Fatalf("stream node %q", s.Node())
+	}
+}
+
+// TestClientRateCap pins the cap contract: SetRateCap and ClearRateCap
+// take effect at the next rate solve, ApplyRateCaps solves at once, and a
+// zero cap stalls the client's streams.
+func TestClientRateCap(t *testing.T) {
+	eng := des.NewEngine()
+	fs, _ := New(eng, quietConfig(), 1)
+	a := fs.StartStream("n0", Write, 0, 1e15, nil)
+	b := fs.StartStream("n0", Write, 1, 1e15, nil)
+	eng.Run(des.TimeFromSeconds(1))
+	free := a.Rate()
+	const capBW = GiB / 10
+	if free*2 <= capBW {
+		t.Fatalf("uncapped streams too slow for the test: %g", free)
+	}
+	c := fs.Client("n0")
+	c.SetRateCap(capBW)
+	if a.Rate() != free {
+		t.Fatal("SetRateCap re-solved rates itself")
+	}
+	fs.ApplyRateCaps()
+	if got := a.Rate() + b.Rate(); math.Abs(got-capBW) > 1e-6*capBW || a.Rate() != b.Rate() {
+		t.Fatalf("capped streams at %g + %g, want %g shared evenly", a.Rate(), b.Rate(), capBW)
+	}
+	c.SetRateCap(0)
+	fs.ApplyRateCaps()
+	if a.Rate() != 0 || b.Rate() != 0 || a.event.Pending() {
+		t.Fatalf("zero cap must stall: rates %g, %g", a.Rate(), b.Rate())
+	}
+	c.ClearRateCap()
+	c.ClearRateCap() // idempotent
+	// A stream opening on another node re-solves every rate.
+	fs.StartStream("n1", Write, 2, 1e15, nil)
+	eng.Run(des.TimeFromSeconds(2))
+	if a.Rate() != free || fs.capped != 0 {
+		t.Fatalf("cleared cap: rate %g, want %g; %d clients capped", a.Rate(), free, fs.capped)
+	}
+}
