@@ -159,5 +159,8 @@ fuzz:
 	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzParseSWFRecords -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzDecodeEncode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/slurmconf -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 
 check: vet fmt-check lint race bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke fuzz

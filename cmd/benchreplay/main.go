@@ -1,5 +1,7 @@
 // Command benchreplay measures the archive-trace replay throughput on the
-// bundled 10k-job SWF trace and appends the result to BENCH_replay.json,
+// bundled 10k-job SWF trace under eight policies (the four paper policies,
+// the burst-buffer plan and bb+io-aware, and the two token-bucket
+// policies) and appends the result to BENCH_replay.json,
 // the repository's performance trajectory for the scheduling hot path.
 // With a previous entry present it fails (exit 1) when any policy's
 // allocs/op grows past the alloc threshold (the deterministic signal) or
@@ -74,13 +76,25 @@ func run() error {
 	checkOnly := flag.Bool("check-only", false, "measure and compare but do not append")
 	flag.Parse()
 
-	f, err := workload.OpenSWF(*trace)
+	load := func(opts workload.SWFOptions) ([]schedcheck.SimJob, workload.SWFQuirks, error) {
+		f, err := workload.OpenSWF(*trace)
+		if err != nil {
+			return nil, workload.SWFQuirks{}, err
+		}
+		//waschedlint:allow checkederr the trace is opened read-only; close cannot lose data
+		defer f.Close()
+		return schedcheck.LoadSWFSimJobs(f, opts)
+	}
+	jobs, quirks, err := load(workload.DefaultSWFOptions())
 	if err != nil {
 		return err
 	}
-	jobs, quirks, err := schedcheck.LoadSWFSimJobs(f, workload.DefaultSWFOptions())
-	//waschedlint:allow checkederr the trace is opened read-only; close cannot lose data
-	f.Close()
+	// The burst-buffer policies replay the same trace with the synthetic
+	// BB assignment of `make bbcheck`: 30% of jobs reserve 4 GiB per node.
+	bbOpts := workload.DefaultSWFOptions()
+	bbOpts.BBFraction = 0.3
+	bbOpts.BBGiBPerNode = 4
+	bbJobs, _, err := load(bbOpts)
 	if err != nil {
 		return err
 	}
@@ -88,6 +102,7 @@ func run() error {
 
 	const nodes = 15
 	limit := 20 * pfs.GiB
+	bbCap := 64 * pfs.GiB
 	entry := Entry{
 		Date:     time.Now().UTC().Format("2006-01-02"),
 		Label:    *label,
@@ -98,15 +113,35 @@ func run() error {
 	if entry.Label == "" {
 		entry.Label = "bench-replay"
 	}
+	withBB := func(cfg *schedcheck.ReplayConfig) {
+		cfg.BBCapacity = bbCap
+		cfg.BBStageRate = 2 * pfs.GiB
+		cfg.BBDrainRate = 1 * pfs.GiB
+	}
+	// The token policies run against the corpus token pool, as `wasched
+	// replay -policy tbf` defaults to.
+	withTBF := func(straggler bool) func(*schedcheck.ReplayConfig) {
+		return func(cfg *schedcheck.ReplayConfig) {
+			cfg.TBFCapacity = schedcheck.CorpusTBFCapacity
+			cfg.TBFServers = schedcheck.CorpusTBFServers
+			cfg.TBFStraggler = straggler
+		}
+	}
 	for _, v := range []struct {
 		label  string
 		policy sched.Policy
 		limit  float64
+		jobs   []schedcheck.SimJob
+		setup  func(*schedcheck.ReplayConfig)
 	}{
-		{"default", sched.NodePolicy{TotalNodes: nodes}, 0},
-		{"io-aware", sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit},
-		{"adaptive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit},
-		{"adaptive-naive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit},
+		{"default", sched.NodePolicy{TotalNodes: nodes}, 0, jobs, nil},
+		{"io-aware", sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit, jobs, nil},
+		{"adaptive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit, jobs, nil},
+		{"adaptive-naive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit, jobs, nil},
+		{"plan", sched.PlanPolicy{TotalNodes: nodes, BBCapacity: bbCap, ThroughputLimit: limit}, limit, bbJobs, withBB},
+		{"bb-io-aware", sched.BBAwarePolicy{Inner: sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, Capacity: bbCap}, limit, bbJobs, withBB},
+		{"tbf", sched.TBFPolicy{TotalNodes: nodes}, 0, jobs, withTBF(false)},
+		{"tbf-straggler", sched.TBFPolicy{TotalNodes: nodes, Straggler: true}, 0, jobs, withTBF(true)},
 	} {
 		cfg := schedcheck.ReplayConfig{
 			Policy:          v.policy,
@@ -115,6 +150,9 @@ func run() error {
 			Limit:           v.limit,
 			MaxRounds:       1 << 30,
 			SkipRoundChecks: true,
+		}
+		if v.setup != nil {
+			v.setup(&cfg)
 		}
 		// Best of three runs: scheduler throughput is what the gate
 		// guards, and the minimum-noise run is the honest estimate of it
@@ -125,15 +163,15 @@ func run() error {
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := schedcheck.Replay(jobs, cfg)
-					if len(res.Jobs) != len(jobs) {
-						b.Fatalf("completed %d of %d jobs", len(res.Jobs), len(jobs))
+					res := schedcheck.Replay(v.jobs, cfg)
+					if len(res.Jobs) != len(v.jobs) {
+						b.Fatalf("completed %d of %d jobs", len(res.Jobs), len(v.jobs))
 					}
 					rounds = res.Rounds
 				}
 			})
 			secPerOp := r.T.Seconds() / float64(r.N)
-			if jps := float64(len(jobs)) / secPerOp; jps > pb.JobsPerSec {
+			if jps := float64(len(v.jobs)) / secPerOp; jps > pb.JobsPerSec {
 				pb = PolicyBench{
 					JobsPerSec:   jps,
 					RoundsPerSec: float64(rounds) / secPerOp,

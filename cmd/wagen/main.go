@@ -20,6 +20,9 @@
 // synthetic burst-buffer reservation of nodes × -bb-gib-per-node GiB, so
 // generated traces can exercise the burst-buffer tier (`wasim
 // -bb-capacity-gib`, `wasched replay -bb-capacity-gib`).
+//
+// -cpuprofile and -memprofile write pprof profiles of the run
+// (internal/profiling).
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 	"strings"
 
 	"wasched/internal/des"
+	"wasched/internal/profiling"
 	"wasched/internal/slurm"
 	"wasched/internal/workload"
 )
@@ -60,7 +64,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	name := flag.String("workload", "w1", "workload: w1, w2, mixed, bursty or ckpt")
 	poisson := flag.Float64("poisson", 0, "mean inter-arrival seconds (0 = batch at t=0)")
 	seed := flag.Uint64("seed", 1, "seed for the arrival process")
@@ -75,7 +79,18 @@ func run() error {
 	quirkEvery := flag.Int("quirk-every", 0, "inject one malformed SWF row every N jobs (0 = clean trace)")
 	bbFraction := flag.Float64("bb-fraction", 0, "fraction of jobs given a synthetic burst-buffer reservation (0 = BB off)")
 	bbPerNode := flag.Float64("bb-gib-per-node", 4, "burst-buffer reservation per node for assigned jobs, GiB")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 
 	if *bbFraction < 0 || *bbFraction > 1 {
 		return fmt.Errorf("-bb-fraction must be in [0,1], got %g", *bbFraction)

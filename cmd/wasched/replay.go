@@ -4,6 +4,8 @@
 // policy. This is the archive-scale path — a 10⁵–10⁶ job trace replays in
 // minutes because the replayer runs on incremental scheduling state
 // (sched.Session) instead of the full prototype's file-system model.
+// -cpuprofile and -memprofile profile the whole replay, trace loading
+// included (internal/profiling).
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 
 	"wasched/internal/des"
 	"wasched/internal/pfs"
+	"wasched/internal/profiling"
 	"wasched/internal/sched"
 	"wasched/internal/schedcheck"
 	"wasched/internal/workload"
@@ -65,7 +68,7 @@ func replayPolicies(name string, nodes int, limit, bbCap float64) ([]sched.Polic
 }
 
 // runReplay implements `wasched replay <trace.swf[.gz]> [flags]`.
-func runReplay(args []string) error {
+func runReplay(args []string) (err error) {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	policy := fs.String("policy", "all", "policy: default, io-aware, adaptive, adaptive-naive, plan, bb-io-aware, tbf, tbf-straggler or all")
 	nodes := fs.Int("nodes", 15, "cluster size (the paper's Stria partition)")
@@ -86,6 +89,7 @@ func runReplay(args []string) error {
 	maxRounds := fs.Int("max-rounds", 0, "round budget (0 = sized from the trace span)")
 	checks := fs.Bool("checks", false, "run the per-round invariant checks (slower)")
 	quiet := fs.Bool("quiet", false, "suppress live progress on stderr")
+	prof := profiling.Register(fs)
 	// Accept flags before or after the trace path, like `wasched run`.
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,6 +105,16 @@ func runReplay(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: wasched replay <trace.swf[.gz]> [-policy P] [-nodes N] [-limit-gib G] ...")
 	}
+
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 
 	if *bbFraction > 0 && *bbCapGiB <= 0 {
 		return fmt.Errorf("-bb-fraction needs -bb-capacity-gib: jobs with BB demand can never start against an absent pool")

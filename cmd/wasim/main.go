@@ -47,12 +47,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"wasched/internal/core"
 	"wasched/internal/des"
 	"wasched/internal/pfs"
+	"wasched/internal/profiling"
 	"wasched/internal/sched"
 	"wasched/internal/slurm"
 	"wasched/internal/slurmconf"
@@ -87,37 +86,18 @@ func run() (err error) {
 	sosOut := flag.String("sos", "", "dump the SOS metric store (gob) to this file")
 	plot := flag.Bool("plot", false, "print ASCII plots of the run")
 	gantt := flag.Bool("gantt", false, "print an ASCII node-occupancy Gantt chart")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			//waschedlint:allow checkederr the start error takes precedence; the profile is already known-bad
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
+	stop, err := prof.Start()
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC() // flush the allocations of the last cycle into the profile
-			if werr := writeFile(*memProfile, func(w io.Writer) error {
-				return pprof.Lookup("allocs").WriteTo(w, 0)
-			}); err == nil {
-				err = werr
-			}
-		}()
-	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 
 	if *file == "" {
 		return fmt.Errorf("-file is required")

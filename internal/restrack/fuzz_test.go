@@ -12,7 +12,8 @@ import (
 // reservation sequences and cross-checks it against a brute-force reference:
 // a plain list of (interval, delta) superpositions. Every decoded input
 // exercises Add and its compaction, ValueAt, and one EarliestFit query
-// whose answer is verified for feasibility AND minimality.
+// whose answer is verified for feasibility AND minimality, and whose Band
+// must give the same answer under every limit it holds for.
 //
 // Values are small integers, so reference comparisons are exact and the
 // profile's 1e-9 relative tolerances can never flip an outcome.
@@ -111,6 +112,26 @@ func FuzzProfile(f *testing.F) {
 			}
 			if max := p.MaxOver(got, got.Add(dur)); !fits(max, need, limit) {
 				t.Fatalf("EarliestFit start %v does not fit: max %g + need %g > limit %g", got, max, need, limit)
+			}
+		}
+
+		// The same query with a band answers the same, and every other
+		// limit the band holds for gives the same answer again.
+		var b Band
+		b.Reset()
+		if bt, bok := p.EarliestFitBand(from, dur, need, limit, &b); bt != got || bok != ok {
+			t.Fatalf("EarliestFitBand = (%v, %v), EarliestFit (%v, %v)", bt, bok, got, ok)
+		}
+		if !b.Holds(need, limit) {
+			t.Fatalf("band %+v does not hold for its own limit %g", b, limit)
+		}
+		for l := 0.0; l < 64; l += 0.5 {
+			if !b.Holds(need, l) {
+				continue
+			}
+			if lt, lok := p.EarliestFit(from, dur, need, l); lt != got || lok != ok {
+				t.Fatalf("band %+v holds for limit %g, but EarliestFit moves (%v, %v) → (%v, %v) on %v",
+					b, l, got, ok, lt, lok, p)
 			}
 		}
 	})

@@ -255,9 +255,36 @@ func (p *Profile) IntegralOver(lo, hi des.Time) float64 {
 //
 // This is the primitive behind EarliestStartTime in paper Algorithms 1, 4
 // and 7.
+func (p *Profile) EarliestFit(from des.Time, dur des.Duration, need, limit float64) (des.Time, bool) {
+	return p.EarliestFitBand(from, dur, need, limit, nil)
+}
+
+// Band records, across EarliestFitBand scans with one need, the largest
+// usage value that fit and the least that did not. Every fit outcome those
+// scans saw is monotone in the limit, so Holds answers, with two
+// comparisons, whether all of them would come out the same under another
+// limit — and so whether the scans would return the same times.
+type Band struct {
+	Fit  float64 // the largest value that fit; -Inf when none did
+	Viol float64 // the least value that did not fit; +Inf when none
+}
+
+// Reset empties the band: nothing examined yet.
+func (b *Band) Reset() { *b = Band{Fit: math.Inf(-1), Viol: math.Inf(1)} }
+
+// Holds reports whether every value the band recorded keeps its fit
+// outcome against need and limit, with the tolerance EarliestFit applies.
+func (b *Band) Holds(need, limit float64) bool {
+	return fits(b.Fit, need, limit) && !fits(b.Viol, need, limit)
+}
+
+// EarliestFitBand is EarliestFit that also widens b, when b is not nil,
+// by every usage value the scan tests against limit: the segment holding
+// the candidate time (the zero prefix included), each segment of the
+// window checked, and each segment the advance steps over.
 //
 //waschedlint:hotpath
-func (p *Profile) EarliestFit(from des.Time, dur des.Duration, need, limit float64) (des.Time, bool) {
+func (p *Profile) EarliestFitBand(from des.Time, dur des.Duration, need, limit float64, b *Band) (des.Time, bool) {
 	if dur < 0 {
 		panic("restrack: negative duration")
 	}
@@ -274,14 +301,22 @@ func (p *Profile) EarliestFit(from des.Time, dur des.Duration, need, limit float
 				}
 			}
 			if viol == len(p.pts) || p.pts[viol].t >= end {
+				if b != nil {
+					b.widen(p, k, viol, viol)
+				}
 				return t, true
 			}
 		}
 		// Advance past the violating segment: the earliest possible fit
 		// starts at the next breakpoint after it where usage drops enough.
+		first := k
 		k = viol + 1
 		for k < len(p.pts) && !fits(p.pts[k].v, need, limit) {
 			k++
+		}
+		if b != nil {
+			// The segment at k, which fits, opens the next scan.
+			b.widen(p, first, viol, k)
 		}
 		if k == len(p.pts) {
 			// Usage never drops enough after viol; beyond the final
@@ -289,6 +324,23 @@ func (p *Profile) EarliestFit(from des.Time, dur des.Duration, need, limit float
 			return des.MaxTime, false
 		}
 		t = p.pts[k].t
+	}
+}
+
+// widen records one pass of the EarliestFit scan: the segments from
+// breakpoint lo (-1 is the zero prefix) up to mid fit, and those from mid
+// up to hi do not. Recording them after the pass keeps the scan's own
+// loops free of the recorder.
+func (b *Band) widen(p *Profile, lo, mid, hi int) {
+	for i := lo; i < mid; i++ {
+		if v := p.valueOf(i); v > b.Fit {
+			b.Fit = v
+		}
+	}
+	for i := mid; i < hi; i++ {
+		if v := p.valueOf(i); v < b.Viol {
+			b.Viol = v
+		}
 	}
 }
 

@@ -180,6 +180,38 @@ func TestProfileIntegralOver(t *testing.T) {
 	}
 }
 
+// TestEarliestFitBand checks the band a scan records on a two-step
+// profile: 4 until 10 s, 1 until 50 s, then 0.
+func TestEarliestFitBand(t *testing.T) {
+	p := NewProfile()
+	p.Add(0, des.Time(10*sec), 3)
+	p.Add(0, des.Time(50*sec), 1)
+	var b Band
+	b.Reset()
+	if !b.Holds(0, 0) {
+		t.Fatal("an empty band must hold for any limit")
+	}
+	got, ok := p.EarliestFitBand(0, 5*sec, 0, 2, &b)
+	if !ok || got != des.Time(10*sec) {
+		t.Fatalf("EarliestFitBand = (%v, %v), want 10 s", got, ok)
+	}
+	if b != (Band{Fit: 1, Viol: 4}) {
+		t.Fatalf("band %+v, want {Fit:1 Viol:4}", b)
+	}
+	for _, c := range []struct {
+		limit float64
+		holds bool
+	}{{1, true}, {2, true}, {3.99, true}, {0.99, false}, {4, false}, {9, false}} {
+		if b.Holds(0, c.limit) != c.holds {
+			t.Errorf("Holds(0, %g) = %v, want %v", c.limit, !c.holds, c.holds)
+		}
+	}
+	// A nil band records nothing and changes no answer.
+	if got, ok := p.EarliestFitBand(0, 5*sec, 0, 2, nil); !ok || got != des.Time(10*sec) {
+		t.Fatalf("nil band: (%v, %v), want 10 s", got, ok)
+	}
+}
+
 // TestProfileMatchesBruteForce drives both implementations with random
 // reservation sequences and checks every observable agrees.
 func TestProfileMatchesBruteForce(t *testing.T) {

@@ -203,7 +203,8 @@ type round struct {
 	// and queue could decide differently from this one (Session.Quiet):
 	// the least start EarliestStart returned, the time a job rejected by
 	// the horizon comes into the plan window, and now itself when a
-	// booking moves with now.
+	// booking moves with now. Before it, an adaptive round can still
+	// decide differently only if its R̃' leaves the overlay's quiet band.
 	wake des.Time
 	ov   overlay
 }
@@ -316,14 +317,18 @@ func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 // same order, and none starts now. The bookings made from now (running
 // jobs, the guard while jobs run, unavailable nodes, AT) keep their values
 // over [in.Now, ∞). The adaptive target R̃ reads the running jobs'
-// remaining(now), so an adaptive round is quiet only if its R̃' comes out
-// bit-equal at in.Now.
+// remaining(now), so R̃' drifts with time; AT is the only thing it limits.
+// An adaptive round is quiet only if R̃' recomputed at in.Now leaves every
+// AT value this round's fits examined on the same side of the limit (the
+// overlay's band): then every time those fits proved infeasible stays
+// infeasible, every window they accepted stays accepted, and each
+// EarliestStart returns what it returned here (DESIGN.md, "Quiet rounds").
 func (r *round) quiet(in RoundInput) bool {
 	if in.Now >= r.wake {
 		return false
 	}
 	p := r.m.adaptive
-	return p == nil || p.adjustedTarget(p.target(in), r.ov.rZeroBar) == r.ov.adjTarget
+	return p == nil || r.ov.band.Holds(0, p.adjustedTarget(p.target(in), r.ov.rZeroBar))
 }
 
 // fit is dimension i's earliest fit for j from t; the index past the last
@@ -333,7 +338,7 @@ func (r *round) fit(i int, j *Job, t des.Time) (des.Time, bool) {
 		// "Earliest time when no more than R̃' is reserved in AT": the
 		// job's own contribution is not part of the test — the target is
 		// a level to fill up to, not a cap on the job itself.
-		return r.ov.at.EarliestFit(t, j.Limit, 0, r.ov.adjTarget)
+		return r.ov.at.EarliestFitBand(t, j.Limit, 0, r.ov.adjTarget, &r.ov.band)
 	}
 	return r.work[i].EarliestFit(t, j.Limit, r.need[i], r.m.dims[i].limit)
 }

@@ -52,7 +52,11 @@ type overlay struct {
 	rStar     float64
 	rZeroBar  float64
 	at        restrack.Profile
-	scratch   splitScratch
+	// band holds the largest AT value this round's fits found within R̃'
+	// and the least found above it: the range R̃' can drift over before
+	// any of those fits would return another time (round.quiet).
+	band    restrack.Band
+	scratch splitScratch
 }
 
 // fill recomputes the overlay for this round.
@@ -63,6 +67,7 @@ func (o *overlay) fill(p *AdaptivePolicy, in RoundInput) {
 	// Lines 6–8: two-group split of the waiting queue.
 	o.rStar, o.rZeroBar = p.twoGroupSplit(in.Waiting, &o.scratch)
 	o.adjTarget = p.adjustedTarget(o.target, o.rZeroBar)
+	o.band.Reset()
 
 	// Lines 9–11: AT, seeded with the running jobs' adjusted contributions
 	// r_j − n_j·r̄_zero (signed: a job quieter than the zero-group average

@@ -29,10 +29,13 @@ type Session interface {
 	// any decisions referencing it) is valid until the next BeginRound.
 	BeginRound(in RoundInput) Round
 	// Quiet reports whether the round at in.Now would decide exactly as
-	// the last BeginRound's did, and so start nothing. The caller asks
-	// only when no job started, finished or arrived since that round, and
-	// skips BeginRound and the backfill engine when the answer is true. A
-	// quiet round still counts on the clock that trims the base profiles.
+	// the last BeginRound's did, and so start nothing: in.Now is before
+	// that round's wake time and, for an adaptive policy, the target R̃'
+	// recomputed at in.Now keeps every AT value that round tested on the
+	// same side of the limit. The caller asks only when no job started,
+	// finished or arrived since that round, and skips BeginRound and the
+	// backfill engine when the answer is true. A quiet round still counts
+	// on the clock that trims the base profiles.
 	Quiet(in RoundInput) bool
 	// JobStarted records that j started at j.StartedAt (already set by the
 	// caller), reserving [StartedAt, StartedAt+Limit) in the base state.

@@ -1,0 +1,105 @@
+package sched
+
+import (
+	"testing"
+
+	"wasched/internal/restrack"
+)
+
+// TestQuietBandEdges drives the adjusted target R̃' across both edges of
+// an adaptive round's quiet band while nothing else changes: no job starts,
+// finishes or arrives, and now stays before the round's wake time. Inside
+// the band Session.Quiet skips, and a fresh round at that now decides
+// exactly as the executed one did; past either edge it does not skip, and a
+// fresh round decides differently, so neither edge is wider than exact.
+func TestQuietBandEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		nodes    int
+		running  []*Job // all started at 0
+		waiting  []*Job
+		band     restrack.Band
+		quiet    []int64 // nows (s) inside the band
+		notQuiet []int64 // nows (s) past its edge
+	}{
+		{
+			// R̃' = 8·500 / (6·(600−now) + 100) rises as z's remaining
+			// shrinks (a's estimate ran out at 1 s). AT holds a's rate 2
+			// until 1000 s, so b is planned at 1000 s until R̃' reaches 2,
+			// just past now = 283 s; from then b fits now.
+			name:  "rises past the least violating value",
+			nodes: 8,
+			running: []*Job{
+				estjob("a", 1, 1000*sec, 2, 1*sec),
+				estjob("z", 6, 1000*sec, 0, 600*sec),
+			},
+			waiting:  []*Job{estjob("b", 1, 100*sec, 5, 0)},
+			band:     restrack.Band{Fit: 0, Viol: 2},
+			quiet:    []int64{100, 200, 283},
+			notQuiet: []int64{284, 500},
+		},
+		{
+			// R̃' = 4·(8100 − 4·now) / (22100 − 2·now) falls as a's
+			// remaining shrinks. AT holds 4 until 1000 s and c's 1 until
+			// 5000 s, so b is planned at 1000 s until R̃' drops below 1,
+			// just past now = 735 s; from then b must wait for 5000 s.
+			name:  "falls below the largest fitting value",
+			nodes: 4,
+			running: []*Job{
+				estjob("a", 1, 1000*sec, 3, 1000*sec),
+				estjob("c", 1, 5000*sec, 1, 5000*sec),
+			},
+			waiting: []*Job{
+				estjob("b", 1, 100*sec, 1, 100*sec),
+				estjob("w", 4, 4000*sec, 0, 4000*sec),
+			},
+			band:     restrack.Band{Fit: 1, Viol: 4},
+			quiet:    []int64{300, 600, 735},
+			notQuiet: []int64{736, 900},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := AdaptivePolicy{TotalNodes: tc.nodes, ThroughputLimit: 1000}
+			s := NewSession(p)
+			for _, j := range tc.running {
+				s.JobStarted(j)
+			}
+			input := func(now int64) RoundInput {
+				return RoundInput{Now: tsec(now), Running: tc.running, Waiting: tc.waiting}
+			}
+			var rn Runner
+			want := decisionsByID(rn.RunRound(p, s.BeginRound(input(0)), input(0), Options{}))
+			if d := want["b"]; !d.Reserved || d.PlannedStart != tsec(1000) {
+				t.Fatalf("b at now 0: %+v, want planned at 1000 s", d)
+			}
+			if got := s.(*session).rnd.ov.band; got != tc.band {
+				t.Fatalf("band %+v, want %+v", got, tc.band)
+			}
+			sameAsFresh := func(now int64) bool {
+				ds, _ := RunRound(p, input(now), Options{})
+				for id, d := range decisionsByID(ds) {
+					if w := want[id]; d.StartNow != w.StartNow || d.Reserved != w.Reserved || d.PlannedStart != w.PlannedStart {
+						return false
+					}
+				}
+				return true
+			}
+			for _, now := range tc.quiet {
+				if !s.Quiet(input(now)) {
+					t.Errorf("now %d s: R̃' %g inside the band, not quiet", now, p.target(input(now)))
+				}
+				if !sameAsFresh(now) {
+					t.Errorf("now %d s: a fresh round decides differently inside the band", now)
+				}
+			}
+			for _, now := range tc.notQuiet {
+				if s.Quiet(input(now)) {
+					t.Errorf("now %d s: R̃' %g past the band edge, quiet", now, p.target(input(now)))
+				}
+				if sameAsFresh(now) {
+					t.Errorf("now %d s: a fresh round decides the same past the band edge", now)
+				}
+			}
+		})
+	}
+}

@@ -169,7 +169,7 @@ func TestReplayMatchesReferenceUnlimitedWindow(t *testing.T) {
 // oracle at trace scale: the bundled 10k-job SWF trace through every pin
 // variant, plan with a one-hour horizon and the bb+ family included. The
 // corpus is too small to reach the regimes where a wrong wake time or a
-// wrong adaptive key shows: long backlogs whose heads wait for hours, and
+// wrong adaptive band shows: long backlogs whose heads wait for hours, and
 // rounds where the adaptive target drifts while nothing else changes.
 func TestReplayMatchesReferenceOnTrace(t *testing.T) {
 	if testing.Short() {
@@ -224,6 +224,47 @@ func TestReplayMatchesReferenceOnTrace(t *testing.T) {
 			}
 			t.Logf("%d of %d rounds scheduled", fast.Scheduled, fast.Rounds)
 		})
+	}
+}
+
+// TestReplayMatchesReferenceOnBandEdges holds the adaptive quiet band to
+// the oracle on generated traces where R̃' drifts across the value of an
+// AT segment between two otherwise idle rounds. The 10k trace and the
+// corpus miss a band that is too wide (one that ignores the least AT
+// value found above R̃'); these two traces catch it under both adaptive
+// variants.
+func TestReplayMatchesReferenceOnBandEdges(t *testing.T) {
+	const nodes = 15
+	const limit = 20 * pfs.GiB
+	for _, seed := range []uint64{2, 3} {
+		var buf bytes.Buffer
+		gen := workload.SWFGenConfig{Jobs: 3000, Seed: seed, Nodes: nodes, CoresPerNode: 56, Utilization: 0.7}
+		if err := workload.WriteSyntheticSWF(&buf, gen); err != nil {
+			t.Fatal(err)
+		}
+		jobs, _, err := LoadSWFSimJobs(&buf, workload.DefaultSWFOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, twoGroup := range []bool{true, false} {
+			policy := sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: twoGroup}
+			t.Run(fmt.Sprintf("%s-seed%d", policy.Name(), seed), func(t *testing.T) {
+				t.Parallel()
+				cfg := ReplayConfig{
+					Policy:  policy,
+					Options: sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
+					Nodes:   nodes,
+					Limit:   limit,
+				}
+				fast := Replay(jobs, cfg)
+				got, want := scheduleDigest(fast), scheduleDigest(replayReference(jobs, cfg))
+				if got != want {
+					t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
+						clipDigest(got), clipDigest(want))
+				}
+				t.Logf("%d of %d rounds scheduled", fast.Scheduled, fast.Rounds)
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package schedcheck
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -99,4 +100,38 @@ func TestSWFReplayEndToEnd(t *testing.T) {
 			t.Errorf("%s: %s: %s", p.Name(), v.Invariant, v.Detail)
 		}
 	}
+}
+
+// FuzzParseSWFRecords feeds arbitrary bytes to the SWF row parser: it must
+// not panic, and every record it accepts must convert to a replay job the
+// replayer's contract allows — at least one node, a runtime in (0, Limit]
+// and a non-negative submit time — or be dropped as too wide.
+func FuzzParseSWFRecords(f *testing.F) {
+	f.Add([]byte(sampleSWF))
+	f.Add([]byte("1 1e300 -1 1 1 -1 -1 1 1 -1 1 1\n2 0 -1 1e-9 1 -1 -1 1e300 NaN -1 1 1\n"))
+	f.Add([]byte("3 0 -1 5 -1 -1 -1 -1 Inf -1 1 1\n4 0 -1 1e13 56 -1 -1 56 -1 -1 1 1\n"))
+	opts := workload.DefaultSWFOptions()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, _, err := workload.ParseSWFRecords(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ParseSWFRecords on an in-memory reader: %v", err)
+		}
+		for _, rec := range records {
+			jobs, quirks, err := SimJobsFromSWF([]workload.SWFRecord{rec}, opts)
+			if err != nil {
+				t.Fatalf("record %+v: %v", rec, err)
+			}
+			if quirks.TooWide == 1 && len(jobs) == 0 {
+				continue
+			}
+			if len(jobs) != 1 {
+				t.Fatalf("record %+v converted to %d jobs", rec, len(jobs))
+			}
+			j := jobs[0]
+			if j.Nodes < 1 || j.Nodes > opts.MaxNodes || j.Actual <= 0 || j.Actual > j.Limit || j.Submit < 0 ||
+				!(j.Rate >= 0) || math.IsInf(j.Rate, 0) {
+				t.Fatalf("record %+v converted to an invalid job %+v", rec, j)
+			}
+		}
+	})
 }

@@ -40,6 +40,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -102,19 +103,19 @@ type priorityKeys struct {
 func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 	switch strings.ToLower(key) {
 	case "priorityweightage":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightAge: %q", value)
 		}
 		prio.set, prio.age = true, f
 	case "priorityweightjobsize":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightJobSize: %q", value)
 		}
 		prio.set, prio.size = true, f
 	case "priorityweightfairshare":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightFairshare: %q", value)
 		}
@@ -147,7 +148,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Control.Preemption.PriorityGap = n
 	case "ratequantile":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("RateQuantile: want 0..1, got %q", value)
 		}
@@ -186,7 +187,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Scheduler.ThroughputLimit = v
 	case "twogroupqosfraction":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("TwoGroupQoSFraction: want 0..1, got %q", value)
 		}
@@ -224,13 +225,13 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.FS.CongestionKnee = n
 	case "pfscongestionperstream":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PFSCongestionPerStream: %q", value)
 		}
 		cfg.FS.CongestionPerStream = f
 	case "pfsnoisesigma":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("PFSNoiseSigma: %q", value)
 		}
@@ -254,7 +255,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Analytics.ThroughputWindow = d
 	case "estimatoralpha":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFinite(value)
 		if err != nil || f <= 0 || f > 1 {
 			return fmt.Errorf("EstimatorAlpha: %q", value)
 		}
@@ -310,6 +311,10 @@ func applySchedulerParameters(cfg *core.Config, value string) error {
 	return nil
 }
 
+// maxSeconds bounds a duration key (about 31 years); past it the
+// microsecond conversion would lose precision and then overflow.
+const maxSeconds = 1e9
+
 // parseBytes parses "20GiB", "450MiB", "1073741824" into bytes (per
 // second, in the contexts this package uses it).
 func parseBytes(s string) (float64, error) {
@@ -326,18 +331,29 @@ func parseBytes(s string) (float64, error) {
 		mult = 1 << 10
 		s = s[:len(s)-3]
 	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || f < 0 {
+	f, err := parseFinite(strings.TrimSpace(s))
+	if err != nil || f < 0 || math.IsInf(f*mult, 0) {
 		return 0, fmt.Errorf("want a byte quantity (e.g. 20GiB), got %q", s)
 	}
 	return f * mult, nil
 }
 
-// parseSeconds parses a duration given in (possibly fractional) seconds.
+// parseSeconds parses a duration given in (possibly fractional) seconds,
+// at most maxSeconds.
 func parseSeconds(s string) (des.Duration, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
+	f, err := parseFinite(s)
+	if err != nil || f < 0 || f > maxSeconds {
 		return 0, fmt.Errorf("want seconds, got %q", s)
 	}
 	return des.FromSeconds(f), nil
+}
+
+// parseFinite parses a number and rejects NaN and ±Inf, which would slip
+// through every range check above.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("not a finite number: %q", s)
+	}
+	return f, err
 }

@@ -271,3 +271,18 @@ LDMSRetention=7200
 		}
 	}
 }
+
+// NaN and ±Inf parse as floats and pass every ordering check, so each
+// numeric key must reject them explicitly.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, line := range []string{
+		"PriorityWeightAge=NaN", "RateQuantile=NaN", "TwoGroupQoSFraction=NaN",
+		"PFSCongestionPerStream=Inf", "PFSNoiseSigma=NaN", "EstimatorAlpha=NaN",
+		"ThroughputLimit=NaN", "ThroughputLimit=1e300GiB", "SampleInterval=NaN",
+		"LDMSRetention=+Inf", "PreemptExemptTime=1e300",
+	} {
+		if _, err := Parse(strings.NewReader(line)); err == nil {
+			t.Errorf("%s: accepted", line)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -113,16 +114,16 @@ func decodeLine(line string) (TimedSpec, error) {
 	if len(f) < 6 {
 		return TimedSpec{}, fmt.Errorf("want at least 6 fields, got %d", len(f))
 	}
-	submit, err := strconv.ParseFloat(f[0], 64)
-	if err != nil || submit < 0 {
+	submit, ok := seconds(f[0])
+	if !ok {
 		return TimedSpec{}, fmt.Errorf("bad submit time %q", f[0])
 	}
 	nodes, err := strconv.Atoi(f[2])
 	if err != nil || nodes <= 0 {
 		return TimedSpec{}, fmt.Errorf("bad node count %q", f[2])
 	}
-	limit, err := strconv.ParseFloat(f[3], 64)
-	if err != nil || limit <= 0 {
+	limit, ok := seconds(f[3])
+	if !ok || limit <= 0 {
 		return TimedSpec{}, fmt.Errorf("bad limit %q", f[3])
 	}
 	prio, err := strconv.ParseInt(f[4], 10, 64)
@@ -136,7 +137,7 @@ func decodeLine(line string) (TimedSpec, error) {
 			return TimedSpec{}, fmt.Errorf("bb token needs GiB and a program")
 		}
 		gib, err := strconv.ParseFloat(rest[1], 64)
-		if err != nil || gib <= 0 {
+		if err != nil || !positiveBytes(gib) {
 			return TimedSpec{}, fmt.Errorf("bad bb GiB %q", rest[1])
 		}
 		bbBytes = gib * pfs.GiB
@@ -150,17 +151,42 @@ func decodeLine(line string) (TimedSpec, error) {
 		return TimedSpec{}, fmt.Errorf("trailing fields after program: %v", rest)
 	}
 	return TimedSpec{
-		At: des.TimeFromSeconds(submit),
+		At: des.Time(submit),
 		Spec: slurm.JobSpec{
 			Name:        f[1],
 			Fingerprint: f[1],
 			Nodes:       nodes,
-			Limit:       des.FromSeconds(limit),
+			Limit:       limit,
 			Priority:    prio,
 			Program:     prog,
 			BBBytes:     bbBytes,
 		},
 	}, nil
+}
+
+// maxSeconds bounds every time and duration in a workload file (about 31
+// years). Below it a microsecond count is exact in a float64 with room to
+// spare, so the shortest decimal Encode writes decodes to the same
+// microsecond.
+const maxSeconds = 1e9
+
+// maxCount bounds thread and cycle counts: past it a count is no workload
+// this simulator can run, and an int conversion could wrap.
+const maxCount = 1 << 20
+
+// seconds parses a time or duration field: finite, non-negative, at most
+// maxSeconds, rounded to the nearest microsecond.
+func seconds(s string) (des.Duration, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v >= 0 && v <= maxSeconds) {
+		return 0, false
+	}
+	return des.Duration(math.Round(v * float64(des.Second))), true
+}
+
+// positiveBytes reports whether gib GiB is a positive, finite byte count.
+func positiveBytes(gib float64) bool {
+	return gib > 0 && !math.IsInf(gib*pfs.GiB, 0)
 }
 
 // decodeProgram parses one program starting at args and returns the
@@ -171,25 +197,35 @@ func decodeProgram(kind string, args []string) (cluster.Program, []string, error
 			return 0, fmt.Errorf("program %q: missing argument %d", kind, i+1)
 		}
 		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("program %q: bad argument %q", kind, args[i])
 		}
 		return v, nil
 	}
+	dur := func(i int) (des.Duration, error) {
+		if i >= len(args) {
+			return 0, fmt.Errorf("program %q: missing argument %d", kind, i+1)
+		}
+		d, ok := seconds(args[i])
+		if !ok {
+			return 0, fmt.Errorf("program %q: bad duration %q", kind, args[i])
+		}
+		return d, nil
+	}
 	switch kind {
 	case "sleep":
-		secs, err := num(0)
-		if err != nil || secs <= 0 {
+		d, err := dur(0)
+		if err != nil || d <= 0 {
 			return nil, nil, fmt.Errorf("sleep needs a positive duration: %v", err)
 		}
-		return cluster.SleepProgram{D: des.FromSeconds(secs)}, args[1:], nil
+		return cluster.SleepProgram{D: d}, args[1:], nil
 	case "write", "read":
 		threads, err := num(0)
-		if err != nil || threads < 1 {
+		if err != nil || threads < 1 || threads > maxCount {
 			return nil, nil, fmt.Errorf("%s needs a thread count: %v", kind, err)
 		}
 		gib, err := num(1)
-		if err != nil || gib <= 0 {
+		if err != nil || !positiveBytes(gib) {
 			return nil, nil, fmt.Errorf("%s needs GiB per thread: %v", kind, err)
 		}
 		if kind == "read" {
@@ -198,30 +234,32 @@ func decodeProgram(kind string, args []string) (cluster.Program, []string, error
 		return cluster.WriteProgram{Threads: int(threads), BytesPerThread: gib * pfs.GiB}, args[2:], nil
 	case "bursty":
 		cycles, err := num(0)
-		if err != nil || cycles < 1 {
+		if err != nil || cycles < 1 || cycles > maxCount {
 			return nil, nil, fmt.Errorf("bursty needs cycles: %v", err)
 		}
-		compute, err := num(1)
-		if err != nil || compute < 0 {
+		compute, err := dur(1)
+		if err != nil {
 			return nil, nil, fmt.Errorf("bursty needs compute seconds: %v", err)
 		}
 		threads, err := num(2)
-		if err != nil || threads < 1 {
+		if err != nil || threads < 1 || threads > maxCount {
 			return nil, nil, fmt.Errorf("bursty needs threads: %v", err)
 		}
 		gib, err := num(3)
-		if err != nil || gib <= 0 {
+		if err != nil || !positiveBytes(gib) {
 			return nil, nil, fmt.Errorf("bursty needs GiB per thread: %v", err)
 		}
 		return cluster.BurstyProgram{
 			Cycles:         int(cycles),
-			Compute:        des.FromSeconds(compute),
+			Compute:        compute,
 			Threads:        int(threads),
 			BytesPerThread: gib * pfs.GiB,
 		}, args[4:], nil
 	case "phased":
 		n, err := num(0)
-		if err != nil || n < 1 {
+		// Every phase takes at least two fields, so a count past the
+		// fields left is malformed, and must not size the phase slice.
+		if err != nil || n < 1 || n > float64(len(args)) {
 			return nil, nil, fmt.Errorf("phased needs a phase count: %v", err)
 		}
 		rest := args[1:]

@@ -126,15 +126,17 @@ type SWFQuirks struct {
 	// ShortLines counts non-comment rows with fewer than 12 fields
 	// (skipped).
 	ShortLines int
-	// BadSubmit counts rows whose submit time is negative or unparseable,
-	// including the format's -1 missing-value sentinel (skipped).
+	// BadSubmit counts rows whose submit time is negative, unparseable or
+	// past swfMaxValue, including the format's -1 missing-value sentinel
+	// (skipped).
 	BadSubmit int
-	// BadRuntime counts rows whose runtime is non-positive or unparseable
-	// — -1 sentinels, the 0 of jobs cancelled before start, and negative
-	// runtimes from broken accounting (skipped).
+	// BadRuntime counts rows whose runtime is non-positive, under a
+	// microsecond, past swfMaxValue or unparseable — -1 sentinels, the 0
+	// of jobs cancelled before start, and negative runtimes from broken
+	// accounting (skipped).
 	BadRuntime int
 	// BadProcs counts rows with no positive processor count in either the
-	// requested or the allocated field (skipped).
+	// requested or the allocated field, or one past swfMaxValue (skipped).
 	BadProcs int
 	// TooWide counts jobs wider than MaxNodes after core→node conversion
 	// (skipped; only conversion fills this, never record parsing).
@@ -194,6 +196,12 @@ type SWFResult struct {
 	Dropped int
 }
 
+// swfMaxValue bounds the submit time, run time, requested time and
+// processor count of an SWF row: 1e9 s is about 31 years and 1e9
+// processors dwarfs any machine. Below it the microsecond and node-count
+// conversions stay exact and cannot overflow.
+const swfMaxValue = 1e9
+
 // ParseSWFRecords reads the raw rows of a Standard Workload Format trace.
 // Comment/header lines begin with ';'. Malformed rows are skipped and
 // counted by quirk rather than failing the parse — a million-job archive
@@ -236,16 +244,20 @@ func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 		if rec.Procs <= 0 {
 			rec.Procs = num(4) // fall back to allocated processors
 		}
+		// The negated ranges also catch NaN.
 		switch {
-		case rec.Submit < 0 || math.IsNaN(rec.Submit) || math.IsInf(rec.Submit, 0):
+		case !(rec.Submit >= 0 && rec.Submit <= swfMaxValue):
 			quirks.BadSubmit++
 			continue
-		case rec.Runtime <= 0 || math.IsNaN(rec.Runtime) || math.IsInf(rec.Runtime, 0):
+		case !(rec.Runtime > 0 && rec.Runtime <= swfMaxValue) || des.FromSeconds(rec.Runtime) <= 0:
 			quirks.BadRuntime++
 			continue
-		case rec.Procs <= 0 || math.IsNaN(rec.Procs) || math.IsInf(rec.Procs, 0):
+		case !(rec.Procs > 0 && rec.Procs <= swfMaxValue):
 			quirks.BadProcs++
 			continue
+		}
+		if !(rec.ReqTime <= swfMaxValue) {
+			rec.ReqTime = -1 // unusable: the limit falls back to twice the runtime
 		}
 		if rec.Submit < prevSubmit {
 			quirks.OutOfOrderSubmits++

@@ -191,6 +191,18 @@ func TestParseSWFQuirks(t *testing.T) {
 			func(q SWFQuirks) int { return q.BadRuntime }, 0},
 		{"no-procs", "2 60 10 300 -1 -1 -1 -1 600 -1 1 7 1 1 1 -1 -1 -1",
 			func(q SWFQuirks) int { return q.BadProcs }, 0},
+		// Values that would overflow or vanish in the microsecond and
+		// node-count conversions.
+		{"huge-submit", "2 1e300 10 300 56 -1 -1 56 600 -1 1 7 1 1 1 -1 -1 -1",
+			func(q SWFQuirks) int { return q.BadSubmit }, 0},
+		{"nan-submit", "2 NaN 10 300 56 -1 -1 56 600 -1 1 7 1 1 1 -1 -1 -1",
+			func(q SWFQuirks) int { return q.BadSubmit }, 0},
+		{"sub-microsecond-runtime", "2 60 10 1e-9 56 -1 -1 56 600 -1 1 7 1 1 1 -1 -1 -1",
+			func(q SWFQuirks) int { return q.BadRuntime }, 0},
+		{"huge-runtime", "2 60 10 1e13 56 -1 -1 56 600 -1 1 7 1 1 1 -1 -1 -1",
+			func(q SWFQuirks) int { return q.BadRuntime }, 0},
+		{"huge-procs", "2 60 10 300 1e300 -1 -1 1e300 600 -1 1 7 1 1 1 -1 -1 -1",
+			func(q SWFQuirks) int { return q.BadProcs }, 0},
 		{"too-wide", "2 60 10 300 9999 -1 -1 9999 600 -1 1 7 1 1 1 -1 -1 -1",
 			func(q SWFQuirks) int { return q.TooWide }, 0},
 		// Out-of-order rows are repaired (kept and re-sorted), not dropped.
@@ -216,6 +228,22 @@ func TestParseSWFQuirks(t *testing.T) {
 				t.Fatalf("dropped = %d/%d, want %d", res.Dropped, res.Quirks.Skipped(), wantDropped)
 			}
 		})
+	}
+}
+
+// An unusable requested time (NaN, infinite or past the bound) keeps the
+// row and falls back to the twice-the-runtime limit, as the -1 sentinel
+// does.
+func TestParseSWFUnusableReqTime(t *testing.T) {
+	for _, req := range []string{"-1", "NaN", "Inf", "1e300"} {
+		in := "1 100 10 300 56 -1 -1 56 " + req + " -1 1 7 1 1 1 -1 -1 -1\n"
+		res, err := ParseSWF(strings.NewReader(in), DefaultSWFOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Jobs) != 1 || res.Jobs[0].Spec.Limit != 660*des.Second {
+			t.Fatalf("req %s: %+v", req, res.Jobs)
+		}
 	}
 }
 

@@ -214,29 +214,43 @@ func TestAssignBBDemand(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	bad := []string{
-		"1 short 1 10",                 // too few fields
-		"-1 neg 1 10 0 sleep 5",        // negative submit
-		"0 j zero 10 0 sleep 5",        // bad nodes
-		"0 j 1 nope 0 sleep 5",         // bad limit
-		"0 j 1 10 x sleep 5",           // bad priority
-		"0 j 1 10 0 dance 5",           // unknown program
-		"0 j 1 10 0 sleep -5",          // bad sleep
-		"0 j 1 10 0 write 0 1",         // zero threads
-		"0 j 1 10 0 write 2",           // missing size
-		"0 j 1 10 0 write 2 frog",      // bad size
-		"0 j 1 10 0 bursty 0 1 1 1",    // zero cycles
-		"0 j 1 10 0 bursty 1 -1 1 1",   // bad compute
-		"0 j 1 10 0 bursty 1 1 0 1",    // zero threads
-		"0 j 1 10 0 bursty 1 1 1 -1",   // bad size
-		"0 j 0x1 10 0 sleep 5 garbage", // bad nodes (hex)
-		"0 j 1 10 0 bb 5",              // bb without a program
-		"0 j 1 10 0 bb -2 sleep 5",     // negative bb GiB
-		"0 j 1 10 0 bb frog sleep 5",   // bad bb GiB
+		"1 short 1 10",                          // too few fields
+		"-1 neg 1 10 0 sleep 5",                 // negative submit
+		"0 j zero 10 0 sleep 5",                 // bad nodes
+		"0 j 1 nope 0 sleep 5",                  // bad limit
+		"0 j 1 10 x sleep 5",                    // bad priority
+		"0 j 1 10 0 dance 5",                    // unknown program
+		"0 j 1 10 0 sleep -5",                   // bad sleep
+		"0 j 1 10 0 write 0 1",                  // zero threads
+		"0 j 1 10 0 write 2",                    // missing size
+		"0 j 1 10 0 write 2 frog",               // bad size
+		"0 j 1 10 0 bursty 0 1 1 1",             // zero cycles
+		"0 j 1 10 0 bursty 1 -1 1 1",            // bad compute
+		"0 j 1 10 0 bursty 1 1 0 1",             // zero threads
+		"0 j 1 10 0 bursty 1 1 1 -1",            // bad size
+		"0 j 0x1 10 0 sleep 5 garbage",          // bad nodes (hex)
+		"0 j 1 10 0 bb 5",                       // bb without a program
+		"0 j 1 10 0 bb -2 sleep 5",              // negative bb GiB
+		"0 j 1 10 0 bb frog sleep 5",            // bad bb GiB
+		"1e300 j 1 10 0 sleep 5",                // submit past the bound
+		"0 j 1 1e-7 0 sleep 5",                  // limit rounds to zero
+		"0 j 1 10 0 sleep NaN",                  // NaN sleep
+		"0 j 1 10 0 write 1e300 1",              // thread count past the bound
+		"0 j 1 10 0 write 1 Inf",                // infinite size
+		"0 j 1 10 0 bb 1e308 sleep 5",           // bb bytes overflow
+		"0 j 1 10 0 phased 99999999999 sleep 1", // phase count past the fields
 	}
 	for _, line := range bad {
 		if _, err := Decode(strings.NewReader(line)); err == nil {
 			t.Errorf("line %q must fail to decode", line)
 		}
+	}
+	// Times round to the nearest microsecond, so what Encode writes
+	// decodes to the same time: 0.000249 s × 1e6 is 248.99999999999997
+	// in float64, which truncation would make 248 µs.
+	if got, err := Decode(strings.NewReader("0.000249 j 1 10 0 sleep 0.000251\n")); err != nil ||
+		got[0].At != 249 || got[0].Spec.Program.(cluster.SleepProgram).D != 251 {
+		t.Fatalf("microsecond rounding: %+v %v", got, err)
 	}
 	// Comments and blank lines are fine.
 	got, err := Decode(strings.NewReader("# hi\n\n0 j 1 10 0 sleep 5\n"))
