@@ -203,8 +203,8 @@ func runReplay(args []string) (err error) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "%60s\r", "")
 		}
-		fmt.Printf("%-16s %8d jobs  %9d rounds  %9d scheduled  makespan %8.1fh  %6.2fs wall  %9.0f jobs/s  %9.0f rounds/s\n",
-			res.Policy, len(res.Jobs), res.Rounds, res.Scheduled, res.Makespan.Seconds()/3600,
+		fmt.Printf("%-16s %8d jobs  %9d rounds  %9d scheduled  %9d carried  makespan %8.1fh  %6.2fs wall  %9.0f jobs/s  %9.0f rounds/s\n",
+			res.Policy, len(res.Jobs), res.Rounds, res.Scheduled, res.Carried, res.Makespan.Seconds()/3600,
 			elapsed, float64(len(res.Jobs))/elapsed, float64(res.Rounds)/elapsed)
 		if n := len(res.Check.Violations); n > 0 {
 			for _, v := range res.Check.Violations {

@@ -50,6 +50,9 @@ type model struct {
 	// adaptive, when set, adds the R̃ / two-group / AT overlay of
 	// Algorithms 5–7 on top of the dimensions.
 	adaptive *AdaptivePolicy
+	// reorders is set when a tetris+ wrapper reorders the examined
+	// window; bb+ and tbf+ only pass the inner policy's order through.
+	reorders bool
 	// The "limit" and "bb_capacity" diagnostics, reported when set.
 	limit, bbCapacity     float64
 	reportLimit, reportBB bool
@@ -108,7 +111,9 @@ func modelOf(p Policy) (m model, ok bool) {
 			panic("sched: TetrisPolicy needs an inner policy")
 		}
 		checkNodes("TetrisPolicy", p.TotalNodes)
-		return modelOf(p.Inner)
+		m, ok := modelOf(p.Inner)
+		m.reorders = true
+		return m, ok
 	case TBFAwarePolicy:
 		// The tbf+ wrapper changes no decision.
 		if p.Inner == nil {
@@ -205,8 +210,20 @@ type round struct {
 	// the horizon comes into the plan window, and now itself when a
 	// booking moves with now. Before it, an adaptive round can still
 	// decide differently only if its R̃' leaves the overlay's quiet band.
+	// A carried round restarts it from planWake, since the start-now
+	// bookings of the round it extends are in the base by then, and
+	// lowers it by the outcomes of the jobs it adds.
 	wake des.Time
-	ov   overlay
+	// planWake is wake over the outcomes that book nothing at now:
+	// future starts and horizon rejections. Before it, the plan stays
+	// what a round would make once this round's start-now bookings are
+	// in the base (Session.Carry).
+	planWake des.Time
+	// guarded records that the measured-throughput guard booked anything
+	// this round; unavailable is the node count booked as down.
+	guarded     bool
+	unavailable int
+	ov          overlay
 }
 
 func emptyRound(m model) *round {
@@ -217,18 +234,18 @@ func emptyRound(m model) *round {
 // in r.work: unavailable nodes for the whole horizon, the
 // measured-throughput guard and the adaptive overlay.
 func (r *round) begin(in RoundInput) Round {
-	r.wake = des.MaxTime
-	r.horizon = des.MaxTime
-	if r.m.horizon > 0 {
-		r.horizon = in.Now.Add(r.m.horizon)
-	}
+	r.wake, r.planWake = des.MaxTime, des.MaxTime
+	r.setHorizon(in.Now)
+	r.guarded, r.unavailable = false, in.UnavailableNodes
 	for i := range r.m.dims {
 		d := &r.m.dims[i]
 		switch {
 		case d.kind == dimNodes && in.UnavailableNodes > 0:
 			r.work[i].Add(in.Now, des.MaxTime, float64(in.UnavailableNodes))
 		case d.guard:
-			if bookGuard(&r.work[i], d.limit, in) {
+			booked, residual := bookGuard(&r.work[i], d.limit, in)
+			r.guarded = r.guarded || booked
+			if residual {
 				r.wake = in.Now
 			}
 		}
@@ -236,10 +253,55 @@ func (r *round) begin(in RoundInput) Round {
 	if r.m.adaptive != nil {
 		r.ov.fill(r.m.adaptive, in)
 	}
+	return r.handle()
+}
+
+// handle is the Round the engine drives: diagRound when the policy
+// reports diagnostics.
+func (r *round) handle() Round {
 	if r.m.reportLimit || r.m.reportBB || r.m.adaptive != nil {
 		return diagRound{r}
 	}
 	return r
+}
+
+func (r *round) setHorizon(now des.Time) {
+	r.horizon = des.MaxTime
+	if r.m.horizon > 0 {
+		r.horizon = now.Add(r.m.horizon)
+	}
+}
+
+// extend carries this round's plan to in.Now when that is exactly the
+// plan a round at in.Now would make for the jobs it examined, once their
+// start-now bookings are in the base (Session.Carry; DESIGN.md, "Carried
+// rounds"): in.Now is before every future start and horizon entry, the
+// guard books nothing now and booked nothing then, and the down nodes
+// are the same. It does not check the overlay: adaptive sessions never
+// carry. On success the round decides at in.Now, and its wake starts
+// from the plan's.
+func (r *round) extend(in RoundInput) bool {
+	if r.guarded || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable {
+		return false
+	}
+	for i := range r.m.dims {
+		if d := &r.m.dims[i]; d.guard && in.MeasuredThroughput > explained(d.limit, in) {
+			return false
+		}
+	}
+	r.wake = r.planWake
+	r.setHorizon(in.Now)
+	return true
+}
+
+// explained is the throughput the running jobs' clamped estimates
+// account for; the guard books what the measurement shows beyond it.
+func explained(limit float64, in RoundInput) float64 {
+	sum := 0.0
+	for _, j := range in.Running {
+		sum += clampRate(j.Rate, limit)
+	}
+	return sum
 }
 
 // bookGuard implements Algorithm 2 lines 7–8: when the measured throughput
@@ -247,26 +309,25 @@ func (r *round) begin(in RoundInput) Round {
 // the schedule cannot overload the file system on the strength of
 // under-estimates (e.g. jobs with no history yet). With running jobs the
 // excess is booked until the last of them ends; with none, the traffic is
-// residual/external and is booked over MeasuredResidualHorizon; bookGuard
-// then returns true, because that window moves with now.
-func bookGuard(w *restrack.Profile, limit float64, in RoundInput) bool {
-	sumRunning := 0.0
+// residual/external and is booked over MeasuredResidualHorizon; residual
+// is then true, because that window moves with now.
+func bookGuard(w *restrack.Profile, limit float64, in RoundInput) (booked, residual bool) {
+	sumRunning := explained(limit, in)
+	if !(in.MeasuredThroughput > sumRunning) { // a NaN measurement books nothing
+		return false, false
+	}
 	end := in.Now
 	for _, j := range in.Running {
-		sumRunning += clampRate(j.Rate, limit)
 		if e := j.StartedAt.Add(j.Limit); e > end {
 			end = e
 		}
 	}
-	if !(in.MeasuredThroughput > sumRunning) { // a NaN measurement books nothing
-		return false
-	}
-	residual := len(in.Running) == 0
+	residual = len(in.Running) == 0
 	if residual {
 		end = in.Now.Add(MeasuredResidualHorizon)
 	}
 	w.Add(in.Now, end, in.MeasuredThroughput-sumRunning)
-	return residual
+	return true, residual
 }
 
 // EarliestStart is Algorithm 4 over every dimension: fit each in turn
@@ -277,7 +338,8 @@ func bookGuard(w *restrack.Profile, limit float64, in RoundInput) bool {
 // time feasible everywhere whatever the dimension order. A start past the
 // plan horizon is infeasible: the engine skips the job without burning
 // backfill budget and it is re-planned next round. Both outcomes lower
-// the round's wake time.
+// the round's wake time, and so does a start after tmin (the engine's
+// now), which also lowers the plan's wake.
 func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 	for i := range r.m.dims {
 		if r.need[i] = r.m.dims[i].need(j); r.need[i] > r.m.dims[i].limit {
@@ -303,8 +365,13 @@ func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 	}
 	if t > r.horizon {
 		// The job enters the plan window once now reaches t − horizon.
-		r.wake = min(r.wake, t.Add(-r.m.horizon))
+		enter := t.Add(-r.m.horizon)
+		r.planWake = min(r.planWake, enter)
+		r.wake = min(r.wake, enter)
 		return des.MaxTime, false
+	}
+	if t > tmin {
+		r.planWake = min(r.planWake, t)
 	}
 	r.wake = min(r.wake, t)
 	return t, true

@@ -18,6 +18,11 @@ import (
 // determinism test (internal/schedcheck) holds the two paths to
 // byte-identical schedules over the whole differential corpus.
 //
+// Between rounds a session keeps the last executed round's working
+// profiles, its plan included, so Carry can extend that plan instead of
+// re-planning the queue when only the round's own starts and later
+// arrivals separate it from the next.
+//
 // Sessions assume what trace replay guarantees: a job's request fields and
 // estimates (Nodes, Limit, Rate, EstRuntime, Priority) stay fixed while it
 // waits or runs, every start is reported through JobStarted and every
@@ -26,16 +31,33 @@ import (
 // returns nil for policies without session support and callers fall back.
 type Session interface {
 	// BeginRound returns this round's reservation state. The Round (and
-	// any decisions referencing it) is valid until the next BeginRound.
+	// any decisions referencing it) is valid until the next BeginRound,
+	// Carry or Quiet.
 	BeginRound(in RoundInput) Round
+	// Carry returns the last executed round's Round, extended to in.Now,
+	// when its plan is the one BeginRound(in) and the engine would make
+	// for the jobs that round examined (DESIGN.md, "Carried rounds"). The
+	// session checks what it can see: the policy is not adaptive and does
+	// not reorder the window (tetris+), in.Now is before every future
+	// start and horizon entry of the plan, the guard booked nothing then
+	// and books nothing at in.Now, and the unavailable nodes are the
+	// same. The caller
+	// guarantees the rest: BackfillMax is unlimited, and since that round
+	// nothing happened but its own start-now decisions, each reported
+	// through JobStarted, and arrivals that sort after every job it
+	// examined. The caller then runs the engine on the returned Round
+	// over the jobs the window holds behind those. On false nothing
+	// changed, and the caller calls BeginRound.
+	Carry(in RoundInput) (Round, bool)
 	// Quiet reports whether the round at in.Now would decide exactly as
-	// the last BeginRound's did, and so start nothing: in.Now is before
-	// that round's wake time and, for an adaptive policy, the target R̃'
-	// recomputed at in.Now keeps every AT value that round tested on the
-	// same side of the limit. The caller asks only when no job started,
-	// finished or arrived since that round, and skips BeginRound and the
-	// backfill engine when the answer is true. A quiet round still counts
-	// on the clock that trims the base profiles.
+	// the last executed round (BeginRound or Carry) did, and so start
+	// nothing: in.Now is before that round's wake time and, for an
+	// adaptive policy, the target R̃' recomputed at in.Now keeps every AT
+	// value that round tested on the same side of the limit. The caller
+	// asks only when no job started, finished or arrived since that
+	// round, and skips the backfill engine when the answer is true. A
+	// quiet or carried round still counts on the clock that trims the
+	// profiles.
 	Quiet(in RoundInput) bool
 	// JobStarted records that j started at j.StartedAt (already set by the
 	// caller), reserving [StartedAt, StartedAt+Limit) in the base state.
@@ -52,12 +74,17 @@ func NewSession(p Policy) Session {
 	if !ok {
 		return nil
 	}
-	return &session{base: make([]restrack.Profile, len(m.dims)), rnd: emptyRound(m)}
+	return &session{
+		base:    make([]restrack.Profile, len(m.dims)),
+		rnd:     emptyRound(m),
+		carries: m.adaptive == nil && !m.reorders,
+	}
 }
 
-// trimEvery bounds base-profile growth: every this many rounds the dead
-// breakpoints before the current time are dropped. Trimming moves points
-// without recomputing values, so it cannot perturb decisions.
+// trimEvery bounds profile growth: every this many rounds the dead
+// breakpoints before the current time are dropped, from the base and from
+// the working profiles a carried round goes on extending. Trimming moves
+// points without recomputing values, so it cannot perturb decisions.
 const trimEvery = 64
 
 // session carries one base profile per model dimension: the running set's
@@ -70,6 +97,11 @@ type session struct {
 	base   []restrack.Profile
 	rnd    *round
 	rounds int
+	// carries is false for the policies whose every round depends on the
+	// whole queue and running set: the adaptive overlay (R̃, r* and
+	// r̄_zero move with any start or arrival) and the tetris+ window
+	// ordering.
+	carries bool
 }
 
 //waschedlint:hotpath
@@ -82,6 +114,15 @@ func (s *session) BeginRound(in RoundInput) Round {
 }
 
 //waschedlint:hotpath
+func (s *session) Carry(in RoundInput) (Round, bool) {
+	if !s.carries || !s.rnd.extend(in) {
+		return nil, false
+	}
+	s.tick(in.Now)
+	return s.rnd.handle(), true
+}
+
+//waschedlint:hotpath
 func (s *session) Quiet(in RoundInput) bool {
 	if !s.rnd.quiet(in) {
 		return false
@@ -90,9 +131,9 @@ func (s *session) Quiet(in RoundInput) bool {
 	return true
 }
 
-// tick counts a round, executed or quiet, and trims the base profiles on
-// every trimEvery-th, so skipping rounds leaves the trim boundaries where
-// running every round puts them.
+// tick counts a round, executed, carried or quiet, and trims the profiles
+// on every trimEvery-th, so skipping rounds leaves the trim boundaries
+// where running every round puts them.
 func (s *session) tick(now des.Time) {
 	s.rounds++
 	if s.rounds%trimEvery != 0 {
@@ -100,6 +141,7 @@ func (s *session) tick(now des.Time) {
 	}
 	for i := range s.base {
 		s.base[i].TrimBefore(now)
+		s.rnd.work[i].TrimBefore(now)
 	}
 }
 

@@ -103,3 +103,76 @@ func TestQuietBandEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestCarryConditions runs one round with a session, starts what it
+// starts, and asks Carry 30 s later. Under io-aware, a (2 of 4 nodes)
+// starts at 0 s and b (4 nodes) is planned at 1000 s, when a's limit
+// ends; with a started, a fresh round at 30 s makes that same plan, so
+// Carry extends it and the next idle round is quiet. Each refusal changes
+// one thing the carried plan cannot absorb.
+func TestCarryConditions(t *testing.T) {
+	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 100}
+	type step struct {
+		now         int64
+		measured    float64
+		unavailable int
+	}
+	// carry runs the round at 0 s under p, then asks Carry at next.
+	carry := func(p Policy, first, next step) (Session, bool) {
+		a, b := iojob("a", 2, 1000*sec, 10), iojob("b", 4, 100*sec, 10)
+		s := NewSession(p)
+		in := RoundInput{Waiting: []*Job{a, b}, MeasuredThroughput: first.measured}
+		var rn Runner
+		var running, waiting []*Job
+		for _, d := range rn.RunRound(p, s.BeginRound(in), in, Options{}) {
+			if d.StartNow {
+				d.Job.StartedAt = 0
+				s.JobStarted(d.Job)
+				running = append(running, d.Job)
+			} else {
+				waiting = append(waiting, d.Job)
+			}
+		}
+		_, ok := s.Carry(RoundInput{Now: tsec(next.now), Running: running, Waiting: waiting,
+			MeasuredThroughput: next.measured, UnavailableNodes: next.unavailable})
+		return s, ok
+	}
+	plain := step{now: 30, measured: 10}
+	// bb+ and tbf+ implement WindowOrderer but keep their inner order.
+	for _, p := range []Policy{BBAwarePolicy{Inner: io, Capacity: 1}, TBFAwarePolicy{Inner: io}} {
+		if _, ok := carry(p, step{}, plain); !ok {
+			t.Errorf("%s round at 30 s not carried", p.Name())
+		}
+	}
+	s, ok := carry(io, step{}, plain)
+	if !ok {
+		t.Fatal("io-aware round at 30 s not carried")
+	}
+	fresh, _ := RunRound(io, RoundInput{Now: tsec(30), Running: []*Job{running("a", 2, 1000*sec, 0)},
+		Waiting: []*Job{iojob("b", 4, 100*sec, 10)}}, Options{})
+	if d := fresh[0]; !d.Reserved || d.PlannedStart != tsec(1000) {
+		t.Fatalf("fresh round at 30 s: %+v, want b planned at 1000 s", d)
+	}
+	idle := RoundInput{Now: tsec(60), Running: []*Job{running("a", 2, 1000*sec, 0)},
+		Waiting: []*Job{iojob("b", 4, 100*sec, 10)}, MeasuredThroughput: 10}
+	if !s.Quiet(idle) {
+		t.Error("idle round after the carried one not quiet")
+	}
+
+	for _, tc := range []struct {
+		name        string
+		p           Policy
+		first, next step
+	}{
+		{"now reaches the planned start", io, step{}, step{now: 1000, measured: 10}},
+		{"a node went down", io, step{}, step{now: 30, measured: 10, unavailable: 1}},
+		{"the guard books now", io, step{}, step{now: 30, measured: 50}},
+		{"the guard booked then", io, step{measured: 50}, plain},
+		{"adaptive", AdaptivePolicy{TotalNodes: 4, ThroughputLimit: 100, TwoGroup: true}, step{}, plain},
+		{"tetris+", TetrisPolicy{Inner: io, TotalNodes: 4, ThroughputLimit: 100}, step{}, plain},
+	} {
+		if _, ok := carry(tc.p, tc.first, tc.next); ok {
+			t.Errorf("%s: carried", tc.name)
+		}
+	}
+}

@@ -118,6 +118,24 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	}
 	f.Add(append([]byte{5, 0x01, 0x3d, 0x93}, jobs...)) // plan, 30 min horizon, EASY
 	f.Add(append([]byte{2, 0xe6, 0x40, 0xf0}, jobs...)) // adaptive under BB and tokens
+	// Every third job reports no rate estimate against a true rate the
+	// limit notices, and every third after it over-estimates, so the
+	// measured-throughput guard books, and stops booking, between rounds
+	// that could otherwise carry the last plan.
+	var guard []byte
+	for i := byte(0); i < 15; i++ {
+		rate := 20 + 9*i%60
+		est := rate
+		switch i % 3 {
+		case 0:
+			est = 0
+		case 1:
+			est = min(2*rate, 0x7f)
+		}
+		guard = append(guard, i%5, 4+i%9, 255-7*i, rate, est, 2*i, 0)
+	}
+	f.Add(append([]byte{1, 0x00, 0x00, 0x00}, guard...)) // io-aware
+	f.Add(append([]byte{5, 0x00, 0x01, 0x0f}, guard...)) // plan with a bandwidth limit
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, cfg := fuzzReplay(data)
 		if len(jobs) == 0 {

@@ -108,11 +108,15 @@ type ReplayResult struct {
 	// Makespan is the last completion time.
 	Makespan des.Time
 	Rounds   int
-	// Scheduled counts the rounds that ran the backfill engine. Replay
-	// skips a round that no completion, arrival or start separates from
-	// the last scheduled one when its session proves it quiet
-	// (sched.Session.Quiet); replayReference leaves it zero.
+	// Scheduled counts the rounds that re-planned the queue with the
+	// backfill engine. Replay skips a round that no completion, arrival or
+	// start separates from the last executed one when its session proves
+	// it quiet (sched.Session.Quiet); replayReference leaves it zero.
 	Scheduled int
+	// Carried counts the rounds that extended the last executed round's
+	// plan instead (sched.Session.Carry): the engine ran over the newly
+	// examined jobs alone.
+	Carried int
 	// Check holds the per-round and schedule-level invariant findings.
 	Check Result
 }
@@ -123,6 +127,10 @@ type runJob struct {
 	view *sched.Job
 	end  des.Time
 }
+
+// unstarted is a waiting view's StartedAt: Replay marks the views a round
+// starts with that round's now, which is never negative.
+const unstarted des.Time = -1
 
 // Replay runs the workload through one policy on a round-based replayer
 // that mirrors the controller's loop: every Interval it completes finished
@@ -142,11 +150,14 @@ type runJob struct {
 // to the reference path.
 //
 // A round that no completion, arrival or start separates from the last
-// scheduled round is skipped when the session proves it quiet. BB drain
+// executed round is skipped when the session proves it quiet. BB drain
 // releases do not count: the scheduler's BB dimension books [start,
 // start+limit) and never sees drains, and a round whose start BB admission
 // deferred had a start-now decision, so the session never calls the next
-// one quiet.
+// one quiet. A round that only the last executed round's own starts and
+// arrivals behind the jobs it examined separate from it is carried when
+// the session allows (sched.Session.Carry): the engine runs over the jobs
+// the window adds, on top of the last plan.
 func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	if cfg.Policy == nil {
 		panic("schedcheck: Replay needs a policy")
@@ -164,31 +175,27 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		maxRounds = 50000
 	}
 
-	// One contiguous view array (a *sched.Job per SimJob) instead of one
-	// allocation per job; simOf resolves a decision's view back to its job.
-	pending := make([]*SimJob, len(workload))
+	// One contiguous view array, indexed like workload, instead of one
+	// allocation per job; the queues hold indices into both.
+	pending := make([]int32, len(workload))
 	viewArr := make([]sched.Job, len(workload))
-	simOf := make(map[*sched.Job]*SimJob, len(workload))
-	viewOf := make(map[*SimJob]*sched.Job, len(workload))
 	for i := range workload {
 		j := &workload[i]
-		pending[i] = j
-		v := &viewArr[i]
-		*v = sched.Job{
+		pending[i] = int32(i)
+		viewArr[i] = sched.Job{
 			ID:          j.ID,
 			Fingerprint: j.Fingerprint,
 			Nodes:       j.Nodes,
 			Limit:       j.Limit,
 			Submit:      j.Submit,
 			Priority:    j.Priority,
+			StartedAt:   unstarted,
 			Rate:        j.EstRate,
 			EstRuntime:  j.EstRuntime,
 			BBBytes:     j.BBBytes,
 		}
-		simOf[v] = j
-		viewOf[j] = v
 	}
-	sort.SliceStable(pending, func(a, b int) bool { return pending[a].Submit < pending[b].Submit })
+	sort.SliceStable(pending, func(a, b int) bool { return workload[pending[a]].Submit < workload[pending[b]].Submit })
 
 	res := &ReplayResult{
 		Policy: cfg.Policy.Name(),
@@ -200,16 +207,25 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	}
 	bbState := newBBReplay(cfg)
 	tbfState := newTBFReplay(cfg)
+	// A carried round extends the last plan only under unlimited backfill:
+	// a bounded one would have to carry the reservation count.
+	canCarry := cfg.Options.BackfillMax == sched.Unlimited
 	var (
 		running      []*runJob
-		waiting      []*SimJob    // arrival order, as the controller holds it
+		waiting      []int32      // arrival order, as the controller holds it
 		waitingViews []*sched.Job // kept sorted in SortQueue order
 		runningViews []*sched.Job
 		runner       sched.Runner
-		started      = make(map[*sched.Job]bool)
 		// dirty is set by every completion, arrival and start since the
-		// last scheduled round; only a clean round may be quiet.
+		// last executed round; only a clean round may be quiet.
 		dirty = true
+		// replan is set by what a carried plan cannot absorb: a
+		// completion, a start BB admission deferred, and an arrival that
+		// sorts among the jobs the plan examined.
+		replan = true
+		// planned counts the queue's leading jobs the last executed round
+		// examined and left waiting.
+		planned = 0
 	)
 	next := 0 // index into pending of the next arrival
 
@@ -248,7 +264,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				}
 				session.JobFinished(r.view, r.end)
 				completed = true
-				dirty = true
+				dirty, replan = true, true
 				continue
 			}
 			kept = append(kept, r)
@@ -258,10 +274,14 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		if completed && cfg.Progress != nil {
 			cfg.Progress(len(res.Jobs), now)
 		}
-		for next < len(pending) && pending[next].Submit <= now {
-			j := pending[next]
-			waiting = append(waiting, j)
-			waitingViews = queueInsert(waitingViews, viewOf[j])
+		for next < len(pending) && workload[pending[next]].Submit <= now {
+			i := pending[next]
+			v := &viewArr[i]
+			if planned > 0 && queueLess(v, waitingViews[planned-1]) {
+				replan = true
+			}
+			waiting = append(waiting, i)
+			waitingViews = queueInsert(waitingViews, v)
 			next++
 			dirty = true
 		}
@@ -288,10 +308,32 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		if !dirty && session.Quiet(in) {
 			continue
 		}
-		dirty = false
-		res.Scheduled++
-		state := session.BeginRound(in)
-		decisions := runner.RunRound(cfg.Policy, state, in, cfg.Options)
+		// The engine examines the window's leading jobs, all of them when
+		// MaxJobTest is zero.
+		examined := len(waitingViews)
+		if w := cfg.Options.MaxJobTest; w > 0 && examined > w {
+			examined = w
+		}
+		var (
+			state     sched.Round
+			decisions []sched.Decision
+			carried   bool
+		)
+		if canCarry && !replan {
+			state, carried = session.Carry(in)
+		}
+		if carried {
+			res.Carried++
+			tail := in
+			tail.Waiting = waitingViews[planned:examined]
+			decisions = runner.RunRound(cfg.Policy, state, tail, sched.Options{})
+		} else {
+			res.Scheduled++
+			state = session.BeginRound(in)
+			decisions = runner.RunRound(cfg.Policy, state, in, cfg.Options)
+		}
+		dirty, replan = false, false
+		planned = examined
 		if !cfg.SkipRoundChecks {
 			checkRound(in, decisions, state, cfg, &res.Check)
 		}
@@ -299,7 +341,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		anyStarted := false
 		for _, d := range decisions {
 			if d.StartNow {
-				started[d.Job] = true
+				d.Job.StartedAt = now
 				anyStarted = true
 			}
 		}
@@ -307,22 +349,23 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			continue
 		}
 		keptWaiting := waiting[:0]
-		for _, j := range waiting {
-			v := viewOf[j]
-			if !started[v] {
-				keptWaiting = append(keptWaiting, j)
+		for _, i := range waiting {
+			j, v := &workload[i], &viewArr[i]
+			if v.StartedAt != now {
+				keptWaiting = append(keptWaiting, i)
 				continue
 			}
 			if !bbState.admit(j) {
 				// Burst-buffer pool full: defer the start, exactly as the
 				// controller's admission path keeps the job pending.
-				started[v] = false
-				keptWaiting = append(keptWaiting, j)
+				v.StartedAt = unstarted
+				keptWaiting = append(keptWaiting, i)
+				replan = true
 				continue
 			}
-			v.StartedAt = now
 			session.JobStarted(v)
 			dirty = true
+			planned--
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
 			res.Starts[j.ID] = now
@@ -330,12 +373,11 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		waiting = keptWaiting
 		keptViews := waitingViews[:0]
 		for _, v := range waitingViews {
-			if !started[v] {
+			if v.StartedAt != now {
 				keptViews = append(keptViews, v)
 			}
 		}
 		waitingViews = keptViews
-		clear(started)
 	}
 	if !cfg.SkipRoundChecks {
 		res.Check.Merge(ValidateJobs(res.Jobs, ValidateOptions{Nodes: cfg.Nodes, BBCapacity: cfg.BBCapacity, TBF: cfg.TBFCapacity > 0}))

@@ -178,22 +178,11 @@ func TestReplayMatchesReferenceOnTrace(t *testing.T) {
 	const nodes = 15
 	const limit = 20 * pfs.GiB
 	const capacity = 64 * pfs.GiB
-	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "swf", "synthetic-10k.swf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := func(opts workload.SWFOptions) []SimJob {
-		jobs, _, err := LoadSWFSimJobs(bytes.NewReader(raw), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jobs
-	}
-	plain := load(workload.DefaultSWFOptions())
+	plain := loadTrace10k(t, workload.DefaultSWFOptions())
 	bbOpts := workload.DefaultSWFOptions()
 	bbOpts.BBFraction = 0.3
 	bbOpts.BBGiBPerNode = 4
-	withBB := load(bbOpts)
+	withBB := loadTrace10k(t, bbOpts)
 	for _, v := range pinVariants(nodes, limit, capacity) {
 		v := v
 		t.Run(v.label, func(t *testing.T) {
@@ -222,7 +211,125 @@ func TestReplayMatchesReferenceOnTrace(t *testing.T) {
 				t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
 					clipDigest(got), clipDigest(want))
 			}
-			t.Logf("%d of %d rounds scheduled", fast.Scheduled, fast.Rounds)
+			t.Logf("%d of %d rounds scheduled, %d carried", fast.Scheduled, fast.Rounds, fast.Carried)
+			// Carrying stays on where it applies, so a change that turns it
+			// off shows here, and off under the adaptive overlay, whose
+			// target moves with every start and arrival, and under the
+			// tetris+ window order, which moves with the running set.
+			carries := !strings.Contains(v.label, "adaptive") && !strings.HasPrefix(v.label, "tetris+")
+			if (fast.Carried > 0) != carries {
+				t.Errorf("%d rounds carried, want carrying %v", fast.Carried, carries)
+			}
+		})
+	}
+}
+
+// loadTrace10k loads the bundled 10k-job SWF trace.
+func loadTrace10k(t *testing.T, opts workload.SWFOptions) []SimJob {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "swf", "synthetic-10k.swf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := LoadSWFSimJobs(bytes.NewReader(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// TestReplayMatchesReferenceUnderGuard holds carried rounds to the oracle
+// where the measured-throughput guard books: on the 10k trace every third
+// job reports no rate estimate against its true rate, and a 3 GiB/s limit
+// makes the unexplained throughput matter. Every third job after those
+// over-estimates its rate twofold, so a start can also explain away what
+// the guard booked. A carried round must refuse whenever the guard booked
+// in the last round or books now.
+func TestReplayMatchesReferenceUnderGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays a 10k-job trace twice per policy")
+	}
+	const nodes = 15
+	const limit = 3 * pfs.GiB
+	jobs := loadTrace10k(t, workload.DefaultSWFOptions())
+	for i := range jobs {
+		switch i % 3 {
+		case 0:
+			jobs[i].EstRate = 0
+		case 1:
+			jobs[i].EstRate = 2 * jobs[i].Rate
+		}
+	}
+	for _, policy := range []sched.Policy{
+		sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit},
+		sched.PlanPolicy{TotalNodes: nodes, BBCapacity: 64 * pfs.GiB, ThroughputLimit: limit},
+	} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			t.Parallel()
+			cfg := ReplayConfig{
+				Policy:    policy,
+				Options:   sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
+				Nodes:     nodes,
+				Limit:     limit,
+				MaxRounds: 200000,
+			}
+			fast := Replay(jobs, cfg)
+			got, want := scheduleDigest(fast), scheduleDigest(replayReference(jobs, cfg))
+			if got != want {
+				t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
+					clipDigest(got), clipDigest(want))
+			}
+			t.Logf("%d of %d rounds scheduled, %d carried", fast.Scheduled, fast.Rounds, fast.Carried)
+		})
+	}
+}
+
+// TestReplayMatchesReferenceOnDeepWindow holds carried rounds to the
+// oracle where the queue is deeper than the examined window and mixes
+// priorities: jobs behind the window move into it as others start, and
+// high-priority arrivals land inside the part of the queue the last
+// round planned, which a carried round cannot absorb.
+func TestReplayMatchesReferenceOnDeepWindow(t *testing.T) {
+	const nodes = 15
+	const limit = 20 * pfs.GiB
+	var buf bytes.Buffer
+	gen := workload.SWFGenConfig{Jobs: 3000, Seed: 4, Nodes: nodes, CoresPerNode: 56, Utilization: 0.95}
+	if err := workload.WriteSyntheticSWF(&buf, gen); err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := LoadSWFSimJobs(&buf, workload.DefaultSWFOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		jobs[i].Priority = int64(i % 3)
+	}
+	for _, policy := range []sched.Policy{
+		sched.NodePolicy{TotalNodes: nodes},
+		sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit},
+		sched.PlanPolicy{TotalNodes: nodes, BBCapacity: 64 * pfs.GiB, ThroughputLimit: limit},
+	} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			t.Parallel()
+			cfg := ReplayConfig{
+				Policy:  policy,
+				Options: sched.Options{MaxJobTest: 20},
+				Nodes:   nodes,
+				Limit:   limit,
+			}
+			if _, ok := policy.(sched.NodePolicy); ok {
+				cfg.Limit = 0
+			}
+			fast := Replay(jobs, cfg)
+			got, want := scheduleDigest(fast), scheduleDigest(replayReference(jobs, cfg))
+			if got != want {
+				t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
+					clipDigest(got), clipDigest(want))
+			}
+			if fast.Carried == 0 {
+				t.Error("no round carried: the trace no longer exercises carrying")
+			}
+			t.Logf("%d of %d rounds scheduled, %d carried", fast.Scheduled, fast.Rounds, fast.Carried)
 		})
 	}
 }
@@ -262,7 +369,7 @@ func TestReplayMatchesReferenceOnBandEdges(t *testing.T) {
 					t.Fatalf("incremental replay diverged from reference\n--- incremental ---\n%s--- reference ---\n%s",
 						clipDigest(got), clipDigest(want))
 				}
-				t.Logf("%d of %d rounds scheduled", fast.Scheduled, fast.Rounds)
+				t.Logf("%d of %d rounds scheduled, %d carried", fast.Scheduled, fast.Rounds, fast.Carried)
 			})
 		}
 	}
