@@ -82,7 +82,7 @@ func (rn *Runner) RunRound(p Policy, rt Round, in RoundInput, opt Options) []Dec
 	}
 	// Packing policies (WindowOrderer) reorder the examined window; the
 	// copy keeps the controller's queue order intact.
-	if orderer, ok := p.(WindowOrderer); ok {
+	if orderer := windowOrderer(p); orderer != nil {
 		rn.window = append(rn.window[:0], window...)
 		orderer.OrderWindow(in, rn.window)
 		window = rn.window
@@ -123,6 +123,25 @@ func (rn *Runner) RunRound(p Policy, rt Round, in RoundInput, opt Options) []Dec
 	}
 	rn.decisions = decisions
 	return decisions
+}
+
+// windowOrderer is the policy that orders p's window, nil when none
+// does. The bb+ and tbf+ wrappers implement WindowOrderer only to pass
+// their inner policy's order through, so they are unwrapped first, as
+// modelOf does, and a wrapper around a policy that keeps queue order
+// costs no window copy.
+func windowOrderer(p Policy) WindowOrderer {
+	for {
+		switch w := p.(type) {
+		case BBAwarePolicy:
+			p = w.Inner
+		case TBFAwarePolicy:
+			p = w.Inner
+		default:
+			o, _ := p.(WindowOrderer)
+			return o
+		}
+	}
 }
 
 // StartNowJobs filters a decision list down to the jobs to start now, in

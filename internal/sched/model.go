@@ -223,7 +223,13 @@ type round struct {
 	// this round; unavailable is the node count booked as down.
 	guarded     bool
 	unavailable int
-	ov          overlay
+	// deferred records that a job the plan examined did not start at its
+	// now; atMoved that a start-now booking into AT may change what a
+	// round at a later now decides for a job before it (noteStart), so
+	// the plan cannot be carried. A carried round keeps both, as it keeps
+	// the plan.
+	deferred, atMoved bool
+	ov                overlay
 }
 
 func emptyRound(m model) *round {
@@ -237,6 +243,7 @@ func (r *round) begin(in RoundInput) Round {
 	r.wake, r.planWake = des.MaxTime, des.MaxTime
 	r.setHorizon(in.Now)
 	r.guarded, r.unavailable = false, in.UnavailableNodes
+	r.deferred, r.atMoved = false, false
 	for i := range r.m.dims {
 		d := &r.m.dims[i]
 		switch {
@@ -277,17 +284,21 @@ func (r *round) setHorizon(now des.Time) {
 // start-now bookings are in the base (Session.Carry; DESIGN.md, "Carried
 // rounds"): in.Now is before every future start and horizon entry, the
 // guard books nothing now and booked nothing then, and the down nodes
-// are the same. It does not check the overlay: adaptive sessions never
-// carry. On success the round decides at in.Now, and its wake starts
-// from the plan's.
+// are the same. An adaptive round also needs its overlay to hold at
+// in.Now (overlay.carry) and no start to have booked into AT what moves
+// an earlier job's plan (atMoved). On success the round decides at
+// in.Now, and its wake starts from the plan's.
 func (r *round) extend(in RoundInput) bool {
-	if r.guarded || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable {
+	if r.guarded || r.atMoved || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable {
 		return false
 	}
 	for i := range r.m.dims {
 		if d := &r.m.dims[i]; d.guard && in.MeasuredThroughput > explained(d.limit, in) {
 			return false
 		}
+	}
+	if p := r.m.adaptive; p != nil && !r.ov.carry(p, in) {
+		return false
 	}
 	r.wake = r.planWake
 	r.setHorizon(in.Now)
@@ -339,7 +350,8 @@ func bookGuard(w *restrack.Profile, limit float64, in RoundInput) (booked, resid
 // plan horizon is infeasible: the engine skips the job without burning
 // backfill budget and it is re-planned next round. Both outcomes lower
 // the round's wake time, and so does a start after tmin (the engine's
-// now), which also lowers the plan's wake.
+// now), which also lowers the plan's wake. A start at tmin of an adaptive
+// round is checked against the jobs deferred before it (noteStart).
 func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 	for i := range r.m.dims {
 		if r.need[i] = r.m.dims[i].need(j); r.need[i] > r.m.dims[i].limit {
@@ -354,6 +366,7 @@ func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 	for i := 0; i < n; {
 		u, ok := r.fit(i, j, t)
 		if !ok {
+			r.deferred = true
 			return des.MaxTime, false
 		}
 		if u != t && i > 0 {
@@ -368,13 +381,40 @@ func (r *round) EarliestStart(j *Job, tmin des.Time) (des.Time, bool) {
 		enter := t.Add(-r.m.horizon)
 		r.planWake = min(r.planWake, enter)
 		r.wake = min(r.wake, enter)
+		r.deferred = true
 		return des.MaxTime, false
 	}
 	if t > tmin {
 		r.planWake = min(r.planWake, t)
+		r.deferred = true
+	} else if r.m.adaptive != nil {
+		r.noteStart(j, tmin)
 	}
 	r.wake = min(r.wake, t)
 	return t, true
+}
+
+// noteStart sets atMoved when j, starting at now, books into AT what a
+// round at a later now would see under the jobs this round deferred
+// before it. AT's fit is a level test that leaves the job's own
+// contribution out, so unlike a node or rate booking, a start-now booking
+// can push AT past R̃' inside an earlier reservation's window, or, when
+// negative, free a time an earlier fit found infeasible. A zero job books
+// nothing here, yet once it runs overlay.fill books its adjusted rate.
+// Nodes, rate and BB need no such check: j was fitted on top of every
+// earlier booking, its own need included (DESIGN.md, "Carried rounds").
+// Adaptive policies have no plan horizon, so planWake is the least
+// planned start so far.
+func (r *round) noteStart(j *Job, now des.Time) {
+	a := r.ov.adjusted(j)
+	switch {
+	case r.ov.isZeroJob(j):
+		r.atMoved = r.atMoved || a != 0
+	case a < 0:
+		r.atMoved = r.atMoved || r.deferred
+	case a > 0:
+		r.atMoved = r.atMoved || r.planWake < now.Add(j.Limit)
+	}
 }
 
 // quiet reports whether a round at in.Now over this round's profiles and

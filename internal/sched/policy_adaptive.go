@@ -44,8 +44,9 @@ func (p AdaptivePolicy) NewRound(in RoundInput) Round { return newRound(p, nil, 
 
 // overlay is the adaptive state of a round (Algorithm 5 lines 3–11): the
 // target R̃, the two-group split and the adjusted tracker AT. All of it is
-// by definition a function of this round's queue, so it is recomputed
-// every round — into reused buffers when a session carries the round.
+// a function of this round's queue and running set, so every executed
+// round recomputes it into reused buffers; a carried round keeps it when
+// the split has not moved (carry).
 type overlay struct {
 	target    float64 // R̃
 	adjTarget float64 // R̃', AT's limit
@@ -77,6 +78,26 @@ func (o *overlay) fill(p *AdaptivePolicy, in RoundInput) {
 	for _, j := range in.Running {
 		o.at.Add(in.Now, j.StartedAt.Add(j.Limit), o.adjusted(j))
 	}
+}
+
+// carry adopts the targets at in.Now for a carried round when the
+// round's plan still holds under them: the split recomputed over in's
+// queue is the same, so every zero/regular classification and AT value
+// is too, and R̃' keeps every AT value the round's fits examined on the
+// same side of the limit (the band; DESIGN.md, "Carried rounds"). The
+// band goes on widening with the fits the carried round adds. On false
+// the overlay is unchanged.
+func (o *overlay) carry(p *AdaptivePolicy, in RoundInput) bool {
+	target := p.target(in)
+	adj := p.adjustedTarget(target, o.rZeroBar)
+	if !o.band.Holds(0, adj) {
+		return false
+	}
+	if rStar, rZeroBar := p.twoGroupSplit(in.Waiting, &o.scratch); rStar != o.rStar || rZeroBar != o.rZeroBar {
+		return false
+	}
+	o.target, o.adjTarget = target, adj
+	return true
 }
 
 // target is Algorithm 5 lines 3–5, Eq. 1: the target throughput R̃ from

@@ -105,3 +105,34 @@ func TestTetrisHonoursMaxJobTest(t *testing.T) {
 		t.Fatalf("examined %d, want 4", len(ds))
 	}
 }
+
+// TestRunnerCopiesOnlyReorderedWindows runs the same round through the
+// wrappers that pass a window order through: around tetris+ they reorder
+// as tetris+ does, around a policy that keeps queue order they copy no
+// window.
+func TestRunnerCopiesOnlyReorderedWindows(t *testing.T) {
+	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 10}
+	tetris := TetrisPolicy{Inner: io, TotalNodes: 4, ThroughputLimit: 10}
+	for _, tc := range []struct {
+		p        Policy
+		reorders bool
+	}{
+		{BBAwarePolicy{Inner: io, Capacity: 1}, false},
+		{TBFAwarePolicy{Inner: BBAwarePolicy{Inner: io, Capacity: 1}}, false},
+		{BBAwarePolicy{Inner: tetris, Capacity: 1}, true},
+		{TBFAwarePolicy{Inner: tetris}, true},
+	} {
+		r1 := running("r1", 1, 100*sec, 0)
+		r1.Rate = 9
+		ioJob, cpuJob := iojob("io", 1, 50*sec, 5), iojob("cpu", 2, 50*sec, 0)
+		in := RoundInput{Now: tsec(10), Running: []*Job{r1}, Waiting: []*Job{ioJob, cpuJob}}
+		var rn Runner
+		ds := rn.RunRound(tc.p, tc.p.NewRound(in), in, Options{})
+		if got := ds[0].Job == cpuJob; got != tc.reorders {
+			t.Errorf("%s: examined %s first", tc.p.Name(), ds[0].Job.ID)
+		}
+		if copied := len(rn.window) > 0; copied != tc.reorders {
+			t.Errorf("%s: window copied %v, want %v", tc.p.Name(), copied, tc.reorders)
+		}
+	}
+}

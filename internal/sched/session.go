@@ -37,11 +37,14 @@ type Session interface {
 	// Carry returns the last executed round's Round, extended to in.Now,
 	// when its plan is the one BeginRound(in) and the engine would make
 	// for the jobs that round examined (DESIGN.md, "Carried rounds"). The
-	// session checks what it can see: the policy is not adaptive and does
-	// not reorder the window (tetris+), in.Now is before every future
-	// start and horizon entry of the plan, the guard booked nothing then
-	// and books nothing at in.Now, and the unavailable nodes are the
-	// same. The caller
+	// session checks what it can see: the policy does not reorder the
+	// window (tetris+), in.Now is before every future start and horizon
+	// entry of the plan, the guard booked nothing then and books nothing
+	// at in.Now, and the unavailable nodes are the same. Under the
+	// adaptive overlay, r* and r̄_zero recomputed at in.Now are the
+	// round's, R̃' recomputed at in.Now keeps every AT value the round
+	// tested on the same side of the limit, and no start booked into AT
+	// what moves the plan of a job deferred before it. The caller
 	// guarantees the rest: BackfillMax is unlimited, and since that round
 	// nothing happened but its own start-now decisions, each reported
 	// through JobStarted, and arrivals that sort after every job it
@@ -77,7 +80,7 @@ func NewSession(p Policy) Session {
 	return &session{
 		base:    make([]restrack.Profile, len(m.dims)),
 		rnd:     emptyRound(m),
-		carries: m.adaptive == nil && !m.reorders,
+		carries: !m.reorders,
 	}
 }
 
@@ -97,10 +100,9 @@ type session struct {
 	base   []restrack.Profile
 	rnd    *round
 	rounds int
-	// carries is false for the policies whose every round depends on the
-	// whole queue and running set: the adaptive overlay (R̃, r* and
-	// r̄_zero move with any start or arrival) and the tetris+ window
-	// ordering.
+	// carries is false for the tetris+ window ordering, which moves with
+	// the running set. The adaptive overlay carries only while its split
+	// and band hold (round.extend).
 	carries bool
 }
 

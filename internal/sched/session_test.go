@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"wasched/internal/des"
 	"wasched/internal/restrack"
 )
 
@@ -109,7 +110,8 @@ func TestQuietBandEdges(t *testing.T) {
 // starts at 0 s and b (4 nodes) is planned at 1000 s, when a's limit
 // ends; with a started, a fresh round at 30 s makes that same plan, so
 // Carry extends it and the next idle round is quiet. Each refusal changes
-// one thing the carried plan cannot absorb.
+// one thing the carried plan cannot absorb; the adaptive cases add the
+// overlay's split, band and AT order.
 func TestCarryConditions(t *testing.T) {
 	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 100}
 	type step struct {
@@ -168,11 +170,145 @@ func TestCarryConditions(t *testing.T) {
 		{"a node went down", io, step{}, step{now: 30, measured: 10, unavailable: 1}},
 		{"the guard books now", io, step{}, step{now: 30, measured: 50}},
 		{"the guard booked then", io, step{measured: 50}, plain},
-		{"adaptive", AdaptivePolicy{TotalNodes: 4, ThroughputLimit: 100, TwoGroup: true}, step{}, plain},
 		{"tetris+", TetrisPolicy{Inner: io, TotalNodes: 4, ThroughputLimit: 100}, step{}, plain},
 	} {
 		if _, ok := carry(tc.p, tc.first, tc.next); ok {
 			t.Errorf("%s: carried", tc.name)
 		}
+	}
+
+	// Adaptive rounds: each case runs the round at 0 s, starts what it
+	// starts and asks Carry at a later now over the rest of the queue.
+	// Where it matters, a fresh round at that now is shown to plan the
+	// waiting jobs as the carried round did, or not.
+	two := AdaptivePolicy{TotalNodes: 16, ThroughputLimit: 1000, TwoGroup: true}
+	naive := AdaptivePolicy{TotalNodes: 4, ThroughputLimit: 1000}
+	// The two-group cases share one queue shape. Every zero job moves 6
+	// bytes/s; r* = 2 and r̄_zero = 6 whether or not z1 or s is queued,
+	// and a 12-node blocker leaves 4 nodes free until 1000 s.
+	blocker := func() *Job { return running("blocker", 12, 1000*sec, 0) }
+	z1 := func() *Job { return estjob("z1", 4, 1000*sec, 6, 25*sec) }    // r/n 1.5, zero
+	z2 := func() *Job { return estjob("z2", 6, 1000*sec, 6, 20*sec) }    // r/n 1, zero
+	z3 := func() *Job { return estjob("z3", 3, 1000*sec, 6, 150*sec) }   // r/n 2, zero
+	g := func() *Job { return estjob("g", 3, 1000*sec, 30, 100*sec) }    // r/n 10, regular, adjusted 12
+	neg := func() *Job { return estjob("s", 2, 1000*sec, 6, 50*sec) }    // r/n 3, regular, adjusted -6
+	pos := func(l des.Duration) *Job { return estjob("s", 1, l, 10, 0) } // naive: regular, adjusted 10
+	for _, tc := range []struct {
+		name     string
+		p        AdaptivePolicy
+		run      []*Job
+		wait     []*Job
+		now      int64
+		carries  bool
+		samePlan int // 1: a fresh round plans as the carried one; -1: it does not; 0: not checked
+	}{
+		{
+			// R̃' = 8·500 / (6·(600−now) + 100) (TestQuietBandEdges): b is
+			// planned at 1000 s while R̃' stays below a's AT value 2.
+			name:    "band holds",
+			p:       AdaptivePolicy{TotalNodes: 8, ThroughputLimit: 1000},
+			run:     []*Job{estjob("a", 1, 1000*sec, 2, 1*sec), estjob("z", 6, 1000*sec, 0, 600*sec)},
+			wait:    []*Job{estjob("b", 1, 100*sec, 5, 0)},
+			now:     200,
+			carries: true, samePlan: 1,
+		},
+		{
+			name:     "band broken",
+			p:        AdaptivePolicy{TotalNodes: 8, ThroughputLimit: 1000},
+			run:      []*Job{estjob("a", 1, 1000*sec, 2, 1*sec), estjob("z", 6, 1000*sec, 0, 600*sec)},
+			wait:     []*Job{estjob("b", 1, 100*sec, 5, 0)},
+			now:      300,
+			samePlan: -1,
+		},
+		{
+			// z1 and the other zero jobs all move 6 bytes/s, so r̄_zero
+			// stays 6 once z1 leaves the queue; z1 then books −18 in AT.
+			name: "zero job with r̄_zero > 0 starts",
+			p:    two,
+			run:  []*Job{blocker()},
+			wait: []*Job{z1(), z2(), z3(), g()},
+			now:  30,
+		},
+		{
+			// z2 waits for the blocker's nodes; s starts behind it and
+			// books −6 in AT.
+			name: "negative regular starts behind a deferral",
+			p:    two,
+			run:  []*Job{blocker()},
+			wait: []*Job{z2(), neg(), z3(), g()},
+			now:  30,
+		},
+		{
+			// a starts first, and without its node·seconds the zero group
+			// needs only z (r/n 0.75): r* falls from 2 to 0.75.
+			name: "split moved",
+			p:    two,
+			run:  []*Job{blocker()},
+			wait: []*Job{estjob("a", 1, 1000*sec, 10, 300*sec), estjob("z", 4, 1000*sec, 3, 100*sec),
+				estjob("z'", 4, 1000*sec, 8, 25*sec), estjob("h", 5, 1000*sec, 50, 20*sec)},
+			now: 30,
+		},
+		{
+			// q (3 of 4 nodes) waits for the blocker until 1000 s; s (1
+			// node, rate 10) starts behind it and ends at 900 s, before q's
+			// window, and w (rate 0) fills the rest.
+			name:    "positive start clear of a reservation",
+			p:       naive,
+			run:     []*Job{running("blocker", 2, 1000*sec, 0)},
+			wait:    []*Job{iojob("q", 3, 100*sec, 1), pos(900 * sec), iojob("w", 4, 5000*sec, 0)},
+			now:     30,
+			carries: true, samePlan: 1,
+		},
+		{
+			// The same with s running until 1500 s: its rate 10 lies in
+			// q's window, above R̃' ≈ 2.5, so a fresh round moves q to
+			// 1500 s.
+			name:     "positive start inside a reservation",
+			p:        naive,
+			run:      []*Job{running("blocker", 2, 1000*sec, 0)},
+			wait:     []*Job{iojob("q", 3, 100*sec, 1), pos(1500 * sec), iojob("w", 4, 5000*sec, 0)},
+			now:      30,
+			samePlan: -1,
+		},
+	} {
+		t.Run("adaptive/"+tc.name, func(t *testing.T) {
+			s := NewSession(tc.p)
+			for _, j := range tc.run {
+				s.JobStarted(j)
+			}
+			in := RoundInput{Running: tc.run, Waiting: tc.wait}
+			var rn Runner
+			var plan []Decision
+			nowRunning := append([]*Job(nil), tc.run...)
+			var waiting []*Job
+			for _, d := range rn.RunRound(tc.p, s.BeginRound(in), in, Options{}) {
+				if d.StartNow {
+					d.Job.StartedAt = 0
+					s.JobStarted(d.Job)
+					nowRunning = append(nowRunning, d.Job)
+				} else {
+					waiting = append(waiting, d.Job)
+					plan = append(plan, d)
+				}
+			}
+			next := RoundInput{Now: tsec(tc.now), Running: nowRunning, Waiting: waiting}
+			rt, ok := s.Carry(next)
+			fresh, frt := RunRound(tc.p, next, Options{})
+			if ok != tc.carries {
+				t.Fatalf("carried %v, want %v", ok, tc.carries)
+			}
+			if ok {
+				if got, want := rt.(Diagnoser).Diagnostics(), frt.(Diagnoser).Diagnostics(); got["target"] != want["target"] || got["adjusted_target"] != want["adjusted_target"] {
+					t.Errorf("carried targets %v, a fresh round's %v", got, want)
+				}
+			}
+			same := len(fresh) == len(plan)
+			for i := 0; same && i < len(fresh); i++ {
+				same = fresh[i] == plan[i]
+			}
+			if tc.samePlan != 0 && same != (tc.samePlan > 0) {
+				t.Errorf("a fresh round plans %+v, the carried plan is %+v", fresh, plan)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"wasched/internal/des"
 	"wasched/internal/sched"
+	"wasched/internal/trace"
 )
 
 // InfLimit is the effectively unbounded throughput limit used for the
@@ -238,18 +239,19 @@ func compareStarts(res *DiffResult, got, want, invariant string) {
 	if a == nil || b == nil {
 		return
 	}
+	as, bs := startTimes(a), startTimes(b)
 	// Iterate in sorted job order: with the report capped at three
 	// differences, map order would otherwise decide which ones are shown
 	// and the violation text would differ between replays of the same run.
-	ids := make([]string, 0, len(b.Starts))
-	for id := range b.Starts {
+	ids := make([]string, 0, len(bs))
+	for id := range bs {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	diffs := 0
 	for _, id := range ids {
-		tb := b.Starts[id]
-		ta, ok := a.Starts[id]
+		tb := bs[id]
+		ta, ok := as[id]
 		if !ok {
 			res.Check.violatef(invariant, "job %s started under %s at %v but never under %s", id, want, tb, got)
 			diffs++
@@ -263,16 +265,29 @@ func compareStarts(res *DiffResult, got, want, invariant string) {
 		}
 	}
 	ids = ids[:0]
-	for id := range a.Starts {
+	for id := range as {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if _, ok := b.Starts[id]; !ok {
+		if _, ok := bs[id]; !ok {
 			res.Check.violatef(invariant, "job %s started under %s but never under %s", id, got, want)
 			return
 		}
 	}
+}
+
+// startTimes maps every job r started to its start time: the completed
+// jobs and those a starved replay left running. A start in seconds is a
+// microsecond count over 1e6, so rounding recovers the des.Time exactly.
+func startTimes(r *ReplayResult) map[string]des.Time {
+	m := make(map[string]des.Time, len(r.Jobs)+len(r.Running))
+	for _, jobs := range [][]trace.JobTrace{r.Jobs, r.Running} {
+		for _, j := range jobs {
+			m[j.ID] = des.Time(math.Round(j.Start * float64(des.Second)))
+		}
+	}
+	return m
 }
 
 // allZeroRate reports whether the workload does no I/O at all, true or

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"wasched/internal/des"
 	"wasched/internal/farm"
 	"wasched/internal/pfs"
 	"wasched/internal/sched"
@@ -123,5 +124,29 @@ func TestReplayQueueOfOne(t *testing.T) {
 		if got := len(res.Results[label].Jobs); got != 1 {
 			t.Fatalf("policy %s completed %d jobs, want 1", label, got)
 		}
+	}
+}
+
+// TestCompareStartsSeesUnfinishedJobs compares a replay stopped at
+// MaxRounds with one that drains: a job the starved replay started but
+// never finished counts as started, at its start time, and only the jobs
+// it never started are reported.
+func TestCompareStartsSeesUnfinishedJobs(t *testing.T) {
+	w := []SimJob{
+		{ID: "long", Nodes: testNodes, Limit: 10 * des.Hour, Actual: 5 * des.Hour},
+		{ID: "next", Nodes: testNodes, Limit: des.Hour, Actual: des.Hour, Submit: 60 * des.Time(des.Second)},
+	}
+	res := &DiffResult{Results: map[string]*ReplayResult{
+		"starved": Replay(w, ReplayConfig{Policy: sched.NodePolicy{TotalNodes: testNodes}, Nodes: testNodes, MaxRounds: 100}),
+		"full":    Replay(w, ReplayConfig{Policy: sched.NodePolicy{TotalNodes: testNodes}, Nodes: testNodes}),
+	}}
+	compareStarts(res, "starved", "full", "m")
+	var got []string
+	for _, v := range res.Check.Violations {
+		got = append(got, v.Detail)
+	}
+	want := []string{"job next started under full at t=18000.000000s but never under starved"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("report %q, want %q", got, want)
 	}
 }

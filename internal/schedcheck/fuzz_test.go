@@ -136,6 +136,27 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	}
 	f.Add(append([]byte{1, 0x00, 0x00, 0x00}, guard...)) // io-aware
 	f.Add(append([]byte{5, 0x00, 0x01, 0x0f}, guard...)) // plan with a bandwidth limit
+	// Adaptive: a 6-node job runs until 1800 s; q (7 nodes) is planned
+	// there, and s (1 node, rate 99) starts behind it at 30 s and runs
+	// until 1830 s, so from 60 s on its rate lies in q's window above R̃'
+	// ≈ 50, and that round may not carry the plan.
+	f.Add([]byte{2, 0x00, 0x00, 0x00,
+		5, 29, 255, 0, 0, 0, 0,
+		6, 4, 255, 1, 1, 1, 0,
+		0, 29, 255, 99, 99, 1, 0,
+		7, 29, 255, 0, 0, 1, 0})
+	// Adaptive, found by a structured search: every zero job estimates
+	// 10 bytes/s, so r* and r̄_zero stay put as one starts, yet a
+	// multi-node zero job's start seeds a negative adjusted rate into the
+	// next round's AT that the plan it started in never booked.
+	f.Add([]byte{2, 0x00, 0x00, 0x00,
+		3, 16, 152, 10, 138, 0, 0,
+		2, 22, 191, 10, 138, 1, 0,
+		5, 10, 139, 10, 138, 2, 0,
+		5, 19, 132, 74, 188, 0, 0,
+		0, 8, 243, 24, 40, 0, 0,
+		1, 18, 249, 125, 20, 0, 0,
+		2, 26, 247, 10, 10, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, cfg := fuzzReplay(data)
 		if len(jobs) == 0 {

@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -103,8 +104,9 @@ type ReplayResult struct {
 	Policy string
 	// Jobs holds the realised schedule in completion order.
 	Jobs []trace.JobTrace
-	// Starts maps job ID to realised start time.
-	Starts map[string]des.Time
+	// Running holds the jobs still running when a replay stopped at
+	// MaxRounds, End unset; it is empty when every job completed.
+	Running []trace.JobTrace
 	// Makespan is the last completion time.
 	Makespan des.Time
 	Rounds   int
@@ -126,6 +128,30 @@ type runJob struct {
 	sim  *SimJob
 	view *sched.Job
 	end  des.Time
+}
+
+// trace is r's job record without its end.
+func (r *runJob) trace() trace.JobTrace {
+	return trace.JobTrace{
+		ID:          r.sim.ID,
+		Name:        r.sim.Fingerprint,
+		Fingerprint: r.sim.Fingerprint,
+		Nodes:       r.sim.Nodes,
+		Submit:      r.sim.Submit.Seconds(),
+		Start:       r.view.StartedAt.Seconds(),
+		Limit:       r.sim.Limit.Seconds(),
+		Priority:    r.sim.Priority,
+	}
+}
+
+// starved records the violation of a replay stopped at MaxRounds and the
+// jobs it leaves running.
+func starved(res *ReplayResult, unfinished, maxRounds int, running []*runJob) {
+	res.Check.violatef("starvation", "policy %s: %d jobs still unfinished after %d rounds",
+		res.Policy, unfinished, maxRounds)
+	for _, r := range running {
+		res.Running = append(res.Running, r.trace())
+	}
 }
 
 // unstarted is a waiting view's StartedAt: Replay marks the views a round
@@ -157,7 +183,11 @@ const unstarted des.Time = -1
 // one quiet. A round that only the last executed round's own starts and
 // arrivals behind the jobs it examined separate from it is carried when
 // the session allows (sched.Session.Carry): the engine runs over the jobs
-// the window adds, on top of the last plan.
+// the window adds, on top of the last plan. With round checks on, every
+// carried round is held to a from-scratch round at the same now
+// (checkCarried). Without a token layer, a round with an empty queue
+// jumps the clock to the first round with an arrival, a completion or a
+// BB drain release: the rounds in between do nothing.
 func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	if cfg.Policy == nil {
 		panic("schedcheck: Replay needs a policy")
@@ -202,8 +232,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		// Sized up front: every job completes exactly once, and growing the
 		// slice in place keeps the replay's alloc count independent of the
 		// JobTrace footprint (the bench-replay allocs/op gate).
-		Jobs:   make([]trace.JobTrace, 0, len(workload)),
-		Starts: make(map[string]des.Time, len(workload)),
+		Jobs: make([]trace.JobTrace, 0, len(workload)),
 	}
 	bbState := newBBReplay(cfg)
 	tbfState := newTBFReplay(cfg)
@@ -226,13 +255,15 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		// planned counts the queue's leading jobs the last executed round
 		// examined and left waiting.
 		planned = 0
+		// plan holds their decisions, in queue order, when round checks
+		// are on: a carried round is held to a fresh one (checkCarried).
+		plan []sched.Decision
 	)
 	next := 0 // index into pending of the next arrival
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			res.Check.violatef("starvation", "policy %s: %d jobs still unfinished after %d rounds",
-				res.Policy, len(waiting)+len(running)+(len(pending)-next), maxRounds)
+			starved(res, len(waiting)+len(running)+(len(pending)-next), maxRounds, running)
 			break
 		}
 		now := des.Time(round) * des.Time(interval)
@@ -245,17 +276,8 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		kept := running[:0]
 		for _, r := range running {
 			if r.end <= now {
-				jt := trace.JobTrace{
-					ID:          r.sim.ID,
-					Name:        r.sim.Fingerprint,
-					Fingerprint: r.sim.Fingerprint,
-					Nodes:       r.sim.Nodes,
-					Submit:      r.sim.Submit.Seconds(),
-					Start:       r.view.StartedAt.Seconds(),
-					End:         r.end.Seconds(),
-					Limit:       r.sim.Limit.Seconds(),
-					Priority:    r.sim.Priority,
-				}
+				jt := r.trace()
+				jt.End = r.end.Seconds()
 				bbState.complete(r.sim, &jt, r.view.StartedAt, r.end)
 				tbfState.complete(r.sim, &jt)
 				res.Jobs = append(res.Jobs, jt)
@@ -290,6 +312,14 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			break
 		}
 		if len(waiting) == 0 {
+			if tbfState == nil {
+				// Nothing happens in an empty-queue round before the next
+				// arrival, completion or BB drain release: go to the round
+				// that has the first of them. Such rounds never reach the
+				// session, so its trim clock does not move.
+				round = idleUntil(workload, pending[next:], running, bbState, interval, maxRounds) - 1
+				res.Rounds = round + 1
+			}
 			continue
 		}
 
@@ -331,11 +361,20 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			res.Scheduled++
 			state = session.BeginRound(in)
 			decisions = runner.RunRound(cfg.Policy, state, in, cfg.Options)
+			plan = plan[:0]
 		}
 		dirty, replan = false, false
 		planned = examined
 		if !cfg.SkipRoundChecks {
 			checkRound(in, decisions, state, cfg, &res.Check)
+			if carried {
+				checkCarried(in, plan, decisions, cfg, &res.Check)
+			}
+			for _, d := range decisions {
+				if !d.StartNow {
+					plan = append(plan, d)
+				}
+			}
 		}
 
 		anyStarted := false
@@ -368,7 +407,6 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			planned--
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
-			res.Starts[j.ID] = now
 		}
 		waiting = keptWaiting
 		keptViews := waitingViews[:0]
@@ -383,6 +421,58 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		res.Check.Merge(ValidateJobs(res.Jobs, ValidateOptions{Nodes: cfg.Nodes, BBCapacity: cfg.BBCapacity, TBF: cfg.TBFCapacity > 0}))
 	}
 	return res
+}
+
+// idleUntil is the first round after an empty-queue round at which
+// anything can happen: the next arrival, the first completion or the first
+// BB drain release, and at most maxRounds.
+func idleUntil(workload []SimJob, pending []int32, running []*runJob, bb *bbReplay, interval des.Duration, maxRounds int) int {
+	at := bb.nextRelease()
+	if len(pending) > 0 {
+		at = min(at, workload[pending[0]].Submit)
+	}
+	for _, r := range running {
+		at = min(at, r.end)
+	}
+	iv := des.Time(interval)
+	if at == des.MaxTime || (at+iv-1)/iv >= des.Time(maxRounds) {
+		return maxRounds
+	}
+	return int((at + iv - 1) / iv)
+}
+
+// checkCarried holds a carried round to a from-scratch round at the same
+// now: the jobs the carried plan kept must get the decisions in plan, and
+// the jobs it added the decisions the carried round gave them in tail.
+func checkCarried(in sched.RoundInput, plan, tail []sched.Decision, cfg ReplayConfig, res *Result) {
+	fresh, _ := sched.RunRound(cfg.Policy, in, cfg.Options)
+	if len(fresh) != len(plan)+len(tail) {
+		res.violatef("carried-round", "%v: carried round decided %d jobs, a fresh round %d", in.Now, len(plan)+len(tail), len(fresh))
+		return
+	}
+	for i, f := range fresh {
+		var c sched.Decision
+		if i < len(plan) {
+			c = plan[i]
+		} else {
+			c = tail[i-len(plan)]
+		}
+		if c != f {
+			res.violatef("carried-round", "%v job %s: carried %s, fresh round %s", in.Now, f.Job.ID, decisionString(c), decisionString(f))
+			return
+		}
+	}
+}
+
+// decisionString renders one decision for a violation report.
+func decisionString(d sched.Decision) string {
+	switch {
+	case d.StartNow:
+		return "starts now"
+	case d.Reserved:
+		return fmt.Sprintf("planned at %v", d.PlannedStart)
+	}
+	return "skipped"
 }
 
 // queueInsert inserts v into views, which is sorted in SortQueue order
@@ -451,8 +541,7 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		// Sized up front: every job completes exactly once, and growing the
 		// slice in place keeps the replay's alloc count independent of the
 		// JobTrace footprint (the bench-replay allocs/op gate).
-		Jobs:   make([]trace.JobTrace, 0, len(workload)),
-		Starts: make(map[string]des.Time, len(workload)),
+		Jobs: make([]trace.JobTrace, 0, len(workload)),
 	}
 	bbState := newBBReplay(cfg)
 	tbfState := newTBFReplay(cfg)
@@ -462,8 +551,7 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			res.Check.violatef("starvation", "policy %s: %d jobs still unfinished after %d rounds",
-				res.Policy, len(waiting)+len(running)+(len(pending)-next), maxRounds)
+			starved(res, len(waiting)+len(running)+(len(pending)-next), maxRounds, running)
 			break
 		}
 		now := des.Time(round) * des.Time(interval)
@@ -475,17 +563,8 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		kept := running[:0]
 		for _, r := range running {
 			if r.end <= now {
-				jt := trace.JobTrace{
-					ID:          r.sim.ID,
-					Name:        r.sim.Fingerprint,
-					Fingerprint: r.sim.Fingerprint,
-					Nodes:       r.sim.Nodes,
-					Submit:      r.sim.Submit.Seconds(),
-					Start:       r.view.StartedAt.Seconds(),
-					End:         r.end.Seconds(),
-					Limit:       r.sim.Limit.Seconds(),
-					Priority:    r.sim.Priority,
-				}
+				jt := r.trace()
+				jt.End = r.end.Seconds()
 				bbState.complete(r.sim, &jt, r.view.StartedAt, r.end)
 				tbfState.complete(r.sim, &jt)
 				res.Jobs = append(res.Jobs, jt)
@@ -554,7 +633,6 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			v.StartedAt = now
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
-			res.Starts[j.ID] = now
 		}
 		waiting = keptWaiting
 	}
@@ -607,6 +685,17 @@ func (b *bbReplay) admit(j *SimJob) bool {
 	}
 	b.occupied += j.BBBytes
 	return true
+}
+
+// nextRelease is the earliest drain end still held, MaxTime when none is.
+func (b *bbReplay) nextRelease() des.Time {
+	at := des.MaxTime
+	if b != nil {
+		for _, d := range b.drains {
+			at = min(at, d.at)
+		}
+	}
+	return at
 }
 
 // release frees the reservation of every drain that finished by now.
