@@ -16,6 +16,7 @@ import (
 	"wasched/internal/des"
 	"wasched/internal/pfs"
 	"wasched/internal/sched"
+	"wasched/internal/slurm"
 	"wasched/internal/tbf"
 	"wasched/internal/workload"
 )
@@ -25,9 +26,14 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/output_pins.t
 const outputPinsFile = "output_pins.txt"
 
 // pinnedReports are the experiments whose full reports the output pins
-// cover: Workload 1 and 2 under every scheduler configuration, and a
-// failure-injection ablation that drives the pfs degradation hooks.
-var pinnedReports = []string{"fig3", "fig5", "ablation-degradation"}
+// cover: Workload 1 and 2 under every scheduler configuration, a
+// failure-injection ablation that drives the pfs degradation hooks, and
+// the ablations that put the measured-throughput guard, declared rates,
+// arrivals over time and a bounded BackfillMax on the controller path.
+var pinnedReports = []string{
+	"fig3", "fig5", "ablation-degradation",
+	"ablation-guard", "ablation-licenses", "ablation-submission", "ablation-backfill",
+}
 
 // outputPins runs every pinned experiment at seed 1 and returns one line
 // per output: "<name> <sha256>".
@@ -41,19 +47,14 @@ func outputPins(t *testing.T) []string {
 		}
 		lines = append(lines, fmt.Sprintf("%s %x", name, sha256.Sum256(buf.Bytes())))
 	}
-	return append(lines, w2TBFPins(t)...)
+	lines = append(lines, w2TBFPins(t)...)
+	return append(lines, w1AdaptivePins(t)...)
 }
 
-// w2TBFPins runs the full prototype on Workload 2 under tbf-straggler
-// tokens at seed 1, the configuration of the proto-w2-tbf benchmark
-// workload, and digests what the pfs, token and monitoring layers leave
-// behind: the job records, the sampled series, the closed token ledger
-// and the exact bits of the file system's cumulative counters.
-func w2TBFPins(t *testing.T) []string {
+// runProto runs the full prototype on specs, pre-trained and submitted
+// at t=0, as the proto-* benchmark workloads do.
+func runProto(t *testing.T, opts Options, specs []slurm.JobSpec) *System {
 	t.Helper()
-	opts := DefaultOptions(sched.TBFPolicy{TotalNodes: Nodes, Straggler: true}, 1)
-	opts.TBF = tbf.Config{CapacityBytesPerSec: 10 * pfs.GiB, Straggler: true}
-	specs := workload.Workload2()
 	sys, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +69,14 @@ func w2TBFPins(t *testing.T) []string {
 	if err := sys.RunToCompletion(1000 * des.Hour); err != nil {
 		t.Fatal(err)
 	}
-	sum := func(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
+	return sys
+}
 
+func digest(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
+
+// recorderPins digests a finished run's job records and sampled series.
+func recorderPins(t *testing.T, prefix string, sys *System) []string {
+	t.Helper()
 	jobs := sha256.New()
 	for _, j := range sys.Recorder.Jobs() {
 		fmt.Fprintf(jobs, "%+v\n", j)
@@ -78,6 +85,29 @@ func w2TBFPins(t *testing.T) []string {
 	if err := sys.Recorder.WriteCSV(series); err != nil {
 		t.Fatal(err)
 	}
+	return []string{prefix + "-jobs " + digest(jobs), prefix + "-series " + digest(series)}
+}
+
+// w1AdaptivePins runs the full prototype on Workload 1 under the
+// two-group adaptive policy at 20 GiB/s and seed 1, the configuration of
+// the proto-w1-adaptive benchmark workload, and digests its job records
+// and sampled series (the adaptive target among them).
+func w1AdaptivePins(t *testing.T) []string {
+	t.Helper()
+	policy := sched.AdaptivePolicy{TotalNodes: Nodes, ThroughputLimit: Limit20, TwoGroup: true}
+	return recorderPins(t, "w1-adaptive", runProto(t, DefaultOptions(policy, 1), workload.Workload1()))
+}
+
+// w2TBFPins runs the full prototype on Workload 2 under tbf-straggler
+// tokens at seed 1, the configuration of the proto-w2-tbf benchmark
+// workload, and digests what the pfs, token and monitoring layers leave
+// behind: the job records, the sampled series, the closed token ledger
+// and the exact bits of the file system's cumulative counters.
+func w2TBFPins(t *testing.T) []string {
+	t.Helper()
+	opts := DefaultOptions(sched.TBFPolicy{TotalNodes: Nodes, Straggler: true}, 1)
+	opts.TBF = tbf.Config{CapacityBytesPerSec: 10 * pfs.GiB, Straggler: true}
+	sys := runProto(t, opts, workload.Workload2())
 	ledger := sha256.New()
 	for _, e := range sys.TBF.Ledger() {
 		fmt.Fprintf(ledger, "%+v\n", e)
@@ -86,12 +116,9 @@ func w2TBFPins(t *testing.T) []string {
 	counters := sha256.New()
 	fmt.Fprintf(counters, "%x %x %d %d\n",
 		math.Float64bits(c.WriteBytes), math.Float64bits(c.ReadBytes), c.WriteOps, c.ReadOps)
-	return []string{
-		"w2-tbf-jobs " + sum(jobs),
-		"w2-tbf-series " + sum(series),
-		"w2-tbf-ledger " + sum(ledger),
-		"w2-tbf-pfs-totals " + sum(counters),
-	}
+	return append(recorderPins(t, "w2-tbf", sys),
+		"w2-tbf-ledger "+digest(ledger),
+		"w2-tbf-pfs-totals "+digest(counters))
 }
 
 // TestOutputPins holds the full prototype to the outputs it produced when
@@ -102,7 +129,7 @@ func w2TBFPins(t *testing.T) []string {
 // -update-pins` and justify the diff.
 func TestOutputPins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig3, fig5, an ablation and a Workload 2 token run")
+		t.Skip("runs fig3, fig5, five ablations and two full-prototype runs")
 	}
 	got := outputPins(t)
 	path := filepath.Join("testdata", outputPinsFile)
