@@ -94,6 +94,8 @@ type Service struct {
 	estimates map[string]*Estimate
 	history   map[string][]Observation
 	completed uint64
+	// rev counts the changes to the estimates and their history.
+	rev uint64
 }
 
 // New creates a service reading from the LDMS container in store. nodes is
@@ -146,10 +148,17 @@ func (s *Service) Fingerprints() []string {
 // CompletedJobs returns how many completions have been folded in.
 func (s *Service) CompletedJobs() uint64 { return s.completed }
 
+// Revision returns a counter that moves whenever Estimate or QuantileRate
+// may answer differently for some class: on every Pretrain and every
+// completion folded in. Callers that cache estimates re-read them only
+// when it moved.
+func (s *Service) Revision() uint64 { return s.rev }
+
 // Pretrain seeds the estimator for a job class, corresponding to the
 // paper's "pre-training" by running representative jobs in isolation.
 func (s *Service) Pretrain(fingerprint string, rate float64, runtime des.Duration) {
 	s.estimates[fingerprint] = &Estimate{Rate: rate, Runtime: runtime}
+	s.rev++
 }
 
 // JobCompleted folds a finished job into its class estimate: the job's
@@ -181,6 +190,7 @@ func (s *Service) JobCompleted(fingerprint string, nodes []string, start, end de
 		return
 	}
 	s.completed++
+	s.rev++
 	measuredRate := bytes / dur
 	if measuredRate < s.cfg.NoiseFloor*float64(len(nodes)) {
 		measuredRate = 0

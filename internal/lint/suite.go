@@ -73,8 +73,9 @@ func hasPathPrefix(path, prefix string) bool {
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
 //   - hotalloc runs on the replay hot path's packages (des, sched,
-//     restrack, pfs, schedcheck, bb, tbf) and on the prototype's
-//     monitoring path (ldms, sos); it only fires inside
+//     restrack, pfs, schedcheck, bb, tbf), on the prototype's
+//     monitoring path (ldms, sos) and on the controller's scheduling
+//     round (slurm); it only fires inside
 //     //waschedlint:hotpath functions and their package-local callees.
 //     Every backfill probe and reservation is a restrack.Profile
 //     EarliestFit or Add, so those stay free of closures (a sort.Search
@@ -162,6 +163,7 @@ func Suite() []ScopedAnalyzer {
 				"wasched/internal/tbf",
 				"wasched/internal/ldms",
 				"wasched/internal/sos",
+				"wasched/internal/slurm",
 			},
 		},
 	}

@@ -143,15 +143,3 @@ func windowOrderer(p Policy) WindowOrderer {
 		}
 	}
 }
-
-// StartNowJobs filters a decision list down to the jobs to start now, in
-// queue order.
-func StartNowJobs(decisions []Decision) []*Job {
-	var out []*Job
-	for _, d := range decisions {
-		if d.StartNow {
-			out = append(out, d.Job)
-		}
-	}
-	return out
-}

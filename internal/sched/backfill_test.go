@@ -217,15 +217,6 @@ func TestJobLargerThanClusterIsSkipped(t *testing.T) {
 	}
 }
 
-func TestStartNowJobs(t *testing.T) {
-	a, b := job("a", 1, sec), job("b", 1, sec)
-	ds := []Decision{{Job: a, StartNow: true}, {Job: b, Skipped: true}}
-	got := StartNowJobs(ds)
-	if len(got) != 1 || got[0] != a {
-		t.Fatalf("StartNowJobs: %v", got)
-	}
-}
-
 func TestNodePolicyPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

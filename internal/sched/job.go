@@ -83,16 +83,37 @@ func (j *Job) remaining(now des.Time) des.Duration {
 // SortQueue orders waiting jobs by descending priority, then FIFO by
 // submit time, then by ID for total determinism (Algorithm 1 line 2).
 func SortQueue(waiting []*Job) {
-	sort.SliceStable(waiting, func(a, b int) bool {
-		ja, jb := waiting[a], waiting[b]
-		if ja.Priority != jb.Priority {
-			return ja.Priority > jb.Priority
+	sort.SliceStable(waiting, func(a, b int) bool { return QueueLess(waiting[a], waiting[b]) })
+}
+
+// QueueLess is SortQueue's strict order: a sorts before b.
+func QueueLess(a, b *Job) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	if a.Submit != b.Submit {
+		return a.Submit < b.Submit
+	}
+	return a.ID < b.ID
+}
+
+// QueueInsert inserts j into waiting, which is in SortQueue order, and
+// returns the grown slice, still in that order. QueueLess is a total
+// order, so a queue whose keys do not change while it waits, kept sorted
+// by insertion, is exactly the slice SortQueue would make every round.
+func QueueInsert(waiting []*Job, j *Job) []*Job {
+	lo, hi := 0, len(waiting)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); QueueLess(j, waiting[m]) {
+			hi = m
+		} else {
+			lo = m + 1
 		}
-		if ja.Submit != jb.Submit {
-			return ja.Submit < jb.Submit
-		}
-		return ja.ID < jb.ID
-	})
+	}
+	waiting = append(waiting, nil)
+	copy(waiting[lo+1:], waiting[lo:])
+	waiting[lo] = j
+	return waiting
 }
 
 // RoundInput is everything a policy sees at the start of a scheduling

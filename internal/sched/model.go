@@ -220,9 +220,11 @@ type round struct {
 	// in the base (Session.Carry).
 	planWake des.Time
 	// guarded records that the measured-throughput guard booked anything
-	// this round; unavailable is the node count booked as down.
+	// this round; unavailable is the node count booked as down, and
+	// measured the throughput the round read.
 	guarded     bool
 	unavailable int
+	measured    float64
 	// deferred records that a job the plan examined did not start at its
 	// now; atMoved that a start-now booking into AT may change what a
 	// round at a later now decides for a job before it (noteStart), so
@@ -230,6 +232,8 @@ type round struct {
 	// the plan.
 	deferred, atMoved bool
 	ov                overlay
+	// diag is the map Diagnostics fills, reused across a session's rounds.
+	diag map[string]float64
 }
 
 func emptyRound(m model) *round {
@@ -242,7 +246,7 @@ func emptyRound(m model) *round {
 func (r *round) begin(in RoundInput) Round {
 	r.wake, r.planWake = des.MaxTime, des.MaxTime
 	r.setHorizon(in.Now)
-	r.guarded, r.unavailable = false, in.UnavailableNodes
+	r.guarded, r.unavailable, r.measured = false, in.UnavailableNodes, in.MeasuredThroughput
 	r.deferred, r.atMoved = false, false
 	for i := range r.m.dims {
 		d := &r.m.dims[i]
@@ -289,20 +293,27 @@ func (r *round) setHorizon(now des.Time) {
 // an earlier job's plan (atMoved). On success the round decides at
 // in.Now, and its wake starts from the plan's.
 func (r *round) extend(in RoundInput) bool {
-	if r.guarded || r.atMoved || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable {
+	if r.guarded || r.atMoved || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable || r.guardBooks(in) {
 		return false
-	}
-	for i := range r.m.dims {
-		if d := &r.m.dims[i]; d.guard && in.MeasuredThroughput > explained(d.limit, in) {
-			return false
-		}
 	}
 	if p := r.m.adaptive; p != nil && !r.ov.carry(p, in) {
 		return false
 	}
 	r.wake = r.planWake
+	r.measured = in.MeasuredThroughput
 	r.setHorizon(in.Now)
 	return true
+}
+
+// guardBooks reports whether the measured-throughput guard books anything
+// in a round over in.
+func (r *round) guardBooks(in RoundInput) bool {
+	for i := range r.m.dims {
+		if d := &r.m.dims[i]; d.guard && in.MeasuredThroughput > explained(d.limit, in) {
+			return true
+		}
+	}
+	return false
 }
 
 // explained is the throughput the running jobs' clamped estimates
@@ -423,19 +434,35 @@ func (r *round) noteStart(j *Job, now des.Time) {
 // job lands on the same start as here, books the same reservation in the
 // same order, and none starts now. The bookings made from now (running
 // jobs, the guard while jobs run, unavailable nodes, AT) keep their values
-// over [in.Now, ∞). The adaptive target R̃ reads the running jobs'
-// remaining(now), so R̃' drifts with time; AT is the only thing it limits.
-// An adaptive round is quiet only if R̃' recomputed at in.Now leaves every
-// AT value this round's fits examined on the same side of the limit (the
-// overlay's band): then every time those fits proved infeasible stays
-// infeasible, every window they accepted stays accepted, and each
-// EarliestStart returns what it returned here (DESIGN.md, "Quiet rounds").
+// over [in.Now, ∞) while the down-node count is the same and the guard
+// books the same excess: the measurement is bit-equal, or the guard
+// booked nothing then and books nothing now. The adaptive target R̃ reads
+// the running jobs' remaining(now), so R̃' drifts with time; AT is the
+// only thing it limits. An adaptive round is quiet only if R̃' recomputed
+// at in.Now leaves every AT value this round's fits examined on the same
+// side of the limit (the overlay's band): then every time those fits
+// proved infeasible stays infeasible, every window they accepted stays
+// accepted, and each EarliestStart returns what it returned here
+// (DESIGN.md, "Quiet rounds"). The round then adopts R̃ and R̃' at in.Now,
+// as a carried one does, so its diagnostics are a fresh round's.
 func (r *round) quiet(in RoundInput) bool {
-	if in.Now >= r.wake {
+	if in.Now >= r.wake || in.UnavailableNodes != r.unavailable {
+		return false
+	}
+	if in.MeasuredThroughput != r.measured && (r.guarded || r.guardBooks(in)) {
 		return false
 	}
 	p := r.m.adaptive
-	return p == nil || r.ov.band.Holds(0, p.adjustedTarget(p.target(in), r.ov.rZeroBar))
+	if p == nil {
+		return true
+	}
+	target := p.target(in)
+	adj := p.adjustedTarget(target, r.ov.rZeroBar)
+	if !r.ov.band.Holds(0, adj) {
+		return false
+	}
+	r.ov.target, r.ov.adjTarget = target, adj
+	return true
 }
 
 // fit is dimension i's earliest fit for j from t; the index past the last
@@ -468,9 +495,14 @@ type diagRound struct{ *round }
 
 // Diagnostics implements Diagnoser: the throughput limit, the plan's BB
 // capacity, and the adaptive target R̃, adjusted target R̃', two-group
-// threshold r* and zero-group load r̄_zero.
+// threshold r* and zero-group load r̄_zero. The map belongs to the round:
+// a session refills the same map on every call, so it is valid until the
+// next Diagnostics call on a Round of that session.
 func (r diagRound) Diagnostics() map[string]float64 {
-	d := make(map[string]float64, 5)
+	if r.diag == nil {
+		r.diag = make(map[string]float64, 5)
+	}
+	d := r.diag
 	if r.m.reportLimit {
 		d["limit"] = r.m.limit
 	}

@@ -23,12 +23,14 @@ import (
 // re-planning the queue when only the round's own starts and later
 // arrivals separate it from the next.
 //
-// Sessions assume what trace replay guarantees: a job's request fields and
-// estimates (Nodes, Limit, Rate, EstRuntime, Priority) stay fixed while it
-// waits or runs, every start is reported through JobStarted and every
-// finish through JobFinished. The live controller refreshes estimates
-// before each round, so it keeps calling Policy.NewRound; NewSession
-// returns nil for policies without session support and callers fall back.
+// Sessions assume that a job's request fields (Nodes, Limit, BBBytes)
+// stay fixed while it waits or runs, that every start is reported through
+// JobStarted and every finish through JobFinished, and that a running
+// job's changed rate estimate is reported through JobUpdated. Estimates
+// of waiting jobs, and priorities, are read from the RoundInput each
+// round. Trace replay and the live controller (internal/slurm) both
+// schedule through a session; NewSession returns nil for policies
+// without session support and callers fall back to RunRound.
 type Session interface {
 	// BeginRound returns this round's reservation state. The Round (and
 	// any decisions referencing it) is valid until the next BeginRound,
@@ -54,13 +56,17 @@ type Session interface {
 	Carry(in RoundInput) (Round, bool)
 	// Quiet reports whether the round at in.Now would decide exactly as
 	// the last executed round (BeginRound or Carry) did, and so start
-	// nothing: in.Now is before that round's wake time and, for an
-	// adaptive policy, the target R̃' recomputed at in.Now keeps every AT
-	// value that round tested on the same side of the limit. The caller
-	// asks only when no job started, finished or arrived since that
-	// round, and skips the backfill engine when the answer is true. A
-	// quiet or carried round still counts on the clock that trims the
-	// profiles.
+	// nothing: in.Now is before that round's wake time, the unavailable
+	// node count is the same, the measured throughput is bit-equal or
+	// the guard booked nothing then and books nothing at in.Now, and, for
+	// an adaptive policy, the target R̃' recomputed at in.Now keeps every
+	// AT value that round tested on the same side of the limit. A quiet
+	// adaptive round adopts R̃ and R̃' at in.Now, so the last Round's
+	// Diagnostics read as a fresh round's. The caller asks only when no
+	// job started, finished or arrived and no estimate or priority
+	// changed since that round, and skips the backfill engine when the
+	// answer is true. A quiet or carried round still counts on the clock
+	// that trims the profiles.
 	Quiet(in RoundInput) bool
 	// JobStarted records that j started at j.StartedAt (already set by the
 	// caller), reserving [StartedAt, StartedAt+Limit) in the base state.
@@ -68,6 +74,10 @@ type Session interface {
 	// JobFinished records that j left the running set at end, releasing
 	// the unused tail [end, StartedAt+Limit) of its reservations.
 	JobFinished(j *Job, end des.Time)
+	// JobUpdated records that running job j's rate estimate changed from
+	// oldRate to j.Rate at now, re-booking the clamped difference over
+	// [now, StartedAt+Limit).
+	JobUpdated(j *Job, oldRate float64, now des.Time)
 }
 
 // NewSession returns an incremental Session for p, or nil when p has no
@@ -163,5 +173,22 @@ func (s *session) JobFinished(j *Job, end des.Time) {
 	}
 	for i := range s.base {
 		s.base[i].Add(end, limEnd, -s.rnd.m.dims[i].need(j))
+	}
+}
+
+//waschedlint:hotpath
+func (s *session) JobUpdated(j *Job, oldRate float64, now des.Time) {
+	limEnd := j.StartedAt.Add(j.Limit)
+	if now >= limEnd {
+		return
+	}
+	for i := range s.base {
+		d := &s.rnd.m.dims[i]
+		if d.kind != dimRate {
+			continue
+		}
+		if delta := d.need(j) - clampRate(oldRate, d.limit); delta != 0 {
+			s.base[i].Add(now, limEnd, delta)
+		}
 	}
 }

@@ -69,7 +69,8 @@ func TestQuietBandEdges(t *testing.T) {
 				return RoundInput{Now: tsec(now), Running: tc.running, Waiting: tc.waiting}
 			}
 			var rn Runner
-			want := decisionsByID(rn.RunRound(p, s.BeginRound(input(0)), input(0), Options{}))
+			rt := s.BeginRound(input(0))
+			want := decisionsByID(rn.RunRound(p, rt, input(0), Options{}))
 			if d := want["b"]; !d.Reserved || d.PlannedStart != tsec(1000) {
 				t.Fatalf("b at now 0: %+v, want planned at 1000 s", d)
 			}
@@ -88,6 +89,12 @@ func TestQuietBandEdges(t *testing.T) {
 			for _, now := range tc.quiet {
 				if !s.Quiet(input(now)) {
 					t.Errorf("now %d s: R̃' %g inside the band, not quiet", now, p.target(input(now)))
+				}
+				// A quiet round adopts the targets at its now.
+				_, frt := RunRound(p, input(now), Options{})
+				got, fresh := rt.(Diagnoser).Diagnostics(), frt.(Diagnoser).Diagnostics()
+				if got["target"] != fresh["target"] || got["adjusted_target"] != fresh["adjusted_target"] {
+					t.Errorf("now %d s: quiet round's targets %v, a fresh round's %v", now, got, fresh)
 				}
 				if !sameAsFresh(now) {
 					t.Errorf("now %d s: a fresh round decides differently inside the band", now)
@@ -311,4 +318,105 @@ func TestCarryConditions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuietConditions runs one io-aware round with a session at 0 s, in
+// which a (1 of 4 nodes, rate 10) runs and b waits for 1000 s, and asks
+// Quiet at 30 s with nothing else changed but the measured throughput or
+// the down nodes. A quiet answer must agree with a fresh round; the
+// refusals where a fresh round decides differently show the condition is
+// needed, and the others that it is checked as stated.
+func TestQuietConditions(t *testing.T) {
+	p := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 100}
+	type step struct {
+		measured    float64
+		unavailable int
+	}
+	for _, tc := range []struct {
+		name        string
+		bNodes      int
+		bRate       float64
+		first, next step
+		quiet, same bool
+	}{
+		// The guard books 70 − 10 over a's window, so b (rate 50) waits
+		// for a's end; at 30 the same excess is booked.
+		{"measurement bit-equal while the guard booked", 1, 50, step{measured: 70}, step{measured: 70}, true, true},
+		// At 30 the guard books only 20, and b fits now.
+		{"measurement moves while the guard booked", 1, 50, step{measured: 70}, step{measured: 30}, false, false},
+		// At 30 the estimates explain the measurement: the guard books
+		// nothing, and b fits now.
+		{"guard booked then, books nothing now", 1, 50, step{measured: 70}, step{measured: 5}, false, false},
+		// b (4 nodes) waits for a's node; the guard books nothing at
+		// either time, whatever the measurement.
+		{"measurement moves, no guard then or now", 4, 0, step{measured: 5}, step{measured: 8}, true, true},
+		{"measurement moves, the guard books now", 4, 0, step{measured: 5}, step{measured: 50}, false, true},
+		// With a node down for good, b can never start.
+		{"a node went down", 4, 0, step{}, step{unavailable: 1}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := running("a", 1, 1000*sec, 0)
+			a.Rate = 10
+			b := iojob("b", tc.bNodes, 100*sec, tc.bRate)
+			s := NewSession(p)
+			s.JobStarted(a)
+			input := func(now int64, st step) RoundInput {
+				return RoundInput{Now: tsec(now), Running: []*Job{a}, Waiting: []*Job{b},
+					MeasuredThroughput: st.measured, UnavailableNodes: st.unavailable}
+			}
+			var rn Runner
+			in := input(0, tc.first)
+			last := rn.RunRound(p, s.BeginRound(in), in, Options{})[0]
+			if !last.Reserved || last.PlannedStart != tsec(1000) {
+				t.Fatalf("b at 0 s: %+v, want planned at 1000 s", last)
+			}
+			in = input(30, tc.next)
+			if got := s.Quiet(in); got != tc.quiet {
+				t.Errorf("quiet %v, want %v", got, tc.quiet)
+			}
+			fresh, _ := RunRound(p, in, Options{})
+			if same := fresh[0] == last; same != tc.same {
+				t.Errorf("a fresh round at 30 s decides %+v, the round at 0 s %+v", fresh[0], last)
+			}
+		})
+	}
+
+	// JobUpdated re-books a running job's changed, clamped rate from now:
+	// the base then equals one built with the new rate from the start,
+	// over [now, ∞), and the job's finish releases what it holds.
+	t.Run("JobUpdated equals a rebuilt base", func(t *testing.T) {
+		a := running("a", 1, 1000*sec, 0)
+		a.Rate = 10
+		s := NewSession(p)
+		s.JobStarted(a)
+		a.Rate = 500 // clamped to the limit, 100
+		s.JobUpdated(a, 10, tsec(100))
+		rebuilt := NewSession(p)
+		rebuilt.JobStarted(a)
+		got, want := s.(*session).base, rebuilt.(*session).base
+		for _, at := range []int64{100, 500, 999, 1000, 2000} {
+			for i := range got {
+				if g, w := got[i].ValueAt(tsec(at)), want[i].ValueAt(tsec(at)); g != w {
+					t.Errorf("dimension %d at %d s: %g, rebuilt %g", i, at, g, w)
+				}
+			}
+		}
+		if v := got[1].ValueAt(tsec(50)); v != 10 {
+			t.Errorf("rate before the update %g, want 10", v)
+		}
+		// c (rate 30) fits beside a's old rate, not beside its new one.
+		c := iojob("c", 1, 100*sec, 30)
+		in := RoundInput{Now: tsec(120), Running: []*Job{a}, Waiting: []*Job{c}}
+		var rn Runner
+		fresh, _ := RunRound(p, in, Options{})
+		if got := rn.RunRound(p, s.BeginRound(in), in, Options{})[0]; got != fresh[0] || got.StartNow {
+			t.Errorf("session round %+v, fresh round %+v; want c planned at a's end", got, fresh[0])
+		}
+		s.JobFinished(a, tsec(600))
+		for i := range got {
+			if v := got[i].ValueAt(tsec(600)); v != 0 {
+				t.Errorf("dimension %d after a finished: %g", i, v)
+			}
+		}
+	})
 }

@@ -299,11 +299,11 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		for next < len(pending) && workload[pending[next]].Submit <= now {
 			i := pending[next]
 			v := &viewArr[i]
-			if planned > 0 && queueLess(v, waitingViews[planned-1]) {
+			if planned > 0 && sched.QueueLess(v, waitingViews[planned-1]) {
 				replan = true
 			}
 			waiting = append(waiting, i)
-			waitingViews = queueInsert(waitingViews, v)
+			waitingViews = sched.QueueInsert(waitingViews, v)
 			next++
 			dirty = true
 		}
@@ -473,30 +473,6 @@ func decisionString(d sched.Decision) string {
 		return fmt.Sprintf("planned at %v", d.PlannedStart)
 	}
 	return "skipped"
-}
-
-// queueInsert inserts v into views, which is sorted in SortQueue order
-// (priority desc, submit asc, ID asc — a total order, so insertion yields
-// exactly the slice SortQueue would). Replay queue keys never change after
-// submission, which is what makes maintaining sortedness by insertion
-// equivalent to the reference's full re-sort every round.
-func queueInsert(views []*sched.Job, v *sched.Job) []*sched.Job {
-	i := sort.Search(len(views), func(i int) bool { return queueLess(v, views[i]) })
-	views = append(views, nil)
-	copy(views[i+1:], views[i:])
-	views[i] = v
-	return views
-}
-
-// queueLess is SortQueue's strict ordering.
-func queueLess(a, b *sched.Job) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
-	}
-	return a.ID < b.ID
 }
 
 // replayReference is the pre-optimization replay loop, rebuilt-from-scratch
@@ -1111,12 +1087,12 @@ func checkRound(in sched.RoundInput, decisions []sched.Decision, round sched.Rou
 			states++
 		}
 		if states != 1 {
-			res.violatef("decision-exclusive", "t=%v job %s in %d decision states", in.Now, d.Job.ID, states)
+			res.violatef("decision-exclusive", "%v job %s in %d decision states", in.Now, d.Job.ID, states)
 		}
 		if d.Reserved {
 			reserved++
 			if d.PlannedStart <= in.Now {
-				res.violatef("future-reservation", "t=%v job %s reserved at %v, not after now", in.Now, d.Job.ID, d.PlannedStart)
+				res.violatef("future-reservation", "%v job %s reserved at %v, not after now", in.Now, d.Job.ID, d.PlannedStart)
 			}
 		}
 		if d.StartNow {
@@ -1131,7 +1107,7 @@ func checkRound(in sched.RoundInput, decisions []sched.Decision, round sched.Rou
 		}
 	}
 	if usedNodes > cfg.Nodes {
-		res.violatef("node-capacity", "t=%v: %d nodes allocated on a %d-node cluster", in.Now, usedNodes, cfg.Nodes)
+		res.violatef("node-capacity", "%v: %d nodes allocated on a %d-node cluster", in.Now, usedNodes, cfg.Nodes)
 	}
 	if cfg.Limit > 0 {
 		headroom := cfg.Limit - baseRate
@@ -1139,12 +1115,12 @@ func checkRound(in sched.RoundInput, decisions []sched.Decision, round sched.Rou
 			headroom = 0
 		}
 		if startedRate > headroom*1.0001+1 {
-			res.violatef("bandwidth-headroom", "t=%v: started rate %.3g exceeds headroom %.3g (base %.3g, measured %.3g)",
+			res.violatef("bandwidth-headroom", "%v: started rate %.3g exceeds headroom %.3g (base %.3g, measured %.3g)",
 				in.Now, startedRate, headroom, baseRate, in.MeasuredThroughput)
 		}
 	}
 	if max := cfg.Options.BackfillMax; max != sched.Unlimited && reserved > max {
-		res.violatef("backfill-budget", "t=%v: %d reservations made with BackfillMax=%d", in.Now, reserved, max)
+		res.violatef("backfill-budget", "%v: %d reservations made with BackfillMax=%d", in.Now, reserved, max)
 	}
 	if diag, ok := round.(sched.Diagnoser); ok {
 		// Report in sorted key order: violation text must be identical
@@ -1157,11 +1133,11 @@ func checkRound(in sched.RoundInput, decisions []sched.Decision, round sched.Rou
 		sort.Strings(keys)
 		for _, k := range keys {
 			if v := diags[k]; math.IsNaN(v) || math.IsInf(v, 0) {
-				res.violatef("diagnostics-finite", "t=%v: diagnostic %q is %v", in.Now, k, v)
+				res.violatef("diagnostics-finite", "%v: diagnostic %q is %v", in.Now, k, v)
 			}
 		}
 		if at, ok := diags["adjusted_target"]; ok && at < 0 {
-			res.violatef("diagnostics-finite", "t=%v: adjusted target %g is negative", in.Now, at)
+			res.violatef("diagnostics-finite", "%v: adjusted target %g is negative", in.Now, at)
 		}
 	}
 }

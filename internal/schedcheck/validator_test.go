@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"wasched/internal/des"
+	"wasched/internal/sched"
 	"wasched/internal/trace"
 )
 
@@ -276,4 +278,22 @@ func timeValidate(jobs []trace.JobTrace, opts ValidateOptions) time.Duration {
 	start := time.Now()
 	ValidateJobs(jobs, opts)
 	return time.Since(start) / time.Duration(len(jobs))
+}
+
+// TestCheckRoundViolationText forges a round that breaks two per-round
+// invariants and pins the findings' text: the round's time prints once,
+// as des.Time formats it.
+func TestCheckRoundViolationText(t *testing.T) {
+	j := &sched.Job{ID: "x", Nodes: 5, Limit: 60 * des.Second}
+	in := sched.RoundInput{Now: des.TimeFromSeconds(30)}
+	decisions := []sched.Decision{{Job: j, StartNow: true, Reserved: true, PlannedStart: des.TimeFromSeconds(90)}}
+	var res Result
+	checkRound(in, decisions, nil, ReplayConfig{Nodes: 4}, &res)
+	want := []Violation{
+		{"decision-exclusive", "t=30.000000s job x in 2 decision states"},
+		{"node-capacity", "t=30.000000s: 5 nodes allocated on a 4-node cluster"},
+	}
+	if fmt.Sprint(res.Violations) != fmt.Sprint(want) {
+		t.Errorf("violations %q, want %q", res.Violations, want)
+	}
 }

@@ -153,6 +153,10 @@ type JobRecord struct {
 	view    sched.Job // the scheduler's mutable view
 	timeout des.Event
 	held    int // unsatisfied dependency count; schedulable at 0
+	// cls is the job's estimate class, set when it first joins the queue;
+	// queued is set while its view is in the controller's waiting queue.
+	cls    *estClass
+	queued bool
 }
 
 // Held reports whether the job is waiting on dependencies.
@@ -260,11 +264,11 @@ type Controller struct {
 	svc    *analytics.Service // may be nil (default policy needs none)
 	cfg    Config
 
-	pending   []*JobRecord
-	runningID map[string]*JobRecord
-	done      []*JobRecord
-	byID      map[string]*JobRecord
-	nextID    int
+	pending []*JobRecord // arrival order, held jobs included
+	running []*JobRecord // ID order
+	done    []*JobRecord
+	byID    map[string]*JobRecord
+	nextID  int
 	// dependents maps a job ID to the records held on it.
 	dependents map[string][]*JobRecord
 
@@ -280,6 +284,36 @@ type Controller struct {
 	bb         BurstBuffer
 	bbDeferred uint64
 	tbf        TokenLimiter
+
+	// Round state kept across rounds (scheduleRound). The session is
+	// made at the first round with a pending job, and the buffers grow as
+	// used: Pretrain builds a scratch controller per job class, so
+	// nothing is made or sized before it is needed.
+	session      sched.Session // nil for a policy without session support
+	sessionMade  bool
+	runner       sched.Runner
+	waiting      []*sched.Job // schedulable pending views, in SortQueue order
+	runningViews []*sched.Job // running views in ID order
+	joined       []*JobRecord // records that became schedulable since the last round
+	classes      map[string]*estClass
+	classList    []*estClass // classes in first-seen order
+	estRev       uint64      // the analytics revision the views reflect
+	// dirty is set by everything a quiet round must not have seen since
+	// the last executed round: a submit, start, end, requeue, cancel or
+	// dependency release, and an estimate change.
+	dirty     bool
+	decisions []sched.Decision // the last executed round's
+	diag      sched.Diagnoser  // the last executed round's, nil if none
+	// onQuiet, when set, sees the input of every round skipped as quiet.
+	onQuiet func(sched.RoundInput)
+}
+
+// estClass is one job class's estimates as the controller last read them
+// from the analytics service.
+type estClass struct {
+	fingerprint string
+	rate        float64
+	runtime     des.Duration
 }
 
 // New creates a controller. svc may be nil when the policy ignores
@@ -299,7 +333,6 @@ func New(eng *des.Engine, cl *cluster.Cluster, policy sched.Policy, svc *analyti
 		policy:     policy,
 		svc:        svc,
 		cfg:        cfg,
-		runningID:  make(map[string]*JobRecord),
 		byID:       make(map[string]*JobRecord),
 		dependents: make(map[string][]*JobRecord),
 		requeuing:  make(map[string]bool),
@@ -397,6 +430,9 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 		Priority:    spec.Priority,
 		BBBytes:     spec.BBBytes,
 	}
+	if c.cfg.UseDeclaredRates {
+		r.view.Rate = spec.DeclaredRate // no runtime estimate: d_j falls back to L_j
+	}
 	for _, depID := range spec.DependsOn {
 		dep, ok := c.byID[depID]
 		if !ok {
@@ -415,6 +451,8 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 		}
 	}
 	c.pending = append(c.pending, r)
+	c.joined = append(c.joined, r)
+	c.dirty = true
 	c.byID[r.ID] = r
 	c.emit(EventSubmit, r)
 	if c.started {
@@ -466,80 +504,165 @@ func (c *Controller) kick() {
 	})
 }
 
-// refreshEstimates updates a job view's r_j and d_j from the analytics
-// service (or the declared values under the license configuration).
-func (c *Controller) refreshEstimates(r *JobRecord) {
-	if c.cfg.UseDeclaredRates {
-		r.view.Rate = r.Spec.DeclaredRate
-		r.view.EstRuntime = 0 // falls back to L_j
+// syncEstimates re-reads every known job class's r_j and d_j when the
+// analytics estimates changed since the last round, and copies changed
+// values into the views of the pending and running jobs. A running job's
+// changed rate is re-booked in the session from now. Under the license
+// configuration views keep the declared rate Submit set, and without a
+// service they keep no estimate.
+func (c *Controller) syncEstimates(now des.Time) {
+	if c.svc == nil || c.cfg.UseDeclaredRates || c.svc.Revision() == c.estRev {
 		return
 	}
-	if c.svc == nil {
+	c.estRev = c.svc.Revision()
+	changed := false
+	for _, cl := range c.classList {
+		changed = c.readClass(cl) || changed
+	}
+	if !changed {
 		return
 	}
-	est, ok := c.svc.Estimate(r.view.Fingerprint)
-	if !ok {
-		r.view.Rate = 0
-		r.view.EstRuntime = 0
-		return
+	c.dirty = true
+	for _, r := range c.running {
+		old := r.view.Rate
+		r.view.Rate, r.view.EstRuntime = r.cls.rate, r.cls.runtime
+		if c.session != nil && r.view.Rate != old {
+			c.session.JobUpdated(&r.view, old, now)
+		}
 	}
-	r.view.Rate = est.Rate
-	r.view.EstRuntime = est.Runtime
-	if q := c.cfg.RateQuantile; q > 0 {
-		if rate, ok := c.svc.QuantileRate(r.view.Fingerprint, q); ok {
-			r.view.Rate = rate
+	for _, r := range c.pending {
+		if r.cls != nil {
+			r.view.Rate, r.view.EstRuntime = r.cls.rate, r.cls.runtime
 		}
 	}
 }
 
+// readClass reads cl's estimates from the analytics service (the
+// configured quantile of the observed rates, when set and known) and
+// reports whether they changed.
+func (c *Controller) readClass(cl *estClass) bool {
+	rate, runtime := 0.0, des.Duration(0)
+	if est, ok := c.svc.Estimate(cl.fingerprint); ok {
+		rate, runtime = est.Rate, est.Runtime
+		if q := c.cfg.RateQuantile; q > 0 {
+			if qr, ok := c.svc.QuantileRate(cl.fingerprint, q); ok {
+				rate = qr
+			}
+		}
+	}
+	changed := rate != cl.rate || runtime != cl.runtime
+	cl.rate, cl.runtime = rate, runtime
+	return changed
+}
+
+// admit puts the records that became schedulable since the last round
+// into the waiting queue, in SortQueue order. A record joining for the
+// first time gets its class and the class's estimates.
+func (c *Controller) admit() {
+	for _, r := range c.joined {
+		if r.State != StatePending || r.held > 0 || r.queued {
+			continue
+		}
+		if r.cls == nil && c.svc != nil && !c.cfg.UseDeclaredRates {
+			c.classify(r)
+		}
+		r.queued = true
+		c.waiting = sched.QueueInsert(c.waiting, &r.view)
+	}
+	c.joined = c.joined[:0]
+}
+
+// classify sets r's estimate class and copies its estimates into r's view.
+func (c *Controller) classify(r *JobRecord) {
+	cl, ok := c.classes[r.view.Fingerprint]
+	if !ok {
+		if c.classes == nil {
+			//waschedlint:allow hotalloc once per controller, at the first class
+			c.classes = make(map[string]*estClass)
+		}
+		//waschedlint:allow hotalloc once per job class
+		cl = &estClass{fingerprint: r.view.Fingerprint}
+		c.readClass(cl)
+		c.classes[cl.fingerprint] = cl
+		c.classList = append(c.classList, cl)
+	}
+	r.cls = cl
+	r.view.Rate, r.view.EstRuntime = cl.rate, cl.runtime
+}
+
 // scheduleRound runs one backfill round (paper Algorithm 1) and starts the
-// jobs the policy selected.
+// jobs the policy selected. A built-in policy schedules through one
+// sched.Session, which keeps the running jobs' reservations across
+// rounds; the queue, the running set and the estimates are kept too, and
+// a round that nothing separates from the last executed one, and that the
+// session proves quiet, is skipped (DESIGN.md, "Quiet rounds").
+//
+//waschedlint:hotpath
 func (c *Controller) scheduleRound() {
 	c.rounds++
 	if len(c.pending) == 0 {
 		return
 	}
+	if !c.sessionMade {
+		// No job can have started before this round.
+		c.sessionMade = true
+		c.session = sched.NewSession(c.policy)
+	}
 	// Line 1 inputs: latest estimates and the measured throughput.
-	runningViews := make([]*sched.Job, 0, len(c.runningID))
-	runningIDs := make([]string, 0, len(c.runningID))
-	for id := range c.runningID {
-		runningIDs = append(runningIDs, id)
-	}
-	sort.Strings(runningIDs)
-	for _, id := range runningIDs {
-		r := c.runningID[id]
-		c.refreshEstimates(r)
-		runningViews = append(runningViews, &r.view)
-	}
-	waitingViews := make([]*sched.Job, 0, len(c.pending))
-	for _, r := range c.pending {
-		if r.held > 0 {
-			continue // dependencies outstanding
+	now := c.eng.Now()
+	c.syncEstimates(now)
+	c.admit()
+	if c.cfg.Priority != nil {
+		for _, r := range c.pending {
+			if r.queued {
+				r.view.Priority = c.cfg.Priority.Priority(r, now)
+			}
 		}
-		c.refreshEstimates(r)
-		if c.cfg.Priority != nil {
-			r.view.Priority = c.cfg.Priority.Priority(r, c.eng.Now())
-		}
-		waitingViews = append(waitingViews, &r.view)
+		sched.SortQueue(c.waiting)
 	}
-	sched.SortQueue(waitingViews)
+	c.runningViews = c.runningViews[:0]
+	for _, r := range c.running {
+		c.runningViews = append(c.runningViews, &r.view)
+	}
 	measured := 0.0
 	if c.svc != nil && !c.cfg.UseDeclaredRates {
 		measured = c.svc.CurrentThroughput()
 	}
 	in := sched.RoundInput{
-		Now:                c.eng.Now(),
-		Running:            runningViews,
-		Waiting:            waitingViews,
+		Now:                now,
+		Running:            c.runningViews,
+		Waiting:            c.waiting,
 		MeasuredThroughput: measured,
 		UnavailableNodes:   c.cl.DownNodes(),
 	}
-	decisions, round := sched.RunRound(c.policy, in, c.cfg.Options)
-	if diag, ok := round.(sched.Diagnoser); ok {
-		c.lastDiag = diag.Diagnostics()
+	// Priorities that move with time and preemption, which reads the
+	// queue head's wait, can change a round that the session cannot see.
+	if c.session != nil && !c.dirty && c.cfg.Priority == nil && !c.cfg.Preemption.Enabled && c.session.Quiet(in) {
+		if c.diag != nil {
+			c.lastDiag = c.diag.Diagnostics()
+		}
+		if c.onQuiet != nil {
+			c.onQuiet(in)
+		}
+		return
 	}
-	for _, j := range sched.StartNowJobs(decisions) {
-		r := c.byID[j.ID]
+	var round sched.Round
+	if c.session != nil {
+		round = c.session.BeginRound(in)
+		c.decisions = c.runner.RunRound(c.policy, round, in, c.cfg.Options)
+	} else {
+		c.decisions, round = sched.RunRound(c.policy, in, c.cfg.Options)
+	}
+	c.dirty = false
+	c.diag, _ = round.(sched.Diagnoser)
+	if c.diag != nil {
+		c.lastDiag = c.diag.Diagnostics()
+	}
+	for _, d := range c.decisions {
+		if !d.StartNow {
+			continue
+		}
+		r := c.byID[d.Job.ID]
 		if c.bb != nil && r.Spec.BBBytes > 0 {
 			// Burst-buffer admission gates the start: BB-blind policies
 			// hand out start-now decisions the pool cannot hold (drains
@@ -554,7 +677,7 @@ func (c *Controller) scheduleRound() {
 		c.startJob(r)
 	}
 	if c.cfg.Preemption.Enabled {
-		c.maybePreempt(decisions)
+		c.maybePreempt(c.decisions)
 	}
 }
 
@@ -584,15 +707,17 @@ func (c *Controller) maybePreempt(decisions []sched.Decision) {
 	}
 	// Victims: running jobs whose priority trails by at least the gap,
 	// lowest priority first, most recently started first as tiebreak.
-	type victim struct{ r *JobRecord }
-	var victims []victim
-	for _, r := range c.runningID {
+	// Only a starved round with preemption on gets here.
+	var victims []*JobRecord
+	for _, r := range c.running {
 		if head.view.Priority-r.view.Priority >= c.cfg.Preemption.PriorityGap {
-			victims = append(victims, victim{r})
+			//waschedlint:allow hotalloc a starved round's victim list, with preemption on only
+			victims = append(victims, r)
 		}
 	}
+	//waschedlint:allow hotalloc a starved round's victim order, with preemption on only
 	sort.Slice(victims, func(a, b int) bool {
-		va, vb := victims[a].r, victims[b].r
+		va, vb := victims[a], victims[b]
 		if va.view.Priority != vb.view.Priority {
 			return va.view.Priority < vb.view.Priority
 		}
@@ -606,8 +731,8 @@ func (c *Controller) maybePreempt(decisions []sched.Decision) {
 		if freed >= needed {
 			break
 		}
-		freed += v.r.Spec.Nodes
-		c.requeue(v.r)
+		freed += v.Spec.Nodes
+		c.requeue(v)
 	}
 }
 
@@ -624,7 +749,8 @@ func (c *Controller) requeue(r *JobRecord) {
 
 // Diagnostics returns the most recent scheduling round's policy internals
 // (the adaptive target R̃, the two-group threshold r*, ...) or nil when the
-// policy exposes none. Values are a snapshot; do not mutate.
+// policy exposes none. The map is refilled by the next round: read it
+// before the simulation moves on, and do not mutate it.
 func (c *Controller) Diagnostics() map[string]float64 { return c.lastDiag }
 
 // startJob launches a pending job on the cluster and arms its time limit.
@@ -636,6 +762,7 @@ func (c *Controller) startJob(r *JobRecord) {
 	if c.bb != nil && r.Spec.BBBytes > 0 {
 		prog = c.bb.Wrap(r.ID, prog)
 	}
+	//waschedlint:allow hotalloc the end callback is made once per start, not per round
 	exec, err := c.cl.Start(r.ID, r.Spec.Nodes, prog, func(e *cluster.Execution) {
 		c.jobEnded(r, e)
 	})
@@ -650,10 +777,17 @@ func (c *Controller) startJob(r *JobRecord) {
 	r.Attempts++
 	r.view.StartedAt = r.Start
 	c.removePending(r)
-	c.runningID[r.ID] = r
+	r.queued = false
+	c.waiting = removeView(c.waiting, &r.view)
+	c.addRunning(r)
+	if c.session != nil {
+		c.session.JobStarted(&r.view)
+	}
+	c.dirty = true
 	if c.tbf != nil {
 		c.tbf.Register(r.ID, exec.Nodes)
 	}
+	//waschedlint:allow hotalloc the time-limit event is made once per start, not per round
 	r.timeout = c.eng.After(r.Spec.Limit, "slurm/timeout/"+r.ID, func() {
 		c.cl.Kill(r.ID)
 	})
@@ -670,6 +804,50 @@ func (c *Controller) removePending(r *JobRecord) {
 	panic(fmt.Sprintf("slurm: job %s not in pending queue", r.ID))
 }
 
+// removeView removes v from views, keeping the order.
+func removeView(views []*sched.Job, v *sched.Job) []*sched.Job {
+	for i, w := range views {
+		if w == v {
+			copy(views[i:], views[i+1:])
+			views[len(views)-1] = nil
+			return views[:len(views)-1]
+		}
+	}
+	return views
+}
+
+// addRunning inserts r into the running set, which is kept in ID order so
+// that sums over it (the guard's explained throughput, the adaptive
+// target) and the recorder's samples add in a reproducible order.
+func (c *Controller) addRunning(r *JobRecord) {
+	lo, hi := 0, len(c.running)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.running[m].ID < r.ID {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	c.running = append(c.running, nil)
+	copy(c.running[lo+1:], c.running[lo:])
+	c.running[lo] = r
+}
+
+// endRunning removes r from the running set and releases the unused tail
+// of its reservations in the session.
+func (c *Controller) endRunning(r *JobRecord) {
+	for i, p := range c.running {
+		if p == r {
+			c.running = append(c.running[:i], c.running[i+1:]...)
+			break
+		}
+	}
+	if c.session != nil {
+		c.session.JobFinished(&r.view, c.eng.Now())
+	}
+	c.dirty = true
+}
+
 // jobEnded finalises accounting when an execution finishes and notifies
 // the analytics service so the job's class estimate updates (paper §III).
 func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
@@ -682,7 +860,7 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		// is what lets the FIFO-within-class invariant keep running under
 		// requeues instead of being skipped wholesale.
 		delete(c.requeuing, r.ID)
-		delete(c.runningID, r.ID)
+		c.endRunning(r)
 		c.requeues++
 		r.State = StatePending
 		r.End = c.eng.Now()
@@ -699,6 +877,7 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		r.view.StartedAt = 0
 		r.EligibleAt = c.eng.Now()
 		c.pending = append(c.pending, r)
+		c.joined = append(c.joined, r)
 		c.kick()
 		return
 	}
@@ -711,7 +890,7 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		r.State = StateCompleted
 	}
 	r.End = c.eng.Now()
-	delete(c.runningID, r.ID)
+	c.endRunning(r)
 	c.done = append(c.done, r)
 	if c.bb != nil && r.Spec.BBBytes > 0 {
 		c.bb.JobEnded(r.ID, false)
@@ -739,7 +918,10 @@ func (c *Controller) resolveDependents(r *JobRecord) {
 			continue
 		}
 		if r.State == StateCompleted {
-			d.held--
+			if d.held--; d.held == 0 {
+				c.joined = append(c.joined, d)
+				c.dirty = true
+			}
 			continue
 		}
 		// afterok with a failed dependency: DependencyNeverSatisfied.
@@ -756,6 +938,11 @@ func (c *Controller) cancel(r *JobRecord) {
 	r.State = StateCancelled
 	r.End = c.eng.Now()
 	c.removePending(r)
+	if r.queued {
+		r.queued = false
+		c.waiting = removeView(c.waiting, &r.view)
+	}
+	c.dirty = true
 	c.done = append(c.done, r)
 	c.emit(EventEnd, r)
 	c.resolveDependents(r)
@@ -765,20 +952,13 @@ func (c *Controller) cancel(r *JobRecord) {
 func (c *Controller) QueueLength() int { return len(c.pending) }
 
 // RunningCount returns the number of running jobs.
-func (c *Controller) RunningCount() int { return len(c.runningID) }
+func (c *Controller) RunningCount() int { return len(c.running) }
 
 // AppendRunningJobs appends the currently running job records to dst and
-// returns it, sorted by ID so that float accumulation over the result is
+// returns it, in ID order so that float accumulation over the result is
 // reproducible (the trace recorder sums attributed rates every sample).
 func (c *Controller) AppendRunningJobs(dst []*JobRecord) []*JobRecord {
-	start := len(dst)
-	for _, r := range c.runningID {
-		//waschedlint:allow maporder the appended tail is sorted by ID below before anything observes it
-		dst = append(dst, r)
-	}
-	running := dst[start:]
-	sort.Slice(running, func(a, b int) bool { return running[a].ID < running[b].ID })
-	return dst
+	return append(dst, c.running...)
 }
 
 // DoneCount returns the number of finished jobs.
@@ -804,7 +984,7 @@ func (c *Controller) DoneJobs() []*JobRecord {
 }
 
 // Idle reports whether no work remains (empty queue, nothing running).
-func (c *Controller) Idle() bool { return len(c.pending) == 0 && len(c.runningID) == 0 }
+func (c *Controller) Idle() bool { return len(c.pending) == 0 && len(c.running) == 0 }
 
 // Makespan returns the completion time of the last finished job.
 func (c *Controller) Makespan() des.Time {

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"fmt"
 	"testing"
 
 	"wasched/internal/analytics"
@@ -13,14 +14,17 @@ import (
 )
 
 // testRig wires a full quiet-mode system: pfs + cluster + ldms + analytics
-// + controller with a chosen policy.
+// + controller with a chosen policy. Every round the controller skips as
+// quiet is cross-checked against a from-scratch round (CheckQuietRounds),
+// so each rig test is also a quiet-round test; quiet counts them.
 type testRig struct {
-	eng  *des.Engine
-	fs   *pfs.FileSystem
-	cl   *cluster.Cluster
-	svc  *analytics.Service
-	ctl  *Controller
-	stop func()
+	eng   *des.Engine
+	fs    *pfs.FileSystem
+	cl    *cluster.Cluster
+	svc   *analytics.Service
+	ctl   *Controller
+	stop  func()
+	quiet *int
 }
 
 func newRig(t *testing.T, nodes int, policy sched.Policy, cfg Config) *testRig {
@@ -54,7 +58,8 @@ func newRig(t *testing.T, nodes int, policy sched.Policy, cfg Config) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{eng: eng, fs: fs, cl: cl, svc: svc, ctl: ctl, stop: daemon.Stop}
+	quiet := CheckQuietRounds(ctl, t.Errorf)
+	return &testRig{eng: eng, fs: fs, cl: cl, svc: svc, ctl: ctl, stop: daemon.Stop, quiet: quiet}
 }
 
 func sleepSpec(name string, d des.Duration, limit des.Duration) JobSpec {
@@ -393,5 +398,135 @@ func TestRandomizedWorkloadStress(t *testing.T) {
 					policy.Name(), j.ID, j.Runtime(), j.Spec.Limit)
 			}
 		}
+	}
+}
+
+// TestSteadyRoundAllocatesNothing holds the controller's round to zero
+// allocations over an unchanged queue, at 1k and at 10k queued jobs,
+// whether the round re-plans the whole queue or the session proves it
+// quiet: the views, the queue order, the session's profiles, the engine's
+// decisions and the diagnostics map are all kept across rounds.
+func TestSteadyRoundAllocatesNothing(t *testing.T) {
+	const nodes = 16
+	for _, queued := range []int{1000, 10000} {
+		policy := sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: 10 * pfs.GiB, TwoGroup: true}
+		r := newRig(t, nodes, policy, DefaultConfig())
+		quietRounds := 0 // the cross-check's fresh round allocates: count instead
+		r.ctl.onQuiet = func(sched.RoundInput) { quietRounds++ }
+		// A blocker holds every node, so no queued job can start.
+		blocker := JobSpec{Name: "blocker", Nodes: nodes, Limit: 100 * des.Hour, Program: cluster.SleepProgram{D: 100 * des.Hour}}
+		if _, err := r.ctl.Submit(blocker); err != nil {
+			t.Fatal(err)
+		}
+		r.ctl.scheduleRound()
+		for i := 0; i < queued; i++ {
+			if _, err := r.ctl.Submit(sleepSpec("queued", 60*des.Second, 120*des.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.ctl.scheduleRound() // admits and plans the queue
+		if r.ctl.RunningCount() != 1 || len(r.ctl.decisions) != queued {
+			t.Fatalf("%d running, %d planned; want the blocker and %d", r.ctl.RunningCount(), len(r.ctl.decisions), queued)
+		}
+		replan := testing.AllocsPerRun(3, func() {
+			r.ctl.dirty = true
+			r.ctl.scheduleRound()
+		})
+		rounds := r.ctl.Rounds()
+		quiet := testing.AllocsPerRun(3, func() { r.ctl.scheduleRound() })
+		if replan != 0 || quiet != 0 {
+			t.Errorf("%d queued: a re-planning round allocates %v times, a quiet one %v", queued, replan, quiet)
+		}
+		if quietRounds != 4 || r.ctl.Rounds() != rounds+4 || r.ctl.diag == nil {
+			t.Fatalf("%d queued: %d of %d rounds quiet, diagnostics %v", queued, quietRounds, r.ctl.Rounds()-rounds, r.ctl.diag)
+		}
+	}
+}
+
+// TestEstimateChangeReachesTheNextRound changes a running job's class
+// estimate between rounds, with no job starting, ending or arriving: the
+// next round must see it, re-book the running job's rate and start the
+// job the old estimate held back.
+func TestEstimateChangeReachesTheNextRound(t *testing.T) {
+	r := newRig(t, 2, sched.IOAwarePolicy{TotalNodes: 2, ThroughputLimit: 10 * pfs.GiB}, DefaultConfig())
+	r.svc.Pretrain("hog", 8*pfs.GiB, 3000*des.Second)
+	r.svc.Pretrain("small", 6*pfs.GiB, 60*des.Second)
+	hog, _ := r.ctl.Submit(sleepSpec("hog", 3000*des.Second, 4000*des.Second))
+	small, _ := r.ctl.Submit(sleepSpec("small", 60*des.Second, 600*des.Second))
+	r.ctl.Run()
+	r.eng.Run(des.TimeFromSeconds(300))
+	if hog.State != StateRunning || small.State != StatePending {
+		t.Fatalf("at 300 s: hog %v, small %v; want small held back by hog's 8 GiB/s", hog.State, small.State)
+	}
+	quiet := *r.quiet
+	r.svc.Pretrain("hog", 3*pfs.GiB, 3000*des.Second)
+	r.eng.Run(des.TimeFromSeconds(400))
+	if small.State == StatePending {
+		t.Fatal("small still pending after hog's estimate fell to 3 GiB/s")
+	}
+	if small.Start > des.TimeFromSeconds(330) {
+		t.Errorf("small started at %v, want the first round after the change", small.Start)
+	}
+	if quiet == 0 {
+		t.Error("no quiet round before the change")
+	}
+}
+
+// TestFairShareDecayReordersWithoutEvents lets a user's fair-share usage
+// decay while nothing else happens. Bob's wide job heads the queue,
+// waiting for the blocker, and Alice's narrow job, submitted first, waits
+// behind its reservation. Once Alice's usage has decayed to a zero
+// priority penalty, her job ties with Bob's, wins on submit order and
+// starts on the free node: a priority plugin's rounds are never skipped.
+func TestFairShareDecayReordersWithoutEvents(t *testing.T) {
+	m, _ := NewMultifactorPriority(0, 0, 100, des.Hour)
+	cfg := DefaultConfig()
+	cfg.Priority = m
+	r := newRig(t, 2, sched.NodePolicy{TotalNodes: 2}, cfg)
+	early := sleepSpec("alice0", 600*des.Second, 900*des.Second)
+	early.User = "alice"
+	_, _ = r.ctl.Submit(early)
+	_, _ = r.ctl.Submit(sleepSpec("blocker", 10*des.Hour, 11*des.Hour))
+	r.ctl.Run()
+	r.eng.Run(des.TimeFromSeconds(700))
+	narrow := sleepSpec("alice1", 60*des.Second, 12*des.Hour)
+	narrow.User = "alice"
+	narrowRec, _ := r.ctl.Submit(narrow)
+	wide := sleepSpec("bob", 60*des.Second, des.Hour)
+	wide.User, wide.Nodes = "bob", 2
+	_, _ = r.ctl.Submit(wide)
+	r.eng.Run(des.TimeFromSeconds(1000))
+	if narrowRec.State != StatePending {
+		t.Fatalf("alice1 %v at 1000 s, want pending behind bob's reservation", narrowRec.State)
+	}
+	r.eng.Run(des.TimeFromSeconds(9 * 3600))
+	if narrowRec.State == StatePending {
+		t.Fatal("alice1 still pending after her usage decayed")
+	}
+	// The 1/6 node-hour charged at 600 s, at weight 100, truncates to a
+	// zero penalty after log2(100/6) ≈ 4.06 half-lives.
+	if lo, hi := des.TimeFromSeconds(600+4.05*3600), des.TimeFromSeconds(600+4.1*3600); narrowRec.Start < lo || narrowRec.Start > hi {
+		t.Errorf("alice1 started at %v, want between %v and %v", narrowRec.Start, lo, hi)
+	}
+}
+
+// TestRunningSetInIDOrder starts jobs out of ID order (by priority, the
+// last submitted first) and checks that the running set reads in ID
+// order, as the recorder's float sums need.
+func TestRunningSetInIDOrder(t *testing.T) {
+	r := newRig(t, 3, sched.NodePolicy{TotalNodes: 3}, DefaultConfig())
+	for _, prio := range []int64{0, 1, 2} {
+		spec := sleepSpec("s", 1000*des.Second, 2000*des.Second)
+		spec.Priority = prio
+		_, _ = r.ctl.Submit(spec)
+	}
+	r.ctl.Run()
+	r.eng.Run(des.TimeFromSeconds(10))
+	var ids []string
+	for _, j := range r.ctl.AppendRunningJobs(nil) {
+		ids = append(ids, j.ID)
+	}
+	if want := []string{"job-00001", "job-00002", "job-00003"}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Errorf("running set %v, want %v", ids, want)
 	}
 }

@@ -3,7 +3,6 @@ package slurm
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteQueue writes an squeue-style snapshot: every pending and running
@@ -25,13 +24,7 @@ func (c *Controller) WriteQueue(w io.Writer) error {
 		}
 	}
 	// Running jobs in ID order for determinism.
-	ids := make([]string, 0, len(c.runningID))
-	for id := range c.runningID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := c.runningID[id]
+	for _, r := range c.running {
 		if _, err := fmt.Fprintf(w, "%-10s %-12s %5d %-10s %10.0f  %v\n",
 			r.ID, r.Spec.Name, r.Spec.Nodes, r.State, r.WaitTime().Seconds(), r.Nodes); err != nil {
 			return err
