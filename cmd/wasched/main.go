@@ -6,7 +6,7 @@
 //	wasched workloads
 //	wasched run <experiment> [-seed N] [-parallel N]
 //	wasched replay <trace.swf[.gz]> [-policy P] ...
-//	wasched sweep list|run|resume|status|clean|serve|work|chaos ...
+//	wasched sweep list|run|resume|status|clean ...
 //
 // `wasched list` prints the registered experiments (fig3..fig6 plus the
 // ablations); `wasched run` executes one and prints its report, including
@@ -14,9 +14,7 @@
 // orchestrator directly: parallel cell execution with checkpoint/resume
 // (-state-dir), live progress on stderr, and graceful drain on Ctrl-C — an
 // interrupted sweep exits with code 3 and `sweep resume` picks up the
-// remaining cells. `wasched sweep serve` and `wasched sweep work` run the
-// same sweeps distributed across machines (internal/gridfarm) against the
-// same checkpoint state.
+// remaining cells.
 package main
 
 import (
@@ -28,11 +26,9 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"wasched/internal/experiments"
 	"wasched/internal/farm"
-	"wasched/internal/gridfarm"
 )
 
 func main() {
@@ -152,7 +148,7 @@ func run(args []string) error {
 // runSweep dispatches the `wasched sweep` subcommands.
 func runSweep(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: wasched sweep list|run|resume|status|clean|serve|work|chaos ...")
+		return fmt.Errorf("usage: wasched sweep list|run|resume|status|clean ...")
 	}
 	switch args[0] {
 	case "list":
@@ -169,14 +165,8 @@ func runSweep(args []string) error {
 		return sweepStatus(args[1:])
 	case "clean":
 		return sweepClean(args[1:])
-	case "serve":
-		return sweepServe(args[1:])
-	case "work":
-		return sweepWork(args[1:])
-	case "chaos":
-		return sweepChaos(args[1:])
 	default:
-		return fmt.Errorf("unknown sweep command %q (want list, run, resume, status, clean, serve, work or chaos)", args[0])
+		return fmt.Errorf("unknown sweep command %q (want list, run, resume, status or clean)", args[0])
 	}
 }
 
@@ -309,14 +299,10 @@ func sweepRun(args []string, resume bool) error {
 	return s.Report(os.Stdout, cfg, sum)
 }
 
-// sweepStatus reports a sweep's progress — from its checkpoint journal
-// (-state-dir) or live from a running coordinator (-coord), which also
-// surfaces the protocol, recovery and fault counters.
+// sweepStatus reports a sweep's progress from its checkpoint journal.
 func sweepStatus(args []string) error {
 	fs := flag.NewFlagSet("sweep status", flag.ContinueOnError)
 	stateDir := fs.String("state-dir", "", "read the checkpoint journal in this state directory")
-	coordURL := fs.String("coord", "", "poll a live coordinator's /v1/status instead (http://host:port)")
-	timeout := fs.Duration("timeout", 10*time.Second, "deadline for the -coord status request")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -330,11 +316,8 @@ func sweepStatus(args []string) error {
 			return fmt.Errorf("sweep status: unexpected arguments %v", fs.Args())
 		}
 	}
-	if *coordURL != "" {
-		return sweepStatusRemote(*coordURL, *timeout)
-	}
 	if *stateDir == "" || name == "" {
-		return fmt.Errorf("usage: wasched sweep status <name> -state-dir DIR  |  wasched sweep status -coord URL")
+		return fmt.Errorf("usage: wasched sweep status <name> -state-dir DIR")
 	}
 	st, err := farm.ReadStatus(*stateDir, name)
 	if err != nil {
@@ -344,17 +327,8 @@ func sweepStatus(args []string) error {
 		st.Name, st.Cells, st.Done, st.CacheHits, st.Computed, st.Failed, st.Remaining, st.Runs,
 		st.LastEvent.Format("2006-01-02 15:04:05 MST"))
 	fmt.Printf("  progress: %s\n", sweepProgress(st))
-	if st.Leased > 0 {
-		fmt.Printf("  %d cell(s) currently under lease (distributed run in progress or crashed)\n", st.Leased)
-	}
-	if st.Expiries > 0 {
-		fmt.Printf("  %d lease expiry(ies) recorded across all runs\n", st.Expiries)
-	}
 	for _, c := range st.FailedCells {
 		fmt.Printf("  failed: %s\n", c)
-	}
-	for _, c := range st.QuarantinedCells {
-		fmt.Printf("  quarantined: %s\n", c)
 	}
 	if st.Remaining > 0 {
 		fmt.Printf("resume with: wasched sweep resume %s -state-dir %s\n", st.Name, *stateDir)
@@ -370,36 +344,6 @@ func sweepProgress(st *farm.SweepStatus) string {
 		return "n/a (no cells in the latest run)"
 	}
 	return fmt.Sprintf("%.1f%% complete", 100*float64(st.Done)/float64(st.Cells))
-}
-
-// sweepStatusRemote polls a live coordinator and prints its cell states
-// plus the protocol/recovery/fault counters the journal alone cannot show.
-func sweepStatusRemote(coordURL string, timeout time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	st, err := gridfarm.FetchStats(ctx, coordURL, timeout)
-	if err != nil {
-		return fmt.Errorf("sweep status: %w", err)
-	}
-	phase := "serving"
-	switch {
-	case st.Drained:
-		phase = "drained"
-	case st.Draining:
-		phase = "draining"
-	}
-	fmt.Printf("coordinator %s: %s — %d cells: %d done (%d cached, %d fresh), %d pending, %d leased, %d failed, %d quarantined\n",
-		coordURL, phase, st.Cells, st.Done, st.Cached, st.FreshDone, st.Pending, st.Leased, st.Failed, st.Quarantined)
-	fmt.Printf("  protocol: %d lease expiries this run, %d duplicate uploads, %d rejected uploads, %d store errors\n",
-		st.Expired, st.Duplicates, st.Rejections, st.StoreErrors)
-	if st.RetriedFailed+st.ReleasedLeases+st.RequeuedQuarantined > 0 || st.TornTailBytes > 0 {
-		fmt.Printf("  recovery: requeued %d failed, %d leased, %d quarantined cell(s) from the previous run; repaired %d torn journal byte(s)\n",
-			st.RetriedFailed, st.ReleasedLeases, st.RequeuedQuarantined, st.TornTailBytes)
-	}
-	if st.Expiries > 0 {
-		fmt.Printf("  journal: %d lease expiry(ies) across all runs\n", st.Expiries)
-	}
-	return nil
 }
 
 func firstLine(s string) string {
@@ -433,24 +377,11 @@ commands:
                        leaves a resumable checkpoint (exit code 3)
   sweep resume <name> -state-dir DIR
                        finish an interrupted sweep from its checkpoint
-  sweep status <name> -state-dir DIR | sweep status -coord URL
-                       summarise a sweep's checkpoint journal, or poll a
-                       live coordinator's protocol/recovery/fault counters
+  sweep status <name> -state-dir DIR
+                       summarise a sweep's checkpoint journal
   sweep clean -state-dir DIR [-dry-run]
                        garbage-collect corrupt, orphaned and leftover
                        cache files from a state directory
-  sweep serve <name> -state-dir DIR [-addr HOST:PORT] [-lease-ttl D] [-max-reassign N]
-                       coordinate a distributed sweep: shard its cells
-                       across "sweep work" processes over HTTP, sharing
-                       the local sweeps' checkpoint/resume state
-  sweep work -coord URL [-parallel N] [-name ID]
-                       join a coordinator as a worker: lease cells,
-                       execute, heartbeat, upload outcomes
-  sweep chaos <name> [-chaos-seed N] [-chaos-plan PLAN] [-workers N]
-                       fault drill: run the sweep fault-free and again
-                       under a seeded fault plan (drops, dups, 500s, torn
-                       journals, one coordinator kill) and verify both
-                       runs produce byte-identical results
   report [-seed N] [-out FILE] [-csv DIR] [-parallel N]
                        run every experiment and write one full report
   verify [-seed N]     check the headline reproduction claims (exit 1 on failure)`)

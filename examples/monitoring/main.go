@@ -1,13 +1,11 @@
 // Monitoring: the observability side of the prototype. Runs a cluster
 // under load, injects a mid-run file-system degradation event, and shows
-// the three consumers of the monitoring pipeline at work:
+// the two consumers of the monitoring pipeline at work:
 //
-//  1. the LDMS → SOS counter store (queried directly here),
+//  1. the LDMS → SOS counter store (queried directly here), and
 //
 //  2. the analytics service's measured throughput R_now and per-class
-//     estimates, and
-//
-//  3. the canary probe detecting the degradation event.
+//     estimates.
 //
 //     go run ./examples/monitoring
 package main
@@ -16,7 +14,6 @@ import (
 	"fmt"
 	"log"
 
-	"wasched/internal/canary"
 	"wasched/internal/core"
 	"wasched/internal/des"
 	"wasched/internal/ldms"
@@ -28,18 +25,6 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Scheduler = core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}
 	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// A canary probes from the control node (not a compute node).
-	var detections []des.Time
-	cny, err := canary.Start(sys.Eng, sys.FS, "control", canary.DefaultConfig(), cfg.Seed,
-		func(e canary.Event) {
-			if e.Degraded {
-				detections = append(detections, e.At)
-			}
-		})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,20 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	inEvent, falseAlarms := 0, 0
-	for _, at := range detections {
-		// Allow one probe interval of detection latency past the heal.
-		if at >= des.TimeFromSeconds(2000) && at <= des.TimeFromSeconds(3300) {
-			inEvent++
-		} else {
-			falseAlarms++
-		}
-	}
 	fmt.Printf("makespan                  : %.0f s\n", sys.Makespan().Seconds())
 	fmt.Printf("R_now at end of run       : %.2f GiB/s\n", sys.Analytics.CurrentThroughput()/pfs.GiB)
-	fmt.Printf("canary probes / flagged   : %d / %d\n", cny.Probes(), cny.Degradations())
-	fmt.Printf("  during the fault window : %d\n", inEvent)
-	fmt.Printf("  contention false alarms : %d (probes share the file system with jobs)\n", falseAlarms)
 
 	// Raw SOS counters: total bytes each node's Lustre client moved.
 	container, _ := sys.Store.Container(ldms.ContainerName)

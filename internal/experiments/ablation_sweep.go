@@ -12,8 +12,7 @@ import (
 // comparison table over scheduler variants or parameter sweeps. The CLI
 // registry (`wasched run ablation-*`) and the "ablations" sweep are both
 // derived from this list, so a grid registered here is automatically
-// runnable standalone, cached under a state dir, and shardable across a
-// gridfarm.
+// runnable standalone and cached under a state dir.
 type AblationGrid struct {
 	Name        string
 	Description string
@@ -92,7 +91,7 @@ func PrintAblationDigests(w io.Writer, rows []AblationDigest) {
 
 // ablationSweep registers every grid as one cell of the "ablations"
 // sweep, so a crashed full-ablation run resumes from the grids already
-// cached and the set shards across gridfarm workers grid by grid.
+// cached and the farm runs the grids in parallel.
 func ablationSweep() Sweep {
 	return Sweep{
 		Name:        "ablations",

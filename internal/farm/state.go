@@ -21,7 +21,6 @@ import (
 // reporting and post-mortems.
 type state struct {
 	dir     string
-	name    string
 	mu      sync.Mutex
 	journal *os.File
 	// repairedTail is how many torn-tail bytes openState truncated from
@@ -33,9 +32,9 @@ type state struct {
 // journalRecord is one JSON line of the checkpoint journal.
 type journalRecord struct {
 	// Event is "begin" (sweep started: Cells total, Cached already on
-	// disk), "done", "failed", or one of the grid lifecycle events
-	// (EventLease, EventLeaseExpired, EventQuarantine) a distributed
-	// coordinator appends.
+	// disk), "done" or "failed". Journals written by older versions also
+	// hold lease events: ReadStatus ignores them, and Clean keeps the
+	// cache entries they name.
 	Event  string    `json:"event"`
 	At     time.Time `json:"at"`
 	Cells  int       `json:"cells,omitempty"`
@@ -43,8 +42,6 @@ type journalRecord struct {
 	Key    string    `json:"key,omitempty"`
 	Cell   *Cell     `json:"cell,omitempty"`
 	Err    string    `json:"error,omitempty"`
-	// Worker names the worker a grid event is attributed to.
-	Worker string `json:"worker,omitempty"`
 }
 
 func openState(dir, name string) (*state, error) {
@@ -63,17 +60,12 @@ func openState(dir, name string) (*state, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
-	return &state{dir: dir, name: name, journal: j, repairedTail: repaired}, nil
+	return &state{dir: dir, journal: j, repairedTail: repaired}, nil
 }
 
 func journalPath(dir, name string) string {
 	return filepath.Join(dir, name+".journal.jsonl")
 }
-
-// JournalPath returns the checkpoint journal file for a sweep in a state
-// dir — exported for the chaos harness, which tears journal tails the way
-// a kill mid-append would.
-func JournalPath(dir, name string) string { return journalPath(dir, name) }
 
 // repairJournalTail truncates the torn tail a killed writer left behind:
 // at most one trailing unparsable line (or unterminated fragment) is
@@ -302,24 +294,12 @@ type SweepStatus struct {
 	// the latest run, so Done = CacheHits + Computed for a consistent
 	// journal.
 	CacheHits, Computed int
-	// Leased and Quarantined count the cells currently in those grid
-	// states — non-zero only for state dirs written by a distributed
-	// coordinator (wasched sweep serve).
-	Leased, Quarantined int
-	// Expiries counts every lease-expired event across all runs — the
-	// journal's cumulative record of worker crashes, stalls and dropped
-	// heartbeats (unlike Leased/Quarantined, which reflect only each
-	// cell's latest state).
-	Expiries int
 	// Runs counts begin records (1 = never resumed).
 	Runs int
 	// LastEvent is the timestamp of the newest journal line.
 	LastEvent time.Time
-	// FailedCells lists the cells whose latest outcome failed, sorted;
-	// QuarantinedCells likewise for cells pulled after repeated lease
-	// expiries.
-	FailedCells      []Cell
-	QuarantinedCells []Cell
+	// FailedCells lists the cells whose latest outcome failed, sorted.
+	FailedCells []Cell
 }
 
 // ReadStatus parses a sweep's checkpoint journal from a state dir.
@@ -343,10 +323,7 @@ func ReadStatus(dir, name string) (*SweepStatus, error) {
 			st.Cells = rec.Cells
 			st.CacheHits = rec.Cached
 			lastBegin = idx
-		case string(StatusDone), string(StatusFailed), EventLease, EventLeaseExpired, EventQuarantine:
-			if rec.Event == EventLeaseExpired {
-				st.Expiries++
-			}
+		case string(StatusDone), string(StatusFailed):
 			if rec.Key != "" {
 				if _, seen := latest[rec.Key]; !seen {
 					keys = append(keys, rec.Key)
@@ -374,20 +351,10 @@ func ReadStatus(dir, name string) (*SweepStatus, error) {
 			if k.rec.Cell != nil {
 				st.FailedCells = append(st.FailedCells, *k.rec.Cell)
 			}
-		case EventLease:
-			st.Leased++
-		case EventQuarantine:
-			st.Quarantined++
-			if k.rec.Cell != nil {
-				st.QuarantinedCells = append(st.QuarantinedCells, *k.rec.Cell)
-			}
 		}
 	}
 	sort.Slice(st.FailedCells, func(a, b int) bool {
 		return st.FailedCells[a].String() < st.FailedCells[b].String()
-	})
-	sort.Slice(st.QuarantinedCells, func(a, b int) bool {
-		return st.QuarantinedCells[a].String() < st.QuarantinedCells[b].String()
 	})
 	if st.Cells > 0 {
 		st.Remaining = st.Cells - st.Done

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,26 +254,87 @@ func TestRepairJournalMidstreamDamage(t *testing.T) {
 	}
 }
 
-// TestReadStatusExpiries: lease-expired events accumulate across runs in
-// the status view — the journal's record of worker churn.
-func TestReadStatusExpiries(t *testing.T) {
+// TestOlderCoordinatorJournal: state dirs written by earlier versions,
+// whose distributed coordinator journaled lease, lease-expired and
+// quarantine events with a worker field, stay readable. Only done/failed
+// records count: a cell whose latest record is a lease or a quarantine is
+// remaining, and a leased retry does not hide a cell's failed outcome.
+// Clean keeps every cache entry the journal names.
+func TestOlderCoordinatorJournal(t *testing.T) {
 	dir := t.TempDir()
+	cells := sweepCells(4)
+	line := func(event string, c Cell, extra string) string {
+		cell, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"event":%q,"at":"2026-10-19T23:00:00Z","key":%q,"cell":%s%s}`, event, c.Key(), cell, extra)
+	}
 	journalWrite(t, dir, "s",
-		`{"event":"begin","cells":1}`,
-		`{"event":"lease","key":"aaaa","worker":"w1"}`,
-		`{"event":"lease-expired","key":"aaaa","worker":"w1"}`,
-		`{"event":"lease","key":"aaaa","worker":"w2"}`,
-		`{"event":"lease-expired","key":"aaaa","worker":"w2"}`,
-		`{"event":"done","key":"aaaa"}`,
+		`{"event":"begin","at":"2026-10-19T23:00:00Z","cells":4}`,
+		line("lease", cells[0], `,"worker":"w1"`),
+		line("lease", cells[1], `,"worker":"w2"`),
+		line("lease", cells[2], `,"worker":"w1"`),
+		line("lease", cells[3], `,"worker":"w2"`),
+		line("done", cells[0], ``),
+		line("lease-expired", cells[1], `,"worker":"w2"`),
+		line("lease", cells[1], `,"worker":"w1"`),
+		line("failed", cells[3], `,"error":"boom"`),
+		line("lease-expired", cells[2], `,"worker":"w1"`),
+		line("quarantine", cells[2], `,"worker":"w1"`),
+		line("lease", cells[3], `,"worker":"w1"`), // a restarted coordinator retries the failed cell
 	)
-	st, err := ReadStatus(dir, "s")
+	// Cell 0's upload was journaled; cell 1's reached the cache before a
+	// kill, so only lease lines name it.
+	if err := os.MkdirAll(filepath.Join(dir, "cache"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells[:2] {
+		b, err := json.Marshal(runCell(context.Background(), simExec, c, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "cache", c.Key()+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orphan, _, _ := seedDamage(t, dir)
+
+	st, err := openState(dir, "s")
+	if err != nil {
+		t.Fatalf("older journal must open: %v", err)
+	}
+	if st.repairedTail != 0 {
+		t.Fatalf("older journal is not torn, yet %d bytes were repaired", st.repairedTail)
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	status, err := ReadStatus(dir, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Expiries != 2 {
-		t.Fatalf("want 2 cumulative expiries, got %+v", st)
+	if status.Cells != 4 || status.Done != 1 || status.Failed != 1 || status.Remaining != 3 || status.Runs != 1 {
+		t.Fatalf("want 4 cells: 1 done, 1 failed, 3 remaining; got %+v", status)
 	}
-	if st.Done != 1 || st.Leased != 0 {
-		t.Fatalf("latest-state tallies skewed by expiry counting: %+v", st)
+	if len(status.FailedCells) != 1 || status.FailedCells[0] != cells[3] {
+		t.Fatalf("failed cells = %v, want [%s]", status.FailedCells, cells[3])
+	}
+
+	rep, err := Clean(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.DamagedJournals) != 0 {
+		t.Fatalf("older journal read as damaged: %+v", rep)
+	}
+	for _, c := range cells[:2] {
+		if !cacheExists(t, dir, c.Key()+".json") {
+			t.Fatalf("clean removed the cache entry of %s, which the journal names", c)
+		}
+	}
+	if cacheExists(t, dir, orphan) {
+		t.Fatal("clean kept an entry no journal names")
 	}
 }

@@ -31,10 +31,6 @@ func TestCheckederr(t *testing.T) {
 	linttest.Run(t, "testdata/src/checkederr", lint.Checkederr)
 }
 
-func TestCtxdeadline(t *testing.T) {
-	linttest.Run(t, "testdata/src/ctxdeadline", lint.Ctxdeadline)
-}
-
 func TestFloatguard(t *testing.T) {
 	linttest.Run(t, "testdata/src/floatguard", lint.Floatguard)
 }

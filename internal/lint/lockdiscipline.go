@@ -15,8 +15,7 @@ import (
 // channel operations, time.Sleep, WaitGroup waits — performed while a
 // sync.Mutex or sync.RWMutex is provably held. Holding a fabric lock
 // across I/O is how a slow disk or a half-open socket freezes every
-// worker behind one coordinator mutex; the chaos drills catch the runtime
-// symptom, this analyzer catches the shape.
+// worker behind one mutex; this analyzer catches the shape.
 //
 // "Provably held" is a must-analysis over the function's control-flow
 // graph: a lock locked on every path into a statement and not yet

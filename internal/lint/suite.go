@@ -54,21 +54,17 @@ func hasPathPrefix(path, prefix string) bool {
 //     timestamps, ETAs) must each carry an allow rationale.
 //   - maporder and tickerstop run everywhere; ordered effects and ticker
 //     leaks are never right.
-//   - checkederr runs where state files are written or remote state is
-//     acknowledged: the farm, the gridfarm coordinator/worker, the chaos
-//     harness that tears their journals, and the CLIs driving them.
-//   - ctxdeadline runs where outbound HTTP leaves the process: the
-//     gridfarm worker/coordinator client paths and the CLIs. A request
-//     without a deadline hangs a worker forever on a half-open socket.
+//   - checkederr runs where state files are written: the farm's result
+//     cache and journal, the bb ledger and series writers, and the CLIs
+//     that write reports and exports.
 //   - floatguard runs where rate/throughput arithmetic lives: the
 //     scheduler policies, the resource/file-system models and the
 //     token-bucket layer (fair-share division and borrow scaling are
 //     ratio-heavy).
-//   - lockdiscipline and goroleak run on the concurrent fabric — the
-//     farm pool, the gridfarm coordinator/worker, the chaos harness and
-//     (goroleak) the CLIs that launch servers: one blocking call under a
-//     coordinator mutex stalls every worker, and one detached goroutine
-//     outlives the drill that owns it.
+//   - lockdiscipline and goroleak run on the concurrent code — the farm
+//     pool and (goroleak) the CLIs that start it: one blocking call under
+//     the state mutex stalls every worker, and one detached goroutine
+//     outlives the sweep that owns it.
 //   - unitsafe runs where bytes/GiB/rate/time arithmetic mixes: the
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
@@ -95,21 +91,9 @@ func Suite() []ScopedAnalyzer {
 		{Analyzer: Tickerstop},
 		{
 			Analyzer: Checkederr,
-			// internal/bb landed after PR 4's scoping; its ledger and
-			// series writers acknowledge state like the farm's do.
 			Include: []string{
 				"wasched/internal/farm",
-				"wasched/internal/gridfarm",
-				"wasched/internal/chaos",
 				"wasched/internal/bb",
-				"wasched/cmd",
-			},
-		},
-		{
-			Analyzer: Ctxdeadline,
-			Include: []string{
-				"wasched/internal/gridfarm",
-				"wasched/internal/chaos",
 				"wasched/cmd",
 			},
 		},
@@ -127,16 +111,12 @@ func Suite() []ScopedAnalyzer {
 			Analyzer: Lockdiscipline,
 			Include: []string{
 				"wasched/internal/farm",
-				"wasched/internal/gridfarm",
-				"wasched/internal/chaos",
 			},
 		},
 		{
 			Analyzer: Goroleak,
 			Include: []string{
 				"wasched/internal/farm",
-				"wasched/internal/gridfarm",
-				"wasched/internal/chaos",
 				"wasched/cmd",
 			},
 		},

@@ -656,8 +656,7 @@ func (fs *FileSystem) ServerHealth(dst []float64) []float64 {
 
 // SetVolumeDegradation scales one volume's bandwidth by factor (1 =
 // healthy, 0.1 = severely degraded, 0 < factor). Failure injection for
-// resilience experiments; the canary module detects the resulting
-// slowdowns.
+// resilience experiments.
 func (fs *FileSystem) SetVolumeDegradation(volume int, factor float64) {
 	if volume < 0 || volume >= fs.cfg.Volumes {
 		panic(fmt.Sprintf("pfs: volume %d out of range [0,%d)", volume, fs.cfg.Volumes))

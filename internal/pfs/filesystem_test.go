@@ -382,6 +382,45 @@ func TestStartStreamPanicsOnBadArgs(t *testing.T) {
 	}
 }
 
+func TestFailureInjectionPanics(t *testing.T) {
+	fs, _ := New(des.NewEngine(), quietConfig(), 1)
+	for i, f := range []func(){
+		func() { fs.SetVolumeDegradation(-1, 0.5) },
+		func() { fs.SetVolumeDegradation(fs.Volumes(), 0.5) },
+		func() { fs.SetVolumeDegradation(0, 0) },
+		func() { fs.SetGlobalDegradation(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d must panic", i)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestVolumeDegradationSlowsStreams(t *testing.T) {
+	eng := des.NewEngine()
+	fs, err := New(eng, quietConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doneHealthy, doneDegraded des.Time
+	fs.StartStream("n1", Write, 0, 4*GiB, func() { doneHealthy = eng.Now() })
+	fs.SetVolumeDegradation(1, 0.1)
+	fs.StartStream("n1", Write, 1, 4*GiB, func() { doneDegraded = eng.Now() })
+	eng.Run(des.TimeFromSeconds(3600))
+	if doneHealthy == 0 || doneDegraded == 0 {
+		t.Fatal("streams must finish")
+	}
+	if float64(doneDegraded) < 8*float64(doneHealthy) {
+		t.Fatalf("degraded volume must be ~10× slower: healthy %v degraded %v",
+			doneHealthy, doneDegraded)
+	}
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Volumes = -1
