@@ -213,6 +213,13 @@ func Run(ctx context.Context, name string, cells []Cell, exec Exec, opts Options
 		if err := st.begin(len(cells), cachedN); err != nil {
 			return nil, err
 		}
+		for _, out := range results {
+			if out != nil {
+				if err := st.hit(out.Cell); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
 	prog := startProgress(name, len(cells), cachedN, opts)

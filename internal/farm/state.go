@@ -27,6 +27,8 @@ type state struct {
 	// the journal before appending — non-zero exactly when the previous
 	// writer died mid-append.
 	repairedTail int64
+	// journaled holds the keys the journal already names as done.
+	journaled map[string]bool
 }
 
 // journalRecord is one JSON line of the checkpoint journal.
@@ -42,6 +44,9 @@ type journalRecord struct {
 	Key    string    `json:"key,omitempty"`
 	Cell   *Cell     `json:"cell,omitempty"`
 	Err    string    `json:"error,omitempty"`
+	// Hit marks a done line journaled for a cell served from the cache
+	// that no earlier line of this journal named as done.
+	Hit bool `json:"cache_hit,omitempty"`
 }
 
 func openState(dir, name string) (*state, error) {
@@ -60,7 +65,18 @@ func openState(dir, name string) (*state, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
-	return &state{dir: dir, journal: j, repairedTail: repaired}, nil
+	journaled := make(map[string]bool)
+	err = scanJournal(journalPath(dir, name), func(rec journalRecord) {
+		if rec.Event == string(StatusDone) && rec.Key != "" {
+			journaled[rec.Key] = true
+		}
+	})
+	if err != nil {
+		//waschedlint:allow checkederr the scan error is already being returned; close is best-effort cleanup
+		j.Close()
+		return nil, fmt.Errorf("farm: journal: %w", err)
+	}
+	return &state{dir: dir, journal: j, repairedTail: repaired, journaled: journaled}, nil
 }
 
 func journalPath(dir, name string) string {
@@ -220,6 +236,21 @@ func (s *state) record(out *Outcome) error {
 	})
 }
 
+// hit journals a done line for a cell served from the cache unless the
+// journal already names it as done. A process killed between a cell's
+// cache rename and its done line leaves the cell cached but unjournaled;
+// without this line ReadStatus would count it remaining forever and
+// Clean would delete its entry as an orphan.
+func (s *state) hit(c Cell) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.journaled[c.Key()] {
+		return nil
+	}
+	//waschedlint:allow lockdiscipline append is the serialized journal write s.mu protects; callers hold mu by contract
+	return s.append(journalRecord{Event: string(StatusDone), Key: c.Key(), Cell: &c, Hit: true})
+}
+
 func (s *state) begin(cells, cached int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -343,7 +374,7 @@ func ReadStatus(dir, name string) (*SweepStatus, error) {
 		switch k.rec.Event {
 		case string(StatusDone):
 			st.Done++
-			if k.idx > lastBegin {
+			if k.idx > lastBegin && !k.rec.Hit {
 				st.Computed++
 			}
 		case string(StatusFailed):

@@ -338,3 +338,66 @@ func TestOlderCoordinatorJournal(t *testing.T) {
 		t.Fatal("clean kept an entry no journal names")
 	}
 }
+
+// TestCacheHitWithoutDoneLine builds the state a process killed between a
+// cell's cache rename and its done line leaves on disk: a valid cache
+// entry that no journal line names. A resume serves the cell from the
+// cache and journals it, so the status reads nothing remaining and Clean
+// keeps the entry instead of collecting it as an orphan.
+func TestCacheHitWithoutDoneLine(t *testing.T) {
+	dir := t.TempDir()
+	cells := sweepCells(3)
+	first, err := Run(context.Background(), "crash", cells, simExec, Options{Workers: 1, StateDir: dir, MaxFresh: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Done != 2 || first.Skipped != 1 {
+		t.Fatalf("first pass: %+v", first)
+	}
+	lost := cells[2]
+	b, err := json.Marshal(runCell(context.Background(), simExec, lost, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cache", lost.Key()+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := Run(context.Background(), "crash", cells, simExec, Options{Workers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Cached != 3 || resumed.Done != 3 {
+		t.Fatalf("resume: %+v", resumed)
+	}
+	st, err := ReadStatus(dir, "crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 3 || st.Remaining != 0 || st.CacheHits != 3 || st.Computed != 0 {
+		t.Fatalf("want 3 done (3 cache hits, 0 computed), 0 remaining; got %+v", st)
+	}
+	rep, err := Clean(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Orphaned) != 0 || !cacheExists(t, dir, lost.Key()+".json") {
+		t.Fatalf("clean collected the journaled cache hit: %+v", rep)
+	}
+
+	// A second resume finds every cell named as done and journals nothing.
+	before, err := os.ReadFile(journalPath(dir, "crash"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), "crash", cells, simExec, Options{Workers: 1, StateDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(journalPath(dir, "crash"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := strings.Count(string(after[len(before):]), `"cache_hit":true`); hits != 0 {
+		t.Fatalf("second resume journaled %d cache hits, want 0", hits)
+	}
+}
