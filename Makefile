@@ -36,14 +36,18 @@ race:
 	$(GO) test -race ./...
 
 # Interrupt a tiny 2-worker sweep after three cells (exit 3 = resumable
-# checkpoint), then resume it from the journal and confirm the status shows
-# no remaining cells — the end-to-end drill for `wasched sweep`.
+# checkpoint), then resume it from the journal, check that the resumed
+# sweep prints exactly what an in-memory `wasched run` prints, and confirm
+# the status shows no remaining cells — the end-to-end drill for
+# `wasched sweep`.
 sweep-smoke:
 	@rm -rf $(SWEEPDIR)
 	$(GO) build -o $(SWEEPDIR)/wasched ./cmd/wasched
 	$(SWEEPDIR)/wasched sweep run fig6-smoke -workers 2 -state-dir $(SWEEPDIR) -max-cells 3 -quiet; \
 		code=$$?; [ $$code -eq 3 ] || { echo "expected exit 3 (interrupted), got $$code"; exit 1; }
-	$(SWEEPDIR)/wasched sweep resume fig6-smoke -workers 2 -state-dir $(SWEEPDIR) -quiet
+	$(SWEEPDIR)/wasched sweep resume fig6-smoke -workers 2 -state-dir $(SWEEPDIR) -quiet > $(SWEEPDIR)/resumed.txt
+	$(SWEEPDIR)/wasched run fig6-smoke > $(SWEEPDIR)/run.txt
+	cmp $(SWEEPDIR)/run.txt $(SWEEPDIR)/resumed.txt
 	$(SWEEPDIR)/wasched sweep status fig6-smoke -state-dir $(SWEEPDIR) | grep -q ' 0 remaining'
 	@rm -rf $(SWEEPDIR)
 

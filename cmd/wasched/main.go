@@ -8,13 +8,14 @@
 //	wasched replay <trace.swf[.gz]> [-policy P] ...
 //	wasched sweep list|run|resume|status|clean ...
 //
-// `wasched list` prints the registered experiments (fig3..fig6 plus the
-// ablations); `wasched run` executes one and prints its report, including
-// ASCII renderings of the figures' panels. `wasched sweep` drives the farm
-// orchestrator directly: parallel cell execution with checkpoint/resume
-// (-state-dir), live progress on stderr, and graceful drain on Ctrl-C — an
-// interrupted sweep exits with code 3 and `sweep resume` picks up the
-// remaining cells.
+// `wasched list` (and `wasched sweep list`) prints the one experiment
+// list: fig3..fig6, their single panels, the ablation grids, the smoke
+// matrix and the schedcheck corpus. `wasched run` executes one through
+// the farm orchestrator in memory and prints its report, including ASCII
+// renderings of the figures' panels. `wasched sweep run` is the same run
+// with checkpoint/resume (-state-dir), live progress on stderr and
+// graceful drain on Ctrl-C: an interrupted sweep exits with code 3 and
+// `sweep resume` picks up the remaining cells. Both print the same text.
 package main
 
 import (
@@ -48,10 +49,7 @@ func run(args []string) error {
 	}
 	switch args[0] {
 	case "list":
-		reg := experiments.Registry()
-		for _, name := range experiments.Names() {
-			fmt.Printf("  %-22s %s\n", name, reg[name].Description)
-		}
+		listExperiments()
 		return nil
 	case "workloads":
 		fmt.Println(experiments.WorkloadSizes())
@@ -76,11 +74,12 @@ func run(args []string) error {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("usage: wasched run <experiment> [-seed N] [-csv DIR] [-parallel N]")
 		}
-		entry, ok := experiments.Registry()[name]
+		e, ok := experiments.Lookup(name)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try `wasched list`)", name)
 		}
-		return entry.Run(os.Stdout, experiments.RunOptions{Seed: *seed, CSVDir: *csvDir, Workers: *parallel})
+		return e.Run(context.Background(), os.Stdout,
+			experiments.RunOptions{Seed: *seed, CSVDir: *csvDir, Farm: farm.Options{Workers: *parallel}})
 	case "sweep":
 		return runSweep(args[1:])
 	case "replay":
@@ -123,11 +122,16 @@ func run(args []string) error {
 			progress = os.Stderr
 		}
 		// With a state dir, Ctrl-C leaves a resumable checkpoint (exit 3),
-		// matching `wasched sweep run`.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		err := experiments.WriteFullReport(ctx, w,
-			experiments.RunOptions{Seed: *seed, CSVDir: *csvDir, Workers: *parallel, StateDir: *stateDir}, progress)
+		// matching `wasched sweep run`. Without one there is nothing to
+		// resume, so Ctrl-C stops the report as it stops `wasched run`.
+		ctx := context.Background()
+		if *stateDir != "" {
+			var stop context.CancelFunc
+			ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+			defer stop()
+		}
+		err := experiments.WriteFullReport(ctx, w, experiments.RunOptions{Seed: *seed, CSVDir: *csvDir,
+			Farm: farm.Options{Workers: *parallel, StateDir: *stateDir}}, progress)
 		if f != nil {
 			// A close error on the written report means data may not have
 			// reached disk; surface it unless the report itself failed.
@@ -152,10 +156,7 @@ func runSweep(args []string) error {
 	}
 	switch args[0] {
 	case "list":
-		reg := experiments.Sweeps()
-		for _, name := range experiments.SweepNames() {
-			fmt.Printf("  %-14s %s\n", name, reg[name].Description)
-		}
+		listExperiments()
 		return nil
 	case "run":
 		return sweepRun(args[1:], false)
@@ -219,7 +220,6 @@ func sweepClean(args []string) error {
 type sweepFlags struct {
 	name     string
 	seed     uint64
-	repeats  int
 	workers  int
 	stateDir string
 	maxCells int
@@ -229,7 +229,6 @@ type sweepFlags struct {
 func parseSweepFlags(cmd string, args []string) (*sweepFlags, error) {
 	fs := flag.NewFlagSet("sweep "+cmd, flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "sweep seed (same seed → identical cells and results)")
-	repeats := fs.Int("repeats", 0, "repeat-count override where the sweep supports it (0: default)")
 	workers := fs.Int("workers", 0, "concurrent cell executions (<=0: GOMAXPROCS)")
 	stateDir := fs.String("state-dir", "", "state directory for the result cache and checkpoint journal")
 	maxCells := fs.Int("max-cells", 0, "stop after N fresh cells as if interrupted (testing resume; 0: off)")
@@ -239,7 +238,7 @@ func parseSweepFlags(cmd string, args []string) (*sweepFlags, error) {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("usage: wasched sweep %s <name> [-seed N] [-repeats N] [-workers N] [-state-dir DIR] [-max-cells N] [-quiet]", cmd)
+		return nil, fmt.Errorf("usage: wasched sweep %s <name> [-seed N] [-workers N] [-state-dir DIR] [-max-cells N] [-quiet]", cmd)
 	}
 	name := rest[0]
 	if err := fs.Parse(rest[1:]); err != nil {
@@ -248,14 +247,14 @@ func parseSweepFlags(cmd string, args []string) (*sweepFlags, error) {
 	if fs.NArg() != 0 {
 		return nil, fmt.Errorf("sweep %s: unexpected arguments %v", cmd, fs.Args())
 	}
-	return &sweepFlags{name: name, seed: *seed, repeats: *repeats, workers: *workers,
+	return &sweepFlags{name: name, seed: *seed, workers: *workers,
 		stateDir: *stateDir, maxCells: *maxCells, quiet: *quiet}, nil
 }
 
-// sweepRun executes (or resumes) a registered sweep. Resume is the same
-// operation re-run against the same state dir — cached cells are served
-// from disk and only the remainder executes — but it insists on a state
-// dir, because without one there is nothing to resume from.
+// sweepRun executes (or resumes) an experiment under a state dir. Resume
+// is the same operation re-run against the same state dir — cached cells
+// are served from disk and only the remainder executes — but it insists
+// on a state dir, because without one there is nothing to resume from.
 func sweepRun(args []string, resume bool) error {
 	cmd := "run"
 	if resume {
@@ -268,11 +267,10 @@ func sweepRun(args []string, resume bool) error {
 	if resume && f.stateDir == "" {
 		return fmt.Errorf("sweep resume needs -state-dir (the directory of the interrupted run)")
 	}
-	s, ok := experiments.Sweeps()[f.name]
+	e, ok := experiments.Lookup(f.name)
 	if !ok {
 		return fmt.Errorf("unknown sweep %q (try `wasched sweep list`)", f.name)
 	}
-	cfg := experiments.SweepConfig{Seed: f.seed, Repeats: f.repeats}
 
 	// Ctrl-C / SIGTERM cancels dispatch; in-flight cells drain and journal
 	// before exit, so `sweep resume` picks up exactly the remaining cells.
@@ -283,20 +281,8 @@ func sweepRun(args []string, resume bool) error {
 	if !f.quiet {
 		progress = os.Stderr
 	}
-	sum, err := farm.Run(ctx, f.name, s.Cells(cfg), s.Exec(cfg),
-		farm.Options{Workers: f.workers, StateDir: f.stateDir, Progress: progress, MaxFresh: f.maxCells})
-	if err != nil {
-		return err
-	}
-	if err := sum.Err(); err != nil {
-		for _, o := range sum.Outcomes {
-			if o.Status == farm.StatusFailed {
-				fmt.Fprintf(os.Stderr, "wasched: cell %s failed: %s\n", o.Cell, firstLine(o.Err))
-			}
-		}
-		return err
-	}
-	return s.Report(os.Stdout, cfg, sum)
+	return e.Run(ctx, os.Stdout, experiments.RunOptions{Seed: f.seed,
+		Farm: farm.Options{Workers: f.workers, StateDir: f.stateDir, Progress: progress, MaxFresh: f.maxCells}})
 }
 
 // sweepStatus reports a sweep's progress from its checkpoint journal.
@@ -346,23 +332,22 @@ func sweepProgress(st *farm.SweepStatus) string {
 	return fmt.Sprintf("%.1f%% complete", 100*float64(st.Done)/float64(st.Cells))
 }
 
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
+// listExperiments prints the one experiment list, for `list` and
+// `sweep list` alike.
+func listExperiments() {
+	for _, e := range experiments.Experiments() {
+		fmt.Printf("  %-22s %s\n", e.Name, e.Description)
 	}
-	return s
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `wasched — workload-adaptive I/O-aware scheduling experiments
 
 commands:
-  list                 list available experiments
+  list                 list the experiments (sweep list prints the same)
   workloads            print the standard workloads' sizes
   run <name> [-seed N] [-csv DIR] [-parallel N]
-                       run one experiment and print its report
+                       run one experiment in memory and print its report
   replay <trace.swf[.gz]> [-policy P] [-nodes N] [-limit-gib G] [-checks]
          [-bb-capacity-gib G] [-bb-fraction F] [-bb-gib-per-node G]
                        stream an SWF archive trace through the lightweight
@@ -370,9 +355,9 @@ commands:
                        the -bb-* flags emulate a shared burst-buffer pool
                        (assigning synthetic reservations to -bb-fraction of
                        jobs) for the plan and bb-io-aware policies
-  sweep list           list the registered cell sweeps
-  sweep run <name> [-seed N] [-repeats N] [-workers N] [-state-dir DIR] [-quiet]
-                       run a sweep through the farm orchestrator; with a
+  sweep list           list the experiments (as list does)
+  sweep run <name> [-seed N] [-workers N] [-state-dir DIR] [-quiet]
+                       run an experiment and print what run prints; with a
                        state dir, finished cells are cached and Ctrl-C
                        leaves a resumable checkpoint (exit code 3)
   sweep resume <name> -state-dir DIR
@@ -382,7 +367,9 @@ commands:
   sweep clean -state-dir DIR [-dry-run]
                        garbage-collect corrupt, orphaned and leftover
                        cache files from a state directory
-  report [-seed N] [-out FILE] [-csv DIR] [-parallel N]
-                       run every experiment and write one full report
+  report [-seed N] [-out FILE] [-csv DIR] [-parallel N] [-state-dir DIR]
+                       run every figure and ablation grid and write one
+                       full report; with a state dir it resumes like a sweep
+                       (-csv needs an in-memory run, so not with -state-dir)
   verify [-seed N]     check the headline reproduction claims (exit 1 on failure)`)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,31 +255,56 @@ func TestVariantLookup(t *testing.T) {
 	}
 }
 
+// mustLookup returns the named experiment of the list.
+func mustLookup(t *testing.T, name string) Experiment {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	return e
+}
+
+// TestRegistry checks the one experiment list: every figure, panel and
+// grid is registered once, complete, with cells that are a pure function
+// of the seed (a resumed run must re-enumerate the interrupted run's
+// cells), and the full report runs only registered experiments.
 func TestRegistry(t *testing.T) {
-	reg := Registry()
+	list := Experiments()
+	byName := make(map[string]Experiment, len(list))
+	for i, e := range list {
+		if i > 0 && list[i-1].Name >= e.Name {
+			t.Fatalf("Experiments must be sorted by unique name: %q before %q", list[i-1].Name, e.Name)
+		}
+		if e.Description == "" || e.Cells == nil || e.Exec == nil || e.Report == nil {
+			t.Fatalf("experiment %q incomplete", e.Name)
+		}
+		a, b := e.Cells(3), e.Cells(3)
+		if len(a) == 0 || !slices.Equal(a, b) {
+			t.Fatalf("experiment %s: cells vary across calls: %v vs %v", e.Name, a, b)
+		}
+		if slices.Equal(a, e.Cells(1)) {
+			t.Fatalf("experiment %s: cells ignore the seed", e.Name)
+		}
+		byName[e.Name] = e
+	}
 	for _, name := range []string{
 		"fig3", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e",
-		"fig4", "fig5", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig6",
+		"fig4", "fig5", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig6", "fig6-smoke",
+		"schedcheck", "ablations",
 		"ablation-two-group", "ablation-guard", "ablation-backfill",
 		"ablation-licenses", "ablation-qos", "ablation-bursty",
 		"ablation-submission", "ablation-degradation", "ablation-ordering",
 		"sweep-limit", "ablation-plateau", "ablation-checkpoint",
+		"ablation-burstbuffer", "ablation-tokenbucket",
 	} {
-		e, ok := reg[name]
-		if !ok {
-			t.Fatalf("experiment %q missing from registry", name)
-		}
-		if e.Run == nil || e.Description == "" {
-			t.Fatalf("experiment %q incomplete", name)
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("experiment %q missing from the list", name)
 		}
 	}
-	names := Names()
-	if len(names) != len(reg) {
-		t.Fatal("Names/Registry mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("Names must be sorted")
+	for _, name := range reportOrder() {
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("report experiment %q missing from the list", name)
 		}
 	}
 	if !strings.Contains(WorkloadSizes(), "workload1=720") {
@@ -301,7 +327,7 @@ func TestAblationBackfillRuns(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintAblation(&buf, rows)
+	PrintAblation(&buf, DigestAblation(rows))
 	if !strings.Contains(buf.String(), "EASY") {
 		t.Fatal("ablation print")
 	}
@@ -538,11 +564,11 @@ func TestVerifyClaimsHold(t *testing.T) {
 
 func TestRegistryRunnersProduceReports(t *testing.T) {
 	t.Parallel()
-	reg := Registry()
+	ctx := context.Background()
 	dir := t.TempDir()
-	// fig3d exercises the single-panel runner with CSV export.
+	// fig3d exercises the single-panel experiment with CSV export.
 	var buf bytes.Buffer
-	if err := reg["fig3d"].Run(&buf, RunOptions{Seed: 1, CSVDir: dir}); err != nil {
+	if err := mustLookup(t, "fig3d").Run(ctx, &buf, RunOptions{Seed: 1, CSVDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "lustre_throughput") {
@@ -552,9 +578,9 @@ func TestRegistryRunnersProduceReports(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("csv exports: %d", len(entries))
 	}
-	// fig4 runner prints the box table and the median bars.
+	// fig4 prints the box table and the median bars.
 	buf.Reset()
-	if err := reg["fig4"].Run(&buf, RunOptions{Seed: 1}); err != nil {
+	if err := mustLookup(t, "fig4").Run(ctx, &buf, RunOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"median", "medians as bars", "15 |"} {
@@ -562,9 +588,9 @@ func TestRegistryRunnersProduceReports(t *testing.T) {
 			t.Fatalf("fig4 report missing %q", want)
 		}
 	}
-	// A fast ablation runner end to end.
+	// A fast ablation grid end to end.
 	buf.Reset()
-	if err := reg["ablation-guard"].Run(&buf, RunOptions{Seed: 1}); err != nil {
+	if err := mustLookup(t, "ablation-guard").Run(ctx, &buf, RunOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "guard ON") || !strings.Contains(buf.String(), "vs base") {
@@ -578,11 +604,11 @@ func TestFigAllRunnerAggregates(t *testing.T) {
 		t.Skip("five full Workload 1 runs in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := Registry()["fig3"].Run(&buf, RunOptions{Seed: 1}); err != nil {
+	if err := mustLookup(t, "fig3").Run(context.Background(), &buf, RunOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"fig3a", "fig3e", "vs base", "-2", "busy"} {
+	for _, want := range []string{"fig3a", "fig3e", "vs base", "-2", "busy", "--- fig3e"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig3 aggregate missing %q", want)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -202,19 +203,21 @@ func Fig4Points(sum *farm.Summary) ([]Fig4Point, error) {
 	return out, nil
 }
 
-// sweepErr folds a sweep summary into an error, naming the first failed
-// cell so the cause does not drown in the tally.
+// sweepErr folds a sweep summary into an error that names every failed
+// cell: a validator rejection in one configuration must not mask
+// another's.
 func sweepErr(sum *farm.Summary) error {
 	err := sum.Err()
 	if err == nil {
 		return nil
 	}
+	errs := []error{err}
 	for _, o := range sum.Outcomes {
 		if o.Status == farm.StatusFailed {
-			return fmt.Errorf("%w; first failure %s: %s", err, o.Cell, firstLine(o.Err))
+			errs = append(errs, fmt.Errorf("cell %s failed: %s", o.Cell, firstLine(o.Err)))
 		}
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 func firstLine(s string) string {

@@ -2,100 +2,53 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
+	"time"
 
 	"wasched/internal/farm"
+	"wasched/internal/schedcheck"
 	"wasched/internal/trace"
 	"wasched/internal/workload"
 )
 
-// RunOptions parameterise an experiment invocation.
-type RunOptions struct {
-	// Seed varies the stochastic parts; the same seed reproduces the same
-	// report bit for bit.
-	Seed uint64
-	// CSVDir, when non-empty, receives per-run series and job CSV files
-	// (<experiment>-series.csv, <experiment>-jobs.csv).
-	CSVDir string
-	// Workers bounds the parallelism of multi-run experiments (figure
-	// panels, fig4 ladder, fig6 repeats); <= 0 uses GOMAXPROCS. The cell
-	// results are identical for any worker count.
-	Workers int
-	// StateDir, when non-empty, checkpoints the full report experiment by
-	// experiment (WriteFullReport): a crashed or cancelled report resumes
-	// from the cached sections. Incompatible with CSVDir.
-	StateDir string
+// WriteFullReport runs every experiment of reportOrder and writes a single
+// plain-text report: the `wasched report` command. Each experiment runs
+// as one farm call with opts, exactly as `wasched run` runs it, so with
+// opts.Farm.StateDir set a crashed or cancelled report serves the
+// finished cells from the cache and recomputes only the rest
+// (cancellation surfaces as farm.ErrInterrupted, the CLI's resumable
+// exit). Wall-clock progress goes to progress (nil discards it).
+func WriteFullReport(ctx context.Context, w io.Writer, opts RunOptions, progress io.Writer) error {
+	exps := make([]Experiment, 0, len(reportOrder()))
+	for _, name := range reportOrder() {
+		e, _ := Lookup(name)
+		exps = append(exps, e)
+	}
+	return writeReport(ctx, w, exps, opts, progress)
 }
 
-// Runner executes one named experiment, writing a human-readable report.
-type Runner func(w io.Writer, opts RunOptions) error
-
-// Entry describes a registered experiment.
-type Entry struct {
-	Name        string
-	Description string
-	Run         Runner
-}
-
-// Registry returns every runnable experiment, keyed by name. The names
-// match DESIGN.md's per-experiment index.
-func Registry() map[string]Entry {
-	entries := []Entry{
-		{"fig3", "paper Fig. 3: Workload 1 under all five scheduler configurations", runFig3All},
-		{"fig3a", "paper Fig. 3(a): Workload 1, default Slurm scheduling", figRunner(RunFig3, "a")},
-		{"fig3b", "paper Fig. 3(b): Workload 1, I/O-aware 20 GiB/s, pre-trained", figRunner(RunFig3, "b")},
-		{"fig3c", "paper Fig. 3(c): Workload 1, I/O-aware 15 GiB/s, pre-trained", figRunner(RunFig3, "c")},
-		{"fig3d", "paper Fig. 3(d): Workload 1, adaptive 20 GiB/s, pre-trained", figRunner(RunFig3, "d")},
-		{"fig3e", "paper Fig. 3(e): Workload 1, adaptive 20 GiB/s, untrained", figRunner(RunFig3, "e")},
-		{"fig4", "paper Fig. 4: throughput vs concurrent write×8 jobs (box plots)", runFig4},
-		{"fig5", "paper Fig. 5: Workload 2 under all five scheduler configurations", runFig5All},
-		{"fig5a", "paper Fig. 5(a): Workload 2, default Slurm scheduling", figRunner(RunFig5, "a")},
-		{"fig5b", "paper Fig. 5(b): Workload 2, I/O-aware 20 GiB/s", figRunner(RunFig5, "b")},
-		{"fig5c", "paper Fig. 5(c): Workload 2, I/O-aware 15 GiB/s", figRunner(RunFig5, "c")},
-		{"fig5d", "paper Fig. 5(d): Workload 2, adaptive 20 GiB/s", figRunner(RunFig5, "d")},
-		{"fig5e", "paper Fig. 5(e): Workload 2, adaptive 15 GiB/s", figRunner(RunFig5, "e")},
-		{"fig6", "paper Fig. 6: Workload 2 makespans over repeats (swarm + medians)", runFig6},
+func writeReport(ctx context.Context, w io.Writer, exps []Experiment, opts RunOptions, progress io.Writer) error {
+	if err := opts.validate(); err != nil {
+		return err
 	}
-	// The ablation grids share one registry with the "ablations" sweep, so
-	// a grid added there shows up in both entry points.
-	for _, g := range AblationGrids() {
-		entries = append(entries, Entry{g.Name, g.Description, ablationRunner(g.Run)})
+	if progress == nil {
+		progress = io.Discard
 	}
-	m := make(map[string]Entry, len(entries))
-	for _, e := range entries {
-		m[e.Name] = e
-	}
-	return m
-}
-
-// Names returns the registered experiment names in sorted order.
-func Names() []string {
-	reg := Registry()
-	out := make([]string, 0, len(reg))
-	for name := range reg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func figRunner(run func(string, uint64) (*RunResult, error), key string) Runner {
-	return func(w io.Writer, opts RunOptions) error {
-		res, err := run(key, opts.Seed)
-		if err != nil {
-			return err
+	fmt.Fprintf(w, "wasched full experiment report (seed %d)\n", opts.Seed)
+	fmt.Fprintf(w, "%s\n\n", repeat('=', 72))
+	for _, e := range exps {
+		fmt.Fprintf(w, "\n%s\n%s — %s\n%s\n\n", repeat('-', 72), e.Name, e.Description, repeat('-', 72))
+		start := time.Now()
+		if err := e.Run(ctx, w, opts); err != nil {
+			return fmt.Errorf("experiments: %s: %w", e.Name, err)
 		}
-		printRun(w, res, 0)
-		printWarnings(w, res)
-		printPanels(w, res)
-		return exportCSV(opts.CSVDir, res)
+		fmt.Fprintf(progress, "%-22s done in %s\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // exportCSV writes a run's sampled series and per-job records when a CSV
@@ -137,102 +90,151 @@ func exportCSV(dir string, res *RunResult) error {
 	return jobs.Close()
 }
 
-func runFig3All(w io.Writer, opts RunOptions) error {
-	return runFigAll(w, opts, "fig3-panels", "Fig. 3 (Workload 1, 720 jobs)", Fig3Variants(), RunFig3)
+// panelDigest is the cached digest of one Fig. 3/5 panel: its table row,
+// its soft validator findings (hard violations fail the run inside
+// RunWorkload) and its two plots, Lustre throughput over node allocation,
+// as the paper draws them.
+type panelDigest struct {
+	Label      string   `json:"label"`
+	Makespan   float64  `json:"makespan_s"`
+	BusyNodes  float64  `json:"busy_nodes"`
+	Throughput float64  `json:"throughput_gib_s"`
+	MedianWait float64  `json:"median_wait_s"`
+	Bsld       float64  `json:"bounded_slowdown"`
+	Warnings   []string `json:"warnings,omitempty"`
+	Plots      string   `json:"plots"`
 }
 
-func runFig5All(w io.Writer, opts RunOptions) error {
-	return runFigAll(w, opts, "fig5-panels", "Fig. 5 (Workload 2, 1550 jobs)", Fig5Variants(), RunFig5)
-}
-
-func runFigAll(w io.Writer, opts RunOptions, experiment, title string, variants []Variant,
-	run func(string, uint64) (*RunResult, error)) error {
-	fmt.Fprintf(w, "=== %s ===\n\n", title)
-	// The panels are independent simulations: fan them out through the
-	// farm (in memory — full recorders are needed for the plots below).
-	cells := make([]farm.Cell, len(variants))
-	for i, v := range variants {
-		cells[i] = farm.Cell{Experiment: experiment, Config: v.Key, Seed: opts.Seed}
+func digestPanel(res *RunResult) panelDigest {
+	d := panelDigest{
+		Label:      res.Label,
+		Makespan:   res.Makespan,
+		BusyNodes:  res.MeanBusyNodes,
+		Throughput: res.MeanThroughput,
+		MedianWait: res.MedianWait,
+		Bsld:       res.Sched.MeanBoundedSlowdown,
+		Plots: fmt.Sprintf("--- %s ---\n%s%s\n", res.Label,
+			trace.Plot(&res.Recorder.Throughput, 100, 8), trace.Plot(&res.Recorder.BusyNodes, 100, 5)),
 	}
-	exec := func(_ context.Context, c farm.Cell) (any, error) {
-		return run(c.Config, c.Seed)
-	}
-	sum, err := farm.Run(context.Background(), experiment, cells, exec, farm.Options{Workers: opts.Workers})
-	if err != nil {
-		return err
-	}
-	// Report every failed panel, not just the first: a validator rejection
-	// in one configuration must not mask another's.
-	var errs []error
-	results := make([]*RunResult, 0, len(variants))
-	for _, o := range sum.Outcomes {
-		if o.Status != farm.StatusDone {
-			errs = append(errs, fmt.Errorf("panel %s: %s", o.Cell.Config, o.Err))
-			continue
-		}
-		results = append(results, o.Value().(*RunResult))
-	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	base := results[0].Makespan
-	for _, res := range results {
-		if err := exportCSV(opts.CSVDir, res); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "%-45s %12s %9s %6s %9s %10s %8s\n",
-		"configuration", "makespan[s]", "vs base", "busy", "tp[GiB/s]", "wait[s]", "bsld")
-	for _, res := range results {
-		printRun(w, res, base)
-	}
-	for _, res := range results {
-		printWarnings(w, res)
-	}
-	fmt.Fprintln(w)
-	for _, res := range results {
-		printPanels(w, res)
-	}
-	return nil
-}
-
-func printRun(w io.Writer, res *RunResult, base float64) {
-	vs := "-"
-	if base > 0 && res.Makespan != base {
-		vs = fmt.Sprintf("%+.1f%%", 100*(res.Makespan-base)/base)
-	}
-	fmt.Fprintf(w, "%-45s %12.0f %9s %6.2f %9.2f %10.0f %8.1f\n",
-		res.Label, res.Makespan, vs, res.MeanBusyNodes, res.MeanThroughput, res.MedianWait,
-		res.Sched.MeanBoundedSlowdown)
-}
-
-// printWarnings surfaces the run's soft validator findings (hard
-// violations already fail the run inside RunWorkload).
-func printWarnings(w io.Writer, res *RunResult) {
 	for _, v := range res.Invariants.Warnings {
-		fmt.Fprintf(w, "warning [%s] %s: %s\n", res.Label, v.Invariant, v.Detail)
+		d.Warnings = append(d.Warnings, fmt.Sprintf("warning [%s] %s: %s", res.Label, v.Invariant, v.Detail))
+	}
+	return d
+}
+
+// reportPanels renders Fig. 3/5 panels: the table (each makespan against
+// the first panel's), the warnings and the plots. A figure's report
+// carries a title and the column header; a single panel's prints its row
+// bare.
+func reportPanels(title string) func(io.Writer, uint64, *farm.Summary) error {
+	return func(w io.Writer, _ uint64, sum *farm.Summary) error {
+		panels := make([]panelDigest, len(sum.Outcomes))
+		for i := range sum.Outcomes {
+			if err := sum.Outcomes[i].Decode(&panels[i]); err != nil {
+				return err
+			}
+		}
+		if title != "" {
+			fmt.Fprintf(w, "=== %s ===\n\n", title)
+			fmt.Fprintf(w, "%-45s %12s %9s %6s %9s %10s %8s\n",
+				"configuration", "makespan[s]", "vs base", "busy", "tp[GiB/s]", "wait[s]", "bsld")
+		}
+		for _, p := range panels {
+			vs := "-"
+			if base := panels[0].Makespan; base > 0 && p.Makespan != base {
+				vs = fmt.Sprintf("%+.1f%%", 100*(p.Makespan-base)/base)
+			}
+			fmt.Fprintf(w, "%-45s %12.0f %9s %6.2f %9.2f %10.0f %8.1f\n",
+				p.Label, p.Makespan, vs, p.BusyNodes, p.Throughput, p.MedianWait, p.Bsld)
+		}
+		for _, p := range panels {
+			for _, warning := range p.Warnings {
+				fmt.Fprintln(w, warning)
+			}
+		}
+		if title != "" {
+			fmt.Fprintln(w)
+		}
+		for _, p := range panels {
+			fmt.Fprint(w, p.Plots)
+		}
+		return nil
 	}
 }
 
-// printPanels renders the two panels of a Fig. 3/5 plot: Lustre
-// throughput (top) and node allocation (bottom), as the paper draws them.
-func printPanels(w io.Writer, res *RunResult) {
-	fmt.Fprintf(w, "--- %s ---\n", res.Label)
-	fmt.Fprint(w, trace.Plot(&res.Recorder.Throughput, 100, 8))
-	fmt.Fprint(w, trace.Plot(&res.Recorder.BusyNodes, 100, 5))
-	fmt.Fprintln(w)
+// AblationDigest is the cacheable summary of one ablation table row: the
+// numbers the table renders, without the run's recorders (use `wasched
+// run <grid> -csv` for the full series).
+type AblationDigest struct {
+	Label           string  `json:"label"`
+	Makespan        float64 `json:"makespan_s"`
+	VsBase          float64 `json:"vs_base"`
+	Busy            float64 `json:"busy_nodes"`
+	Throughput      float64 `json:"throughput_gib_s"`
+	IdleNodeSeconds float64 `json:"idle_node_s"`
+	Timeouts        int     `json:"timeouts"`
+	Extra           string  `json:"extra,omitempty"`
 }
 
-func runFig4(w io.Writer, opts RunOptions) error {
-	cfg := DefaultFig4Config()
-	cfg.Seed = opts.Seed
-	cfg.Farm.Workers = opts.Workers
-	points, err := RunFig4(cfg)
-	if err != nil {
-		return err
+// DigestAblation reduces full ablation rows to their table digests.
+func DigestAblation(rows []AblationRow) []AblationDigest {
+	out := make([]AblationDigest, len(rows))
+	for i, r := range rows {
+		out[i] = AblationDigest{
+			Label:           r.Label,
+			Makespan:        r.Result.Makespan,
+			VsBase:          r.VsBase,
+			Busy:            r.Result.MeanBusyNodes,
+			Throughput:      r.Result.MeanThroughput,
+			IdleNodeSeconds: r.Result.IdleNodeSeconds,
+			Timeouts:        r.Result.Timeouts,
+			Extra:           r.Extra,
+		}
 	}
-	PrintFig4(w, points)
-	return nil
+	return out
+}
+
+// reportAblations renders one ablation table per cell, under a banner
+// naming the grid when banners is set.
+func reportAblations(banners bool) func(io.Writer, uint64, *farm.Summary) error {
+	return func(w io.Writer, _ uint64, sum *farm.Summary) error {
+		descriptions := make(map[string]string)
+		for _, g := range AblationGrids() {
+			descriptions[g.Name] = g.Description
+		}
+		for i, o := range sum.Outcomes {
+			var rows []AblationDigest
+			if err := o.Decode(&rows); err != nil {
+				return err
+			}
+			if banners {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				fmt.Fprintf(w, "=== %s: %s ===\n\n", o.Cell.Config, descriptions[o.Cell.Config])
+			}
+			PrintAblation(w, rows)
+		}
+		return nil
+	}
+}
+
+// PrintAblation renders an ablation comparison table.
+func PrintAblation(w io.Writer, rows []AblationDigest) {
+	fmt.Fprintf(w, "%-48s %12s %9s %6s %9s %12s %8s\n",
+		"configuration", "makespan[s]", "vs base", "busy", "tp[GiB/s]", "idle[node-s]", "timeouts")
+	for i, r := range rows {
+		vs := "-"
+		if i > 0 {
+			vs = fmt.Sprintf("%+.1f%%", 100*r.VsBase)
+		}
+		fmt.Fprintf(w, "%-48s %12.0f %9s %6.2f %9.2f %12.0f %8d",
+			r.Label, r.Makespan, vs, r.Busy, r.Throughput, r.IdleNodeSeconds, r.Timeouts)
+		if r.Extra != "" {
+			fmt.Fprintf(w, "  %s", r.Extra)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // PrintFig4 renders the Fig. 4 box-plot table and median bars.
@@ -273,16 +275,6 @@ func repeat(c byte, n int) string {
 	return string(b)
 }
 
-func runFig6(w io.Writer, opts RunOptions) error {
-	rows, err := RunFig6(Fig6Config{Repeats: 5, Seed: opts.Seed,
-		Farm: FarmOptions{Workers: opts.Workers}})
-	if err != nil {
-		return err
-	}
-	PrintFig6(w, rows)
-	return nil
-}
-
 // PrintFig6 renders the Fig. 6 summary table.
 func PrintFig6(w io.Writer, rows []Fig6Row) {
 	fmt.Fprintln(w, "=== Fig. 6: Workload 2 makespans over repeats (seconds) ===")
@@ -307,27 +299,23 @@ func PrintFig6(w io.Writer, rows []Fig6Row) {
 	}
 }
 
-func ablationRunner(run func(uint64) ([]AblationRow, error)) Runner {
-	return func(w io.Writer, opts RunOptions) error {
-		rows, err := run(opts.Seed)
-		if err != nil {
+func reportCorpus(w io.Writer, _ uint64, sum *farm.Summary) error {
+	fmt.Fprintln(w, "=== schedcheck differential corpus ===")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-14s %6s %6s %9s %9s\n", "kind", "seed", "jobs", "checked", "warnings")
+	jobs, checked := 0, 0
+	for _, o := range sum.Outcomes {
+		var p schedcheck.CorpusPayload
+		if err := o.Decode(&p); err != nil {
 			return err
 		}
-		PrintAblation(w, rows)
-		for _, r := range rows {
-			if err := exportCSV(opts.CSVDir, r.Result); err != nil {
-				return err
-			}
-		}
-		return nil
+		fmt.Fprintf(w, "%-14s %6d %6d %9d %9d\n", p.Kind, p.Seed, p.Jobs, p.JobsChecked, p.Warnings)
+		jobs += p.Jobs
+		checked += p.JobsChecked
 	}
-}
-
-// PrintAblation renders an ablation comparison table. It goes through the
-// digest form so the standalone runner and the cached "ablations" sweep
-// print identical tables.
-func PrintAblation(w io.Writer, rows []AblationRow) {
-	PrintAblationDigests(w, DigestAblation(rows))
+	fmt.Fprintf(w, "\n%d workloads, %d jobs generated, %d job records validated; all invariants held\n",
+		len(sum.Outcomes), jobs, checked)
+	return nil
 }
 
 // WorkloadSizes reports the job counts of the standard workloads (sanity

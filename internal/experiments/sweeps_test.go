@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -42,101 +43,57 @@ func TestFig6FarmDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepRegistry checks every registered sweep enumerates cells with the
-// experiment name spaces kept distinct (a collision would let one sweep's
-// cached results poison another's).
+// TestSweepRegistry checks how the experiments' cells share the cache.
+// A cell key two experiments enumerate is one computation, so sharing is
+// allowed only where it is meant: a single panel with its figure, a
+// single grid with "ablations". Any other collision would let one
+// experiment's cached results poison another's.
 func TestSweepRegistry(t *testing.T) {
-	reg := Sweeps()
-	if len(reg) == 0 {
-		t.Fatal("no sweeps registered")
-	}
-	cfg := SweepConfig{Seed: 1}
-	keys := make(map[string]string) // cell key → sweep name
-	for _, name := range SweepNames() {
-		s := reg[name]
-		if s.Cells == nil || s.Exec == nil || s.Report == nil {
-			t.Fatalf("sweep %s: incomplete registration", name)
-		}
-		cells := s.Cells(cfg)
-		if len(cells) == 0 {
-			t.Fatalf("sweep %s enumerates no cells", name)
-		}
-		for _, c := range cells {
-			if owner, dup := keys[c.Key()]; dup {
-				t.Fatalf("cell %s of sweep %s collides with sweep %s", c, name, owner)
+	owner := make(map[string]string) // cell key → first experiment enumerating it
+	for _, e := range Experiments() {
+		for _, c := range e.Cells(1) {
+			first, dup := owner[c.Key()]
+			if !dup {
+				owner[c.Key()] = e.Name
+				continue
 			}
-			keys[c.Key()] = name
-		}
-	}
-}
-
-// TestSweepConfigReproducibleCells pins the resume contract: Cells must be
-// a pure function of the config, or a resumed sweep would enumerate
-// different work than the interrupted one.
-func TestSweepConfigReproducibleCells(t *testing.T) {
-	cfg := SweepConfig{Seed: 3, Repeats: 4}
-	for _, name := range SweepNames() {
-		s := Sweeps()[name]
-		a, b := s.Cells(cfg), s.Cells(cfg)
-		if len(a) != len(b) {
-			t.Fatalf("sweep %s: cell count varies across calls", name)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("sweep %s: cell %d varies across calls: %s vs %s", name, i, a[i], b[i])
+			meant := func(all, one string) bool {
+				return (all == "ablations" && one == c.Config) || one == all+c.Config
+			}
+			if !meant(first, e.Name) && !meant(e.Name, first) {
+				t.Fatalf("cell %s of experiment %s collides with experiment %s", c, e.Name, first)
 			}
 		}
 	}
 }
 
-// TestFig6SmokeSweepEndToEnd drives the smoke sweep exactly as
+// TestFig6SmokeSweepEndToEnd drives the smoke experiment exactly as
 // `make sweep-smoke` does — interrupt after three fresh cells, resume from
-// the journal — and checks the resumed report equals an uninterrupted one.
+// the journal — and checks the resumed report equals an in-memory run's.
 func TestFig6SmokeSweepEndToEnd(t *testing.T) {
 	t.Parallel()
-	s := Sweeps()["fig6-smoke"]
-	cfg := SweepConfig{Seed: 1}
+	e := mustLookup(t, "fig6-smoke")
 	dir := t.TempDir()
-	run := func(opts farm.Options) (*farm.Summary, error) {
-		return farm.Run(context.Background(), "fig6-smoke", s.Cells(cfg), s.Exec(cfg), opts)
+	ctx := context.Background()
+	err := e.Run(ctx, io.Discard, RunOptions{Seed: 1, Farm: farm.Options{Workers: 2, StateDir: dir, MaxFresh: 3}})
+	if !errors.Is(err, farm.ErrInterrupted) {
+		t.Fatalf("interrupted sweep reported %v", err)
 	}
-	sum, err := run(farm.Options{Workers: 2, StateDir: dir, MaxFresh: 3})
-	if err != nil {
+	var resumed, fresh bytes.Buffer
+	if err := e.Run(ctx, &resumed, RunOptions{Seed: 1, Farm: farm.Options{Workers: 2, StateDir: dir}}); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(sum.Err(), farm.ErrInterrupted) {
-		t.Fatalf("interrupted sweep reported %v", sum.Err())
-	}
-	resumed, err := run(farm.Options{Workers: 2, StateDir: dir})
-	if err != nil {
+	if err := e.Run(ctx, &fresh, RunOptions{Seed: 1, Farm: farm.Options{Workers: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Cached != 3 {
-		t.Fatalf("resume served %d cells from cache, want 3", resumed.Cached)
-	}
-	var fromResume, fresh strings.Builder
-	if err := s.Report(&fromResume, cfg, resumed); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := farm.Run(context.Background(), "fig6-smoke", s.Cells(cfg), s.Exec(cfg), farm.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Report(&fresh, cfg, clean); err != nil {
-		t.Fatal(err)
-	}
-	if fromResume.String() != fresh.String() {
-		t.Fatalf("resumed report differs from uninterrupted report:\n%s\nvs\n%s",
-			fromResume.String(), fresh.String())
+	if resumed.String() != fresh.String() || !strings.Contains(fresh.String(), "Fig. 6") {
+		t.Fatalf("resumed report differs from the in-memory report:\n%s\nvs\n%s", resumed.String(), fresh.String())
 	}
 	st, err := farm.ReadStatus(dir, "fig6-smoke")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Runs != 2 || st.Remaining != 0 || st.Failed != 0 {
+	if st.Runs != 2 || st.CacheHits != 3 || st.Remaining != 0 || st.Failed != 0 {
 		t.Fatalf("status after resume: %+v", st)
 	}
 }
