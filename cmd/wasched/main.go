@@ -13,9 +13,10 @@
 // matrix and the schedcheck corpus. `wasched run` executes one through
 // the farm orchestrator in memory and prints its report, including ASCII
 // renderings of the figures' panels. `wasched sweep run` is the same run
-// with checkpoint/resume (-state-dir), live progress on stderr and
-// graceful drain on Ctrl-C: an interrupted sweep exits with code 3 and
-// `sweep resume` picks up the remaining cells. Both print the same text.
+// with live progress on stderr and, given a state dir (-state-dir),
+// checkpoint/resume and graceful drain on Ctrl-C: an interrupted sweep
+// exits with code 3 and `sweep resume` picks up the remaining cells.
+// Both print the same text.
 package main
 
 import (
@@ -267,15 +268,24 @@ func sweepRun(args []string, resume bool) error {
 	if resume && f.stateDir == "" {
 		return fmt.Errorf("sweep resume needs -state-dir (the directory of the interrupted run)")
 	}
+	if f.maxCells > 0 && f.stateDir == "" {
+		return fmt.Errorf("sweep %s: -max-cells needs -state-dir (it stops the sweep as if interrupted, to resume from the state dir)", cmd)
+	}
 	e, ok := experiments.Lookup(f.name)
 	if !ok {
 		return fmt.Errorf("unknown sweep %q (try `wasched sweep list`)", f.name)
 	}
 
-	// Ctrl-C / SIGTERM cancels dispatch; in-flight cells drain and journal
-	// before exit, so `sweep resume` picks up exactly the remaining cells.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// With a state dir, Ctrl-C / SIGTERM cancels dispatch; in-flight cells
+	// drain and journal before exit, so `sweep resume` picks up exactly the
+	// remaining cells. Without one there is nothing to resume, so Ctrl-C
+	// stops the sweep as it stops `wasched run`.
+	ctx := context.Background()
+	if f.stateDir != "" {
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+	}
 
 	var progress io.Writer
 	if !f.quiet {
@@ -356,10 +366,12 @@ commands:
                        (assigning synthetic reservations to -bb-fraction of
                        jobs) for the plan and bb-io-aware policies
   sweep list           list the experiments (as list does)
-  sweep run <name> [-seed N] [-workers N] [-state-dir DIR] [-quiet]
+  sweep run <name> [-seed N] [-workers N] [-state-dir DIR] [-max-cells N] [-quiet]
                        run an experiment and print what run prints; with a
                        state dir, finished cells are cached and Ctrl-C
-                       leaves a resumable checkpoint (exit code 3)
+                       leaves a resumable checkpoint (exit code 3);
+                       -max-cells N stops after N fresh cells as if
+                       interrupted, and needs a state dir
   sweep resume <name> -state-dir DIR
                        finish an interrupted sweep from its checkpoint
   sweep status <name> -state-dir DIR
