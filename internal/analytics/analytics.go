@@ -89,7 +89,9 @@ const historyCap = 64
 type Service struct {
 	eng       *des.Engine
 	container *sos.Container
-	nodes     []string
+	// series holds one handle per compute node, in sorted node order, so
+	// R_now reads the store without a lookup by name.
+	series    []*sos.Series
 	cfg       Config
 	estimates map[string]*Estimate
 	history   map[string][]Observation
@@ -114,10 +116,14 @@ func New(eng *des.Engine, store *sos.Store, nodes []string, cfg Config) (*Servic
 	ns := make([]string, len(nodes))
 	copy(ns, nodes)
 	sort.Strings(ns)
+	series := make([]*sos.Series, len(ns))
+	for i, n := range ns {
+		series[i] = container.Series(n)
+	}
 	return &Service{
 		eng:       eng,
 		container: container,
-		nodes:     ns,
+		series:    series,
 		cfg:       cfg,
 		estimates: make(map[string]*Estimate),
 		history:   make(map[string][]Observation),
@@ -247,7 +253,9 @@ func (s *Service) QuantileRate(fingerprint string, q float64) (float64, bool) {
 }
 
 // CurrentThroughput returns R_now: the cluster-wide Lustre throughput in
-// bytes/s measured over the trailing window from sampled counters.
+// bytes/s measured over the trailing window from sampled counters. Each
+// node's write and read counters are interpolated at the same two points,
+// so one search per node and window end serves both columns.
 func (s *Service) CurrentThroughput() float64 {
 	now := s.eng.Now()
 	w := s.cfg.ThroughputWindow
@@ -260,13 +268,14 @@ func (s *Service) CurrentThroughput() float64 {
 		return 0
 	}
 	total := 0.0
-	for _, n := range s.nodes {
-		if d, ok := s.container.DeltaOver(n, ldms.ColWriteBytes, lo, now); ok {
-			total += d
+	for _, sr := range s.series {
+		a, ok := sr.At(lo)
+		if !ok {
+			continue
 		}
-		if d, ok := s.container.DeltaOver(n, ldms.ColReadBytes, lo, now); ok {
-			total += d
-		}
+		b, _ := sr.At(now)
+		total += b.Value(ldms.ColWriteBytes) - a.Value(ldms.ColWriteBytes)
+		total += b.Value(ldms.ColReadBytes) - a.Value(ldms.ColReadBytes)
 	}
 	return total / win
 }

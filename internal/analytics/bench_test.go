@@ -10,7 +10,11 @@ import (
 )
 
 // BenchmarkCurrentThroughput measures R_now over 15 nodes with an hour of
-// samples — called once per scheduling round.
+// samples — read once per scheduling round under a guarded policy. The
+// handles variant is the service, which reads each node's series through
+// its handle with one search per window end; by-name is the same sum
+// through Container.DeltaOver, one lookup by name and one search per node,
+// column and window end.
 func BenchmarkCurrentThroughput(b *testing.B) {
 	eng := des.NewEngine()
 	store := sos.NewStore()
@@ -27,9 +31,27 @@ func BenchmarkCurrentThroughput(b *testing.B) {
 	}
 	eng.Run(des.TimeFromSeconds(3600))
 	svc, _ := New(eng, store, nodes, DefaultConfig())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = svc.CurrentThroughput()
-	}
+	b.Run("handles", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = svc.CurrentThroughput()
+		}
+	})
+	b.Run("by-name", func(b *testing.B) {
+		now := eng.Now()
+		lo := now.Add(-DefaultConfig().ThroughputWindow)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			total := 0.0
+			for _, n := range nodes {
+				if d, ok := c.DeltaOver(n, ldms.ColWriteBytes, lo, now); ok {
+					total += d
+				}
+				if d, ok := c.DeltaOver(n, ldms.ColReadBytes, lo, now); ok {
+					total += d
+				}
+			}
+			_ = total
+		}
+	})
 }

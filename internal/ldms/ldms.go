@@ -78,7 +78,7 @@ func (c Config) Validate() error {
 }
 
 type bufferedRecord struct {
-	source string
+	series *sos.Series
 	at     des.Time
 	values [4]float64
 }
@@ -112,9 +112,12 @@ func Start(eng *des.Engine, fs *pfs.FileSystem, store *sos.Store, nodes []string
 	rng := des.NewRNG(seed, "ldms/jitter")
 	for i, client := range fs.Clients(nodes) {
 		node := nodes[i]
+		// Resolved once: the flush appends through the handle, with no
+		// lookup by name per record.
+		series := container.Series(client.Name())
 		start := func() {
 			stop := eng.Ticker(cfg.SampleInterval, "ldms/sample/"+node, func(now des.Time) {
-				d.sample(client, now)
+				d.sample(series, client, now)
 			})
 			d.stops = append(d.stops, stop)
 		}
@@ -135,11 +138,11 @@ func Start(eng *des.Engine, fs *pfs.FileSystem, store *sos.Store, nodes []string
 	return d, nil
 }
 
-func (d *Daemon) sample(client *pfs.Client, now des.Time) {
+func (d *Daemon) sample(series *sos.Series, client *pfs.Client, now des.Time) {
 	c := client.Counters()
 	d.samples++
 	d.pending = append(d.pending, bufferedRecord{
-		source: client.Name(),
+		series: series,
 		at:     now,
 		values: [4]float64{c.WriteBytes, c.ReadBytes, float64(c.WriteOps), float64(c.ReadOps)},
 	})
@@ -152,7 +155,7 @@ func (d *Daemon) sample(client *pfs.Client, now des.Time) {
 func (d *Daemon) flush() {
 	for i := range d.pending {
 		r := &d.pending[i]
-		if err := d.container.Append(r.source, r.at, r.values[:]); err != nil {
+		if err := r.series.Append(r.at, r.values[:]); err != nil {
 			// Monotonicity violations cannot happen with ticker-driven
 			// samplers; any error here is a programming bug.
 			panic(fmt.Sprintf("ldms: flush: %v", err))

@@ -124,6 +124,25 @@ func modelOf(p Policy) (m model, ok bool) {
 	return model{}, false
 }
 
+// ReadsMeasured reports whether a round of p can read
+// RoundInput.MeasuredThroughput: true when a rate dimension of p's model
+// carries the measured-throughput guard, and for a policy defined outside
+// this package, whose rounds may read anything. A caller for which the
+// measurement costs work passes zero instead when it is false; no round
+// of such a policy changes with the value.
+func ReadsMeasured(p Policy) bool {
+	m, ok := modelOf(p)
+	if !ok {
+		return true
+	}
+	for i := range m.dims {
+		if m.dims[i].guard {
+			return true
+		}
+	}
+	return false
+}
+
 // nodeModel is the node-only model of default Slurm.
 func nodeModel(policy string, nodes int) model {
 	checkNodes(policy, nodes)

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"wasched/internal/des"
 )
 
 // foreignPolicy is a policy from outside the package's reservation model.
@@ -71,4 +74,65 @@ func TestPassThroughWrappersAroundForeignPolicy(t *testing.T) {
 			t.Errorf("%s: NewSession = %T, want nil", p.Name(), s)
 		}
 	}
+}
+
+func TestReadsMeasured(t *testing.T) {
+	const limit = 10.0
+	node := NodePolicy{TotalNodes: 4}
+	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: limit}
+	cases := []struct {
+		name string
+		p    Policy
+		want bool
+	}{
+		{"node", node, false},
+		{"tbf", TBFPolicy{TotalNodes: 4, Straggler: true}, false},
+		{"plan without a limit", PlanPolicy{TotalNodes: 4, BBCapacity: 1}, false},
+		{"plan with a limit, guard off", PlanPolicy{TotalNodes: 4, BBCapacity: 1, ThroughputLimit: limit, IgnoreMeasured: true}, false},
+		{"io-aware", io, true},
+		{"io-aware, guard off", IOAwarePolicy{TotalNodes: 4, ThroughputLimit: limit, IgnoreMeasured: true}, false},
+		{"adaptive", AdaptivePolicy{TotalNodes: 4, ThroughputLimit: limit, TwoGroup: true}, true},
+		{"plan with a limit", PlanPolicy{TotalNodes: 4, BBCapacity: 1, ThroughputLimit: limit}, true},
+		{"bb+ io-aware", BBAwarePolicy{Inner: io, Capacity: 1}, true},
+		{"bb+ node", BBAwarePolicy{Inner: node, Capacity: 1}, false},
+		{"tetris+ io-aware", TetrisPolicy{Inner: io, TotalNodes: 4, ThroughputLimit: limit}, true},
+		{"tetris+ node", TetrisPolicy{Inner: node, TotalNodes: 4}, false},
+		{"tbf+ io-aware", TBFAwarePolicy{Inner: io}, true},
+		{"tbf+ node", TBFAwarePolicy{Inner: node}, false},
+		{"foreign", foreignPolicy{node}, true},
+		{"tetris+ foreign", TetrisPolicy{Inner: foreignPolicy{node}, TotalNodes: 4}, true},
+		{"tbf+ foreign", TBFAwarePolicy{Inner: foreignPolicy{node}}, true},
+	}
+	for _, c := range cases {
+		if got := ReadsMeasured(c.p); got != c.want {
+			t.Errorf("%s: ReadsMeasured = %v, want %v", c.name, got, c.want)
+		}
+		// A measurement far above what the running jobs explain holds
+		// every start under a guarded model and moves nothing otherwise.
+		// A foreign policy may read it or not.
+		if _, ok := modelOf(c.p); !ok {
+			continue
+		}
+		quiet, loud := measuredRound(c.p, 0), measuredRound(c.p, 1e9)
+		if moved := quiet != loud; moved != c.want {
+			t.Errorf("%s: decisions with R_now 0 %q, with R_now 1e9 %q; ReadsMeasured %v", c.name, quiet, loud, c.want)
+		}
+	}
+}
+
+// measuredRound runs one round of p over a fixed queue under the given
+// measured throughput and returns its decisions as text.
+func measuredRound(p Policy, measured float64) string {
+	run := job("run", 1, 100*des.Second)
+	run.Rate = 2
+	waiting := []*Job{job("a", 1, 100*des.Second), job("b", 1, 100*des.Second), job("c", 1, 100*des.Second)}
+	for _, j := range waiting {
+		j.Rate = 3
+	}
+	ds, _ := RunRound(p, RoundInput{Running: []*Job{run}, Waiting: waiting, MeasuredThroughput: measured}, Options{})
+	out := ""
+	for _, d := range ds {
+		out += fmt.Sprintf("%s:%v/%v/%d ", d.Job.ID, d.StartNow, d.Reserved, d.PlannedStart)
+	}
+	return out
 }

@@ -306,6 +306,9 @@ type Controller struct {
 	diag      sched.Diagnoser  // the last executed round's, nil if none
 	// onQuiet, when set, sees the input of every round skipped as quiet.
 	onQuiet func(sched.RoundInput)
+	// readsMeasured is sched.ReadsMeasured(policy), set with the session:
+	// a round reads R_now from the analytics only when a guard can use it.
+	readsMeasured bool
 }
 
 // estClass is one job class's estimates as the controller last read them
@@ -607,6 +610,7 @@ func (c *Controller) scheduleRound() {
 		// No job can have started before this round.
 		c.sessionMade = true
 		c.session = sched.NewSession(c.policy)
+		c.readsMeasured = sched.ReadsMeasured(c.policy)
 	}
 	// Line 1 inputs: latest estimates and the measured throughput.
 	now := c.eng.Now()
@@ -625,7 +629,7 @@ func (c *Controller) scheduleRound() {
 		c.runningViews = append(c.runningViews, &r.view)
 	}
 	measured := 0.0
-	if c.svc != nil && !c.cfg.UseDeclaredRates {
+	if c.readsMeasured && c.svc != nil && !c.cfg.UseDeclaredRates {
 		measured = c.svc.CurrentThroughput()
 	}
 	in := sched.RoundInput{

@@ -1,20 +1,29 @@
 package sos
 
 import (
-	"fmt"
 	"testing"
 
 	"wasched/internal/des"
 )
 
-// BenchmarkAppend measures sampler-rate appends (15 nodes × 1 Hz).
-func BenchmarkAppend(b *testing.B) {
-	st := NewStore()
-	c, _ := st.CreateContainer(Schema{Name: "m", Metrics: []string{"w", "r"}})
-	row := []float64{1, 2}
+// BenchmarkAggregatorTick measures one LDMS aggregator tick at steady
+// state: 15 sources append a 4-column row each through their Series
+// handles, then the container is trimmed to a 2 h retention window. The
+// allocations it reports are the chunks, amortized over their rows.
+func BenchmarkAggregatorTick(b *testing.B) {
+	s := newSteadyStore(2 * des.Hour)
+	handles := make([]*Series, len(s.names))
+	for i, n := range s.names {
+		handles[i] = s.c.Series(n)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Append(fmt.Sprintf("n%d", i%15), des.Time(i)*des.Time(des.Second), row)
+		for _, h := range handles {
+			_ = h.Append(s.now, steadyRow)
+		}
+		s.c.Trim(s.now.Add(-s.retention))
+		s.now = s.now.Add(des.Second)
 	}
 }
 

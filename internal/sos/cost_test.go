@@ -2,6 +2,7 @@ package sos
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -68,8 +69,8 @@ func (s *steadyStore) tick() {
 }
 
 // run times 7,200 ticks and returns the wall time per tick. A run spans
-// at least one reallocation of the 8 h window's backing arrays, so the
-// amortized compaction cost is inside the timing.
+// several chunk allocations and drops per source, so their amortized cost
+// is inside the timing.
 func (s *steadyStore) run() time.Duration {
 	const ticks = 7200
 	start := time.Now()
@@ -77,4 +78,29 @@ func (s *steadyStore) run() time.Duration {
 		s.tick()
 	}
 	return time.Since(start) / ticks
+}
+
+// TestSteadyAppendAllocatesOnlyRows is the allocation shape of "rows never
+// move": at steady state under the LDMS write pattern (2 h retention, 15
+// sources, 4 columns) the bytes allocated per appended row stay within
+// 1.1× the row's own storage, its timestamp and its values. A store that
+// regrows its columns, copying the live rows into a larger array, allocates
+// several times that.
+func TestSteadyAppendAllocatesOnlyRows(t *testing.T) {
+	s := newSteadyStore(2 * des.Hour)
+	const ticks = 8 * chunkRows // eight chunks per source
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < ticks; k++ {
+		s.tick()
+	}
+	runtime.ReadMemStats(&after)
+	rows := float64(ticks * len(s.names))
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+	width := len(s.c.Schema().Metrics)
+	bound := 1.1 * float64(width+1) * 8
+	t.Logf("%.1f bytes allocated per appended row (bound %.1f)", perRow, bound)
+	if perRow > bound {
+		t.Fatalf("%.1f bytes allocated per appended row, want at most %.1f: rows are copied after they are appended", perRow, bound)
+	}
 }

@@ -10,8 +10,9 @@ import (
 
 // The wire format mirrors SOS's on-disk container dumps: a store is a
 // sequence of containers, each with its schema and per-source column data.
-// Values are stored as one row per record on the wire; Save builds those
-// rows from the flat in-memory layout, so old dumps still load.
+// Times and values are stored as one slice per source and one row per
+// record on the wire; Save builds them from the chunked in-memory layout,
+// so old dumps still load.
 
 type wireStore struct {
 	Containers []wireContainer
@@ -36,13 +37,14 @@ func (st *Store) Save(w io.Writer) error {
 		c := st.containers[name]
 		wc := wireContainer{Schema: c.schema}
 		for _, s := range c.order {
-			rows := make([][]float64, len(s.times))
+			times := make([]des.Time, s.n)
+			rows := make([][]float64, s.n)
 			for k := range rows {
-				rows[k] = s.row(k, c.width)
+				times[k], rows[k] = s.time(k), s.row(k)
 			}
 			wc.Sources = append(wc.Sources, wireSeries{
 				Source: s.source,
-				Times:  s.times,
+				Times:  times,
 				Values: rows,
 			})
 		}
@@ -74,9 +76,10 @@ func (st *Store) Load(r io.Reader) error {
 				return fmt.Errorf("sos: container %q source %q: %d times, %d rows",
 					wc.Schema.Name, s.Source, len(s.Times), len(s.Values))
 			}
-			c.seriesOf(s.Source) // a source trimmed to empty still round-trips
+			ser := c.Series(s.Source)
+			c.list(ser) // a source trimmed to empty still round-trips
 			for i := range s.Times {
-				if err := c.Append(s.Source, s.Times[i], s.Values[i]); err != nil {
+				if err := ser.Append(s.Times[i], s.Values[i]); err != nil {
 					return err
 				}
 			}
@@ -100,11 +103,11 @@ func (c *Container) ExportCSV(w io.Writer) error {
 		return err
 	}
 	for _, s := range c.order {
-		for i := range s.times {
-			if _, err := fmt.Fprintf(w, "%s,%.6f", s.source, s.times[i].Seconds()); err != nil {
+		for i := 0; i < s.n; i++ {
+			if _, err := fmt.Fprintf(w, "%s,%.6f", s.source, s.time(i).Seconds()); err != nil {
 				return err
 			}
-			for _, v := range s.row(i, c.width) {
+			for _, v := range s.row(i) {
 				if _, err := fmt.Fprintf(w, ",%g", v); err != nil {
 					return err
 				}

@@ -458,3 +458,145 @@ func equalBits(a, b []float64) bool {
 	}
 	return true
 }
+
+// chunkedSeries returns a container with one source "a" of rows i = 0 …
+// rows-1 at i s, with values {i, -i/2}, appended through its handle.
+func chunkedSeries(t *testing.T, rows int) (*Container, *Series) {
+	t.Helper()
+	c, _ := NewStore().CreateContainer(testSchema())
+	s := c.Series("a")
+	for i := 0; i < rows; i++ {
+		if err := s.Append(ts(int64(i)), []float64{float64(i), float64(-i) / 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, s
+}
+
+// checkRows asserts that the series holds exactly rows first … last-1 of
+// chunkedSeries, through every query, including interpolating windows that
+// cross chunk boundaries.
+func checkRows(t *testing.T, c *Container, s *Series, first, last int) {
+	t.Helper()
+	n := last - first
+	if s.n != n || c.Len() != n {
+		t.Fatalf("Len: series %d, container %d, want %d", s.n, c.Len(), n)
+	}
+	recs := c.RangeBySource("a", 0, des.MaxTime)
+	if len(recs) != n {
+		t.Fatalf("RangeBySource: %d records, want %d", len(recs), n)
+	}
+	for k, r := range recs {
+		i := first + k
+		if r.At != ts(int64(i)) || r.Value(0) != float64(i) || r.Value(1) != float64(-i)/2 {
+			t.Fatalf("record %d: %+v, want row %d", k, r, i)
+		}
+	}
+	if n == 0 {
+		if _, ok := c.FirstAfter("a", 0); ok {
+			t.Fatal("FirstAfter on an emptied series must fail")
+		}
+		if _, ok := s.DeltaOver(0, 0, des.MaxTime); ok {
+			t.Fatal("DeltaOver on an emptied series must fail")
+		}
+		return
+	}
+	for _, b := range []int{chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows - 1, 2 * chunkRows, 3 * chunkRows} {
+		want := min(max(b, first), last-1)
+		if r, ok := c.FirstAfter("a", ts(int64(b))); b < last && (!ok || r.At != ts(int64(want))) {
+			t.Fatalf("FirstAfter(%d s) = %+v %v, want row %d", b, r, ok, want)
+		}
+		if r, ok := c.LastBefore("a", ts(int64(b))); b >= first && (!ok || r.At != ts(int64(want))) {
+			t.Fatalf("LastBefore(%d s) = %+v %v, want row %d", b, r, ok, want)
+		}
+		// Half a second either side of the boundary: both ends
+		// interpolate, the window spans two chunks.
+		lo, hi := ts(int64(b)).Add(-des.Second/2), ts(int64(b)).Add(des.Second/2)
+		if b-1 < first || b+1 >= last {
+			continue
+		}
+		for col, slope := range []float64{1, -0.5} {
+			d, ok := s.DeltaOver(col, lo, hi)
+			cd, cok := c.DeltaOver("a", col, lo, hi)
+			if !ok || d != slope || !cok || math.Float64bits(cd) != math.Float64bits(d) {
+				t.Fatalf("DeltaOver col %d around %d s: handle %v %v, container %v %v, want %v", col, b, d, ok, cd, cok, slope)
+			}
+		}
+	}
+}
+
+func TestTrimAcrossChunkBoundaries(t *testing.T) {
+	const rows = 3*chunkRows + chunkRows/2
+	c, s := chunkedSeries(t, rows)
+	checkRows(t, c, s, 0, rows)
+	early := c.RangeBySource("a", 0, ts(2*chunkRows+1))
+	chunks := len(s.chunks)
+	for _, cut := range []int{chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows - 1, 2 * chunkRows, 2*chunkRows + 1} {
+		c.Trim(ts(int64(cut)))
+		checkRows(t, c, s, cut, rows)
+		// A chunk goes once its last row expires, not before.
+		if want := chunks - cut/chunkRows; len(s.chunks) != want {
+			t.Fatalf("after Trim(%d s): %d chunks, want %d", cut, len(s.chunks), want)
+		}
+	}
+	// Records handed out before the trims still read their rows.
+	for i, r := range early {
+		if r.At != ts(int64(i)) || r.Value(0) != float64(i) || r.Value(1) != float64(-i)/2 {
+			t.Fatalf("record %d changed after trims: %+v", i, r)
+		}
+	}
+	// Append past the trims, across the next boundary.
+	for i := rows; i < 4*chunkRows+2; i++ {
+		if err := s.Append(ts(int64(i)), []float64{float64(i), float64(-i) / 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRows(t, c, s, 2*chunkRows+1, 4*chunkRows+2)
+}
+
+func TestTrimEmptiesAndRefillsSeries(t *testing.T) {
+	for _, rows := range []int{chunkRows / 2, chunkRows, 2*chunkRows + 3} {
+		c, s := chunkedSeries(t, rows)
+		if got := c.Trim(ts(int64(rows))); got != rows {
+			t.Fatalf("%d rows: Trim removed %d", rows, got)
+		}
+		checkRows(t, c, s, rows, rows)
+		// An emptied series takes any time again, earlier ones too, and
+		// refills across chunk boundaries.
+		for i := 0; i < 2*chunkRows+1; i++ {
+			if err := s.Append(ts(int64(i)), []float64{float64(i), float64(-i) / 2}); err != nil {
+				t.Fatalf("%d rows: refill row %d: %v", rows, i, err)
+			}
+		}
+		checkRows(t, c, s, 0, 2*chunkRows+1)
+		if got := c.Sources(); len(got) != 1 || got[0] != "a" {
+			t.Fatalf("Sources after refill: %v", got)
+		}
+	}
+}
+
+func TestSeriesHandleListedAtFirstAppend(t *testing.T) {
+	c, _ := NewStore().CreateContainer(testSchema())
+	b, a := c.Series("b"), c.Series("a")
+	if c.Series("b") != b {
+		t.Fatal("Series must return the same handle for a source")
+	}
+	if got := c.Sources(); len(got) != 0 {
+		t.Fatalf("resolving handles listed sources: %v", got)
+	}
+	if got := c.RangeBySource("b", 0, des.MaxTime); got != nil {
+		t.Fatal("a source with no append must read as unknown")
+	}
+	_ = a.Append(ts(1), []float64{1, 2})
+	_ = c.Append("c", ts(1), []float64{1, 2})
+	_ = b.Append(ts(1), []float64{1, 2})
+	if got := c.Sources(); strings.Join(got, ",") != "a,c,b" {
+		t.Fatalf("Sources: %v, want first-appended order a,c,b", got)
+	}
+	if err := b.Append(ts(2), []float64{1}); err == nil {
+		t.Fatal("wrong width through a handle must error")
+	}
+	if err := b.Append(ts(0), []float64{1, 2}); err == nil {
+		t.Fatal("time going backwards through a handle must error")
+	}
+}
