@@ -101,5 +101,6 @@ fuzz:
 	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzParseSWFRecords -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzDecodeEncode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slurmconf -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/des -run='^$$' -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME)
 
 check: vet fmt-check lint race bbcheck tbfcheck sweep-smoke fuzz

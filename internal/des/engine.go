@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event is a handle to a scheduled callback. Events are single-shot; a
 // fired or cancelled event is inert, and so is the zero Event. Events are
@@ -35,7 +38,7 @@ func (ev Event) At() Time {
 	if !ev.live() {
 		return 0
 	}
-	return ev.eng.slots[ev.id].at
+	return ev.eng.heap[ev.eng.slots[ev.id].pos].at
 }
 
 // Name returns the diagnostic label given at scheduling time, or "" once
@@ -47,33 +50,70 @@ func (ev Event) Name() string {
 	return ev.eng.slots[ev.id].name
 }
 
-// slot is the pooled storage behind one Event handle.
+// slot is the pooled storage behind one event handle or one ticker. Its
+// key lives in the entry that queues it, so ordering never loads a slot.
 type slot struct {
-	at   Time
-	seq  uint64
-	fn   func()
+	fn   func()     // a one-shot event's callback
+	tick func(Time) // a ticker's callback
 	name string
 	gen  uint32
-	pos  int32 // position in the heap, -1 when free or fired
+	pos  int32 // a one-shot event's heap position, -1 otherwise
+}
+
+// entry queues one slot under its key. A lane holds entries of running
+// tickers only: stopping a ticker removes its entry.
+type entry struct {
+	at  Time
+	seq uint64
+	id  int32
+}
+
+// idle stands in for the head of an empty lane: no queued entry orders
+// after it, because no sequence number reaches math.MaxUint64.
+var idle = entry{at: MaxTime, seq: math.MaxUint64, id: -1}
+
+func (a entry) less(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// lane holds every running ticker of one period, in firing order, as a
+// ring of entries whose length is a power of two. Engine.heads mirrors
+// each lane's first entry.
+type lane struct {
+	period Duration
+	ring   []entry
+	head   int
+	n      int
 }
 
 // Engine is a deterministic discrete-event simulation executive. It is not
 // safe for concurrent use: a simulation is a single logical timeline, and
-// all model code runs inside event callbacks on one goroutine.
+// all model code runs inside event callbacks on one goroutine. Callbacks
+// may schedule, cancel and reschedule events and start and stop tickers,
+// but must not call Step, Run or RunUntilIdle.
 //
-// The pending queue keeps the container/heap binary-heap discipline the
-// engine has always used (sift-up on push, sift-down on pop, the
-// heap.Fix/heap.Remove moves for reschedule and cancel), but specialised
-// to pooled slot indices: pushing an event appends an int32 to the heap
-// and popping recycles the slot through a free list, so the steady state
-// allocates nothing per event and never boxes through an interface.
+// The pending queue has two parts, and Step pops the smallest (at, seq)
+// key across them. One-shot events sit in a 4-ary min-heap of inline
+// keys: comparisons read only the heap array, and each slot keeps its heap
+// position for Cancel and Reschedule. Tickers never enter the heap: each
+// distinct period has a FIFO lane, and a ticker that fires is re-armed at
+// its lane's tail, which is where its new key belongs (DESIGN.md, "Event
+// pooling in des"). Slots recycle through a free list, so the steady state
+// allocates nothing per event or tick and never boxes through an
+// interface.
 type Engine struct {
-	now   Time
-	slots []slot
-	heap  []int32 // slot ids ordered by (at, seq)
-	free  []int32 // recycled slot ids
-	seq   uint64
-	fired uint64
+	now     Time
+	slots   []slot
+	heap    []entry // one-shot events ordered by (at, seq)
+	lanes   []lane  // one per ticker period, in creation order
+	heads   []entry // each lane's first entry, idle when it is empty
+	free    []int32 // recycled slot ids
+	tickers int     // running tickers
+	seq     uint64
+	fired   uint64
 }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
@@ -82,15 +122,19 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of queued one-shot events plus the number of
+// running tickers. A ticker counts while its own callback runs, unless the
+// callback stops it.
+func (e *Engine) Pending() int { return len(e.heap) + e.tickers }
 
-// Fired returns the total number of events executed so far.
+// Fired returns the total number of events executed so far, ticks
+// included.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// PoolSize returns the number of event slots ever allocated; the
-// steady-state pool footprint equals the maximum number of simultaneously
-// pending events, independent of how many events fire in total.
+// PoolSize returns the number of slots ever allocated, one per pending
+// event or running ticker; the steady-state pool footprint equals the
+// maximum number of both at once, independent of how many events fire in
+// total.
 func (e *Engine) PoolSize() int { return len(e.slots) }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
@@ -108,11 +152,9 @@ func (e *Engine) At(at Time, name string, fn func()) Event {
 	e.seq++
 	id := e.alloc()
 	s := &e.slots[id]
-	s.at = at
-	s.seq = e.seq
 	s.fn = fn
 	s.name = name
-	e.heapPush(id)
+	e.heapPush(entry{at: at, seq: e.seq, id: id})
 	return Event{eng: e, id: id, gen: s.gen}
 }
 
@@ -141,7 +183,9 @@ func (e *Engine) Cancel(ev Event) bool {
 }
 
 // Reschedule moves a pending event to a new time, preserving its callback.
-// If the event already fired or was cancelled it returns false.
+// It draws a fresh sequence number, so the event fires exactly where
+// Cancel followed by At would have put it. If the event already fired or
+// was cancelled it returns false.
 //
 //waschedlint:hotpath
 func (e *Engine) Reschedule(ev Event, at Time) bool {
@@ -152,10 +196,11 @@ func (e *Engine) Reschedule(ev Event, at Time) bool {
 	if at < e.now {
 		panic(fmt.Sprintf("des: event %q rescheduled to %v before now %v", s.name, at, e.now))
 	}
-	s.at = at
 	e.seq++
-	s.seq = e.seq
-	e.heapFix(int(s.pos))
+	i := int(s.pos)
+	e.heap[i].at = at
+	e.heap[i].seq = e.seq
+	e.heapFix(i)
 	return true
 }
 
@@ -164,19 +209,11 @@ func (e *Engine) Reschedule(ev Event, at Time) bool {
 //
 //waschedlint:hotpath
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	li, _, ok := e.next()
+	if !ok {
 		return false
 	}
-	id := e.heapPopMin()
-	s := &e.slots[id]
-	if s.at < e.now {
-		panic("des: corrupt event queue (time went backwards)")
-	}
-	e.now = s.at
-	fn := s.fn
-	e.release(id)
-	e.fired++
-	fn()
+	e.fire(li)
 	return true
 }
 
@@ -187,8 +224,12 @@ func (e *Engine) Step() bool {
 //
 //waschedlint:hotpath
 func (e *Engine) Run(until Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= until {
-		e.Step()
+	for {
+		li, at, ok := e.next()
+		if !ok || at > until {
+			break
+		}
+		e.fire(li)
 	}
 	if e.now < until {
 		// Nothing left to do before the deadline; park the clock there so
@@ -211,36 +252,141 @@ func (e *Engine) RunUntilIdle(limit uint64) {
 }
 
 func (e *Engine) peekName() string {
-	if len(e.heap) == 0 {
+	li, _, ok := e.next()
+	switch {
+	case !ok:
 		return "<none>"
+	case li < 0:
+		return e.slots[e.heap[0].id].name
+	default:
+		return e.slots[e.heads[li].id].name
 	}
-	return e.slots[e.heap[0]].name
+}
+
+// next finds the earliest pending event: the lane whose head it is, or -1
+// for the heap's root. ok is false when nothing is pending.
+func (e *Engine) next() (li int, at Time, ok bool) {
+	li = -1
+	min := idle
+	if len(e.heap) > 0 {
+		min = e.heap[0]
+	}
+	for i := range e.heads {
+		if e.heads[i].less(min) {
+			li, min = i, e.heads[i]
+		}
+	}
+	return li, min.at, min != idle
+}
+
+// fire executes the event next found: the heap's root for li < 0, else the
+// head of lane li.
+func (e *Engine) fire(li int) {
+	if li < 0 {
+		top := e.heapPopMin()
+		if top.at < e.now {
+			panic("des: corrupt event queue (time went backwards)")
+		}
+		e.now = top.at
+		fn := e.slots[top.id].fn
+		e.release(top.id)
+		e.fired++
+		fn()
+		return
+	}
+	head := e.heads[li]
+	if head.at < e.now {
+		panic("des: corrupt event queue (time went backwards)")
+	}
+	e.now = head.at
+	e.fired++
+	e.slots[head.id].tick(e.now)
+	// The ticker stays at its lane's head while the callback runs; a stop
+	// from inside removed it. Re-arm it at the tail with a sequence number
+	// drawn only now, as a fresh After would. Every other entry of the lane
+	// was armed at or before now, so the new key is the lane's largest. In
+	// a full ring the tail is the head slot this tick vacates.
+	if e.heads[li] == head {
+		l := &e.lanes[li]
+		mask := len(l.ring) - 1
+		e.seq++
+		l.ring[(l.head+l.n)&mask] = entry{at: e.now.Add(l.period), seq: e.seq, id: head.id}
+		l.head = (l.head + 1) & mask
+		e.heads[li] = l.ring[l.head]
+	}
 }
 
 // Ticker invokes fn every period, starting at the current time plus period,
 // until the returned stop function is called. The callback receives the
 // firing time. Tickers are a convenience for samplers and scheduling rounds.
+// A tick orders against other events exactly like an event scheduled with
+// After(period) when the previous tick's callback returned.
 func (e *Engine) Ticker(period Duration, name string, fn func(Time)) (stop func()) {
 	if period <= 0 {
 		panic("des: ticker period must be positive")
 	}
-	var ev Event
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
+	li := e.laneFor(period)
+	e.seq++
+	id := e.alloc()
+	s := &e.slots[id]
+	s.tick = fn
+	s.name = name
+	gen := s.gen
+	l := &e.lanes[li]
+	if l.n == len(l.ring) {
+		ring := make([]entry, 2*len(l.ring))
+		for k := 0; k < l.n; k++ {
+			ring[k] = l.ring[(l.head+k)&(len(l.ring)-1)]
 		}
-		fn(e.now)
-		if !stopped {
-			ev = e.After(period, name, tick)
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = entry{at: e.now.Add(period), seq: e.seq, id: id}
+	l.n++
+	e.heads[li] = l.ring[l.head]
+	e.tickers++
+	return func() { e.stopTicker(li, id, gen) }
+}
+
+// laneFor returns the index of the lane for period, creating it if no
+// running or stopped ticker has had that period yet.
+func (e *Engine) laneFor(period Duration) int {
+	for i := range e.lanes {
+		if e.lanes[i].period == period {
+			return i
 		}
 	}
-	ev = e.After(period, name, tick)
-	return func() {
-		stopped = true
-		e.Cancel(ev)
+	e.lanes = append(e.lanes, lane{period: period, ring: make([]entry, 4)})
+	e.heads = append(e.heads, idle)
+	return len(e.lanes) - 1
+}
+
+// stopTicker removes a running ticker from its lane, closing the gap from
+// the tail side so that the lane stays in order. Stopping a stopped ticker
+// is a no-op.
+func (e *Engine) stopTicker(li int, id int32, gen uint32) {
+	if e.slots[id].gen != gen {
+		return
 	}
+	l := &e.lanes[li]
+	mask := len(l.ring) - 1
+	for k := 0; k < l.n; k++ {
+		p := (l.head + k) & mask
+		if l.ring[p].id != id {
+			continue
+		}
+		for ; k < l.n-1; k++ {
+			p = (l.head + k) & mask
+			l.ring[p] = l.ring[(p+1)&mask]
+		}
+		l.n--
+		break
+	}
+	e.heads[li] = idle
+	if l.n > 0 {
+		e.heads[li] = l.ring[l.head]
+	}
+	e.tickers--
+	e.release(id)
 }
 
 // alloc takes a slot from the free list, growing the pool only when every
@@ -255,70 +401,56 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// release recycles a slot that fired or was cancelled: the generation bump
-// invalidates every outstanding handle, and dropping the callback and name
-// releases whatever the closure captured.
+// release recycles a slot that fired, was cancelled or whose ticker
+// stopped: the generation bump invalidates every outstanding handle and
+// stop function, and dropping the callbacks and name releases whatever the
+// closures captured.
 func (e *Engine) release(id int32) {
 	s := &e.slots[id]
 	s.gen++
 	s.fn = nil
+	s.tick = nil
 	s.name = ""
 	s.pos = -1
 	e.free = append(e.free, id)
 }
 
-// The binary heap over slot ids. less, swap and the sift moves mirror
-// container/heap exactly; working on int32 ids keeps Push/Pop free of the
-// interface boxing that made the pointer-based queue allocate per event.
+// The 4-ary heap of one-shot entries. A sift carries the moving entry in
+// a hole and writes each displaced entry's slot position once; keys are
+// unique, so the heap's shape never decides a firing order.
 
-func (e *Engine) heapLess(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
+const arity = 4
 
-func (e *Engine) heapSwap(i, j int) {
-	h := e.heap
-	h[i], h[j] = h[j], h[i]
-	e.slots[h[i]].pos = int32(i)
-	e.slots[h[j]].pos = int32(j)
-}
-
-func (e *Engine) heapPush(id int32) {
-	e.slots[id].pos = int32(len(e.heap))
-	e.heap = append(e.heap, id)
+func (e *Engine) heapPush(x entry) {
+	e.heap = append(e.heap, x)
 	e.siftUp(len(e.heap) - 1)
 }
 
-func (e *Engine) heapPopMin() int32 {
-	id := e.heap[0]
-	last := len(e.heap) - 1
-	e.heapSwap(0, last)
-	e.heap = e.heap[:last]
+func (e *Engine) heapPopMin() entry {
+	h := e.heap
+	top := h[0]
+	last := len(h) - 1
+	e.heap = h[:last]
 	if last > 0 {
+		h[0] = h[last]
 		e.siftDown(0)
 	}
-	return id
+	return top
 }
 
-// heapRemove removes the element at heap position i (container/heap's
-// Remove): swap with the last element, shrink, then re-sift the swapped-in
-// element whichever way restores order.
+// heapRemove removes the entry at heap position i: the last entry takes
+// its place and re-sifts whichever way restores order.
 func (e *Engine) heapRemove(i int) {
-	last := len(e.heap) - 1
-	if i != last {
-		e.heapSwap(i, last)
-	}
-	e.heap = e.heap[:last]
+	h := e.heap
+	last := len(h) - 1
+	e.heap = h[:last]
 	if i < last {
+		h[i] = h[last]
 		e.heapFix(i)
 	}
 }
 
-// heapFix restores order after the element at position i changed key
-// (container/heap's Fix).
+// heapFix restores order after the entry at position i changed key.
 func (e *Engine) heapFix(i int) {
 	if !e.siftDown(i) {
 		e.siftUp(i)
@@ -326,35 +458,51 @@ func (e *Engine) heapFix(i int) {
 }
 
 func (e *Engine) siftUp(i int) {
+	h := e.heap
+	x := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.heapLess(e.heap[i], e.heap[parent]) {
+		parent := (i - 1) / arity
+		if !x.less(h[parent]) {
 			break
 		}
-		e.heapSwap(i, parent)
+		h[i] = h[parent]
+		e.slots[h[i].id].pos = int32(i)
 		i = parent
 	}
+	h[i] = x
+	e.slots[x.id].pos = int32(i)
 }
 
-// siftDown reports whether the element moved, matching container/heap's
-// down() so heapFix can decide whether to sift up instead.
+// siftDown reports whether the entry moved, so heapFix can decide whether
+// to sift up instead.
 func (e *Engine) siftDown(i int) bool {
+	h := e.heap
+	n := len(h)
+	x := h[i]
 	start := i
-	n := len(e.heap)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		first := arity*i + 1
+		if first >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && e.heapLess(e.heap[right], e.heap[left]) {
-			least = right
+		least := first
+		end := first + arity
+		if end > n {
+			end = n
 		}
-		if !e.heapLess(e.heap[least], e.heap[i]) {
+		for c := first + 1; c < end; c++ {
+			if h[c].less(h[least]) {
+				least = c
+			}
+		}
+		if !h[least].less(x) {
 			break
 		}
-		e.heapSwap(i, least)
+		h[i] = h[least]
+		e.slots[h[i].id].pos = int32(i)
 		i = least
 	}
+	h[i] = x
+	e.slots[x.id].pos = int32(i)
 	return i > start
 }

@@ -266,6 +266,27 @@ func TestTickerStopFromCallback(t *testing.T) {
 	}
 }
 
+// TestTickerCountsAsPendingDuringCallback pins what Pending reports from
+// inside a tick: the ticker stays queued while its callback runs, and
+// leaves the count as soon as the callback stops it.
+func TestTickerCountsAsPendingDuringCallback(t *testing.T) {
+	e := NewEngine()
+	var seen []int
+	var stop func()
+	stop = e.Ticker(Second, "tick", func(Time) {
+		seen = append(seen, e.Pending())
+		if len(seen) == 2 {
+			stop()
+			seen = append(seen, e.Pending())
+		}
+	})
+	e.After(Hour, "other", func() { seen = append(seen, e.Pending()) })
+	e.RunUntilIdle(1000)
+	if fmt.Sprint(seen) != "[2 2 1 0]" || e.Pending() != 0 {
+		t.Fatalf("Pending during ticks and after: %v, then %d; want [2 2 1 0], then 0", seen, e.Pending())
+	}
+}
+
 func TestTickerPanicsOnBadPeriod(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -139,4 +139,41 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule/cancel allocates %.1f per op, want 0", allocs)
 	}
+	ticks := 0
+	stop := e.Ticker(Second, "steady", func(Time) { ticks++ })
+	defer stop()
+	allocs = testing.AllocsPerRun(1000, func() { e.Step() })
+	if allocs != 0 || ticks == 0 {
+		t.Fatalf("steady ticker tick allocates %.1f per op (%d ticks), want 0", allocs, ticks)
+	}
+}
+
+// TestTickerFireTouchesNoHeap pins that a tick costs nothing in the number
+// of pending one-shot events: with 10,000 far-future events queued, 10,000
+// ticks leave the heap exactly as it was, entry for entry.
+func TestTickerFireTouchesNoHeap(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	rng := NewRNG(3, "far")
+	for i := 0; i < 10000; i++ {
+		e.At(Time(24*Hour)+Time(rng.IntN(1000))*Time(Second), "far", fn)
+	}
+	ticks := 0
+	stop := e.Ticker(Second, "tick", func(Time) { ticks++ })
+	defer stop()
+	before := append([]entry(nil), e.heap...)
+	for i := 0; i < 10000; i++ {
+		e.Step()
+	}
+	if ticks != 10000 {
+		t.Fatalf("fired %d ticks, want 10000", ticks)
+	}
+	if len(e.heap) != len(before) {
+		t.Fatalf("heap holds %d entries after the ticks, %d before", len(e.heap), len(before))
+	}
+	for i := range before {
+		if e.heap[i] != before[i] {
+			t.Fatalf("heap entry %d changed: %+v, was %+v", i, e.heap[i], before[i])
+		}
+	}
 }

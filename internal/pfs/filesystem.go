@@ -137,9 +137,12 @@ type FileSystem struct {
 	lastSync des.Time
 
 	volLogNoise []float64
-	globalLog   float64
-	noiseRNG    *des.RNG
-	stopNoise   func()
+	// volFactor caches noiseFactor(volLogNoise[v]) from its first use
+	// after each noise step; 0 marks a volume not yet computed.
+	volFactor []float64
+	globalLog float64
+	noiseRNG  *des.RNG
+	stopNoise func()
 
 	mdsFreeAt des.Time
 
@@ -171,6 +174,7 @@ func New(eng *des.Engine, cfg Config, seed uint64) (*FileSystem, error) {
 		eng:             eng,
 		cfg:             cfg,
 		volLogNoise:     make([]float64, cfg.Volumes),
+		volFactor:       make([]float64, cfg.Volumes),
 		noiseRNG:        des.NewRNG(seed, "pfs/noise"),
 		lastSync:        eng.Now(),
 		volCountScratch: make([]int, cfg.Volumes),
@@ -238,6 +242,7 @@ func (fs *FileSystem) rollNoise() {
 	innov := fs.cfg.NoiseSigma * math.Sqrt(1-rho*rho)
 	for i := range fs.volLogNoise {
 		fs.volLogNoise[i] = rho*fs.volLogNoise[i] + innov*fs.noiseRNG.NormFloat64()
+		fs.volFactor[i] = 0
 	}
 	fs.globalLog = rho*fs.globalLog + innov*fs.noiseRNG.NormFloat64()
 }
@@ -246,6 +251,19 @@ func (fs *FileSystem) rollNoise() {
 func (fs *FileSystem) noiseFactor(logn float64) float64 {
 	s := fs.cfg.NoiseSigma
 	return math.Exp(logn - s*s/2)
+}
+
+// volNoise returns volume v's noise multiplier, computing it at most once
+// per noise step and only for a volume something reads: with few streams
+// most volumes go unread, which made an eager per-step cache cost more
+// than it saved.
+func (fs *FileSystem) volNoise(v int) float64 {
+	f := fs.volFactor[v]
+	if f == 0 {
+		f = fs.noiseFactor(fs.volLogNoise[v])
+		fs.volFactor[v] = f
+	}
+	return f
 }
 
 // mdsDelay serializes metadata operations through a single-server queue
@@ -424,7 +442,7 @@ func (fs *FileSystem) recompute() {
 		if s.inBurst() {
 			cap *= cfg.BurstBoost
 		}
-		volBW := cfg.VolumeBandwidth * fs.noiseFactor(fs.volLogNoise[s.volume])
+		volBW := cfg.VolumeBandwidth * fs.volNoise(s.volume)
 		if fs.volDegrade != nil {
 			volBW *= fs.volDegrade[s.volume]
 		}
@@ -632,7 +650,7 @@ func (fs *FileSystem) ServerHealth(dst []float64) []float64 {
 		dst[i] = 0
 	}
 	for v := 0; v < fs.cfg.Volumes; v++ {
-		f := fs.noiseFactor(fs.volLogNoise[v])
+		f := fs.volNoise(v)
 		if fs.volDegrade != nil {
 			f *= fs.volDegrade[v]
 		}
