@@ -234,7 +234,7 @@ func BenchmarkAblation(b *testing.B) {
 
 // BenchmarkReplaySWF measures the archive-trace scheduling hot path: the
 // bundled 10k-job synthetic SWF trace through the lightweight replayer
-// (incremental sched.Session state, invariant checks off) for each paper
+// (sched.Driver on incremental session state, invariant checks off) for each paper
 // policy. The jobs/s and rounds/s metrics are the numbers `make
 // bench-replay` tracks in BENCH_replay.json; the allocs/op column is the
 // event-pool/backfill-churn regression guard.

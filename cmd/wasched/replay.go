@@ -2,8 +2,9 @@
 // trace (Parallel Workloads Archive, optionally gzipped) through the
 // lightweight round-based replayer and report scheduling throughput per
 // policy. This is the archive-scale path — a 10⁵–10⁶ job trace replays in
-// minutes because the replayer runs on incremental scheduling state
-// (sched.Session) instead of the full prototype's file-system model.
+// minutes because the replayer schedules through the controller's
+// sched.Driver, on incremental scheduling state, instead of the full
+// prototype's file-system model.
 // -cpuprofile and -memprofile profile the whole replay, trace loading
 // included (internal/profiling).
 package main

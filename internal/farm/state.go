@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -18,10 +17,10 @@ import (
 // (cache/<key>.json, one file per finished cell, shared by every sweep
 // under the same state dir) and an append-only checkpoint journal
 // (<name>.journal.jsonl) recording sweep lifecycle events for status
-// reporting and post-mortems.
+// reporting and post-mortems. Only Run's goroutine touches it: workers
+// hand their outcomes back, so cache and journal writes need no lock.
 type state struct {
 	dir     string
-	mu      sync.Mutex
 	journal *os.File
 	// repairedTail is how many torn-tail bytes openState truncated from
 	// the journal before appending — non-zero exactly when the previous
@@ -208,8 +207,6 @@ func (s *state) lookup(c Cell) (*Outcome, bool, error) {
 // the cache (atomically, via rename) so an interrupted sweep resumes
 // without recomputing it.
 func (s *state) record(out *Outcome) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if out.Status == StatusDone {
 		b, err := json.Marshal(out)
 		if err != nil {
@@ -217,17 +214,14 @@ func (s *state) record(out *Outcome) error {
 		}
 		path := s.cachePath(out.Cell.Key())
 		tmp := path + ".tmp"
-		//waschedlint:allow lockdiscipline s.mu exists to serialize exactly this cache+journal write; workers block on record by design
 		if err := os.WriteFile(tmp, b, 0o644); err != nil {
 			return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
 		}
-		//waschedlint:allow lockdiscipline the rename completes the atomic cache write the mutex serializes
 		if err := os.Rename(tmp, path); err != nil {
 			return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
 		}
 	}
 	cell := out.Cell
-	//waschedlint:allow lockdiscipline append is the serialized journal write s.mu protects; callers hold mu by contract
 	return s.append(journalRecord{
 		Event: string(out.Status),
 		Key:   out.Cell.Key(),
@@ -242,24 +236,18 @@ func (s *state) record(out *Outcome) error {
 // without this line ReadStatus would count it remaining forever and
 // Clean would delete its entry as an orphan.
 func (s *state) hit(c Cell) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.journaled[c.Key()] {
 		return nil
 	}
-	//waschedlint:allow lockdiscipline append is the serialized journal write s.mu protects; callers hold mu by contract
 	return s.append(journalRecord{Event: string(StatusDone), Key: c.Key(), Cell: &c, Hit: true})
 }
 
 func (s *state) begin(cells, cached int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//waschedlint:allow lockdiscipline append is the serialized journal write s.mu protects; callers hold mu by contract
 	return s.append(journalRecord{Event: "begin", Cells: cells, Cached: cached})
 }
 
 // append writes one journal line and syncs it, so a killed process loses
-// at most the cell it was executing. Callers hold mu.
+// at most the cell it was executing.
 func (s *state) append(rec journalRecord) error {
 	//waschedlint:allow nodeterminism journal timestamps are wall-clock bookkeeping and never feed simulation results
 	rec.At = time.Now().UTC()

@@ -19,7 +19,8 @@ const HotpathDirective = "waschedlint:hotpath"
 
 // Hotalloc makes PR 7's zero-steady-state-allocation invariant a static
 // gate. Functions marked //waschedlint:hotpath (the des event loop, the
-// sched.Session round path, the pfs recompute, the bb round emulation)
+// sched.Driver round and the session calls under it, the controller's
+// round, the pfs recompute, the bb round emulation)
 // and everything they reach through package-local calls must not contain
 // allocation-introducing constructs: make, new, slice/map literals,
 // &T{}, closures, string concatenation, []byte/string conversions,

@@ -62,9 +62,11 @@ func hasPathPrefix(path, prefix string) bool {
 //     token-bucket layer (fair-share division and borrow scaling are
 //     ratio-heavy).
 //   - lockdiscipline and goroleak run on the concurrent code — the farm
-//     pool and (goroleak) the CLIs that start it: one blocking call under
-//     the state mutex stalls every worker, and one detached goroutine
-//     outlives the sweep that owns it.
+//     pool and (goroleak) the CLIs that start it: one detached goroutine
+//     outlives the sweep that owns it. The farm holds no mutex (Run's
+//     goroutine is the state dir's one writer), so lockdiscipline keeps
+//     it that way: a lock taken around the cache or journal I/O again
+//     would stall every worker behind one disk write.
 //   - unitsafe runs where bytes/GiB/rate/time arithmetic mixes: the
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.

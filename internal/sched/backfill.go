@@ -55,27 +55,26 @@ type Options struct {
 // BackfillMax reservations have been made, after which jobs are skipped
 // for this round.
 func RunRound(p Policy, in RoundInput, opt Options) ([]Decision, Round) {
-	var rn Runner
+	var rn runner
 	rt := p.NewRound(in)
-	return rn.RunRound(p, rt, in, opt), rt
+	return rn.run(p, rt, in, opt), rt
 }
 
-// Runner owns the backfill engine's per-round buffers (the decision list,
+// runner owns the backfill engine's per-round buffers (the decision list,
 // the reordered-window copy) so a long replay reuses them instead of
 // allocating every round. The zero value is ready. The returned decision
-// slice is valid until the Runner's next RunRound call.
-type Runner struct {
+// slice is valid until the runner's next run.
+type runner struct {
 	decisions []Decision
 	window    []*Job
 }
 
-// RunRound is the engine loop of the package-level RunRound, but against a
-// caller-supplied Round — the entry point for incremental sessions, which
-// build the Round from carried state (Session.BeginRound) rather than
-// asking the policy for a fresh one.
+// run is the engine loop of RunRound, but against a caller-supplied
+// Round: the Driver builds it from carried state (session.BeginRound,
+// session.Carry) rather than asking the policy for a fresh one.
 //
 //waschedlint:hotpath
-func (rn *Runner) RunRound(p Policy, rt Round, in RoundInput, opt Options) []Decision {
+func (rn *runner) run(p Policy, rt Round, in RoundInput, opt Options) []Decision {
 	window := in.Waiting
 	if opt.MaxJobTest > 0 && len(window) > opt.MaxJobTest {
 		window = window[:opt.MaxJobTest]

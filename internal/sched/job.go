@@ -11,12 +11,19 @@
 // policy, the R̃ / two-group / AT overlay. Wrappers compose models: bb+
 // appends a BB dimension, tetris+ and tbf+ pass theirs through. One round
 // type finds a job's earliest start over all dimensions (Algorithm 4), and
-// one Session carries the model's profiles across rounds for trace replay.
+// one private session carries the model's profiles across rounds.
+//
+// Driver is the one scheduling driver: it owns the waiting queue, the
+// session and the choice between a quiet, a carried and a full round,
+// and both callers, the trace replayer (internal/schedcheck) and the
+// controller (internal/slurm), schedule only through it. RunRound is the
+// from-scratch round the driver falls back to for a policy defined
+// outside this package, and that its checks and the tests compare with.
 //
 // The package is pure scheduling logic: it never touches the simulator or
-// the analytics service. The controller (internal/slurm) assembles a
-// RoundInput — queue order, per-job estimates, measured throughput — and
-// applies the decisions.
+// the analytics service. The callers report the events between rounds,
+// assemble each round's input (the running set, the measured throughput,
+// the down nodes) and apply the decisions.
 package sched
 
 import (
@@ -83,11 +90,11 @@ func (j *Job) remaining(now des.Time) des.Duration {
 // SortQueue orders waiting jobs by descending priority, then FIFO by
 // submit time, then by ID for total determinism (Algorithm 1 line 2).
 func SortQueue(waiting []*Job) {
-	sort.SliceStable(waiting, func(a, b int) bool { return QueueLess(waiting[a], waiting[b]) })
+	sort.SliceStable(waiting, func(a, b int) bool { return queueLess(waiting[a], waiting[b]) })
 }
 
-// QueueLess is SortQueue's strict order: a sorts before b.
-func QueueLess(a, b *Job) bool {
+// queueLess is SortQueue's strict order: a sorts before b.
+func queueLess(a, b *Job) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
@@ -97,14 +104,25 @@ func QueueLess(a, b *Job) bool {
 	return a.ID < b.ID
 }
 
-// QueueInsert inserts j into waiting, which is in SortQueue order, and
-// returns the grown slice, still in that order. QueueLess is a total
+// queueCmp is queueLess as a three-way comparison, for the slices sorts.
+func queueCmp(a, b *Job) int {
+	switch {
+	case queueLess(a, b):
+		return -1
+	case queueLess(b, a):
+		return 1
+	}
+	return 0
+}
+
+// queueInsert inserts j into waiting, which is in SortQueue order, and
+// returns the grown slice, still in that order. queueLess is a total
 // order, so a queue whose keys do not change while it waits, kept sorted
 // by insertion, is exactly the slice SortQueue would make every round.
-func QueueInsert(waiting []*Job, j *Job) []*Job {
+func queueInsert(waiting []*Job, j *Job) []*Job {
 	lo, hi := 0, len(waiting)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); QueueLess(j, waiting[m]) {
+		if m := int(uint(lo+hi) >> 1); queueLess(j, waiting[m]) {
 			hi = m
 		} else {
 			lo = m + 1

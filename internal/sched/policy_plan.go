@@ -49,7 +49,7 @@ func (p PlanPolicy) NewRound(in RoundInput) Round { return newRound(p, nil, in) 
 // its own — the inner policy's semantics are preserved, only constrained.
 type BBAwarePolicy struct {
 	// Inner is the wrapped policy; it must be one of this package's
-	// policies (NewRound and NewSession panic otherwise).
+	// policies (NewRound and newSession panic otherwise).
 	Inner Policy
 	// Capacity is the shared burst-buffer pool size in bytes.
 	Capacity float64

@@ -117,7 +117,7 @@ func TestPlanSessionMatchesNewRound(t *testing.T) {
 		BBAwarePolicy{Inner: NodePolicy{TotalNodes: 4}, Capacity: 100},
 		BBAwarePolicy{Inner: IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 10}, Capacity: 100},
 	} {
-		s := NewSession(p)
+		s := newSession(p)
 		if s == nil {
 			t.Fatalf("%s: no session", p.Name())
 		}

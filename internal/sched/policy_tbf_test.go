@@ -76,9 +76,9 @@ func TestTBFSessionMatchesNewRound(t *testing.T) {
 		TBFPolicy{TotalNodes: 10, Straggler: true},
 		TBFAwarePolicy{Inner: NodePolicy{TotalNodes: 10}},
 	} {
-		s := NewSession(p)
+		s := newSession(p)
 		if s == nil {
-			t.Fatalf("NewSession(%s) = nil", p.Name())
+			t.Fatalf("newSession(%s) = nil", p.Name())
 		}
 		waiting := []*Job{{ID: "w1", Nodes: 6, Limit: des.Hour}}
 		in := RoundInput{Now: 0, Waiting: waiting}

@@ -126,8 +126,8 @@ func TestRunnerCopiesOnlyReorderedWindows(t *testing.T) {
 		r1.Rate = 9
 		ioJob, cpuJob := iojob("io", 1, 50*sec, 5), iojob("cpu", 2, 50*sec, 0)
 		in := RoundInput{Now: tsec(10), Running: []*Job{r1}, Waiting: []*Job{ioJob, cpuJob}}
-		var rn Runner
-		ds := rn.RunRound(tc.p, tc.p.NewRound(in), in, Options{})
+		var rn runner
+		ds := rn.run(tc.p, tc.p.NewRound(in), in, Options{})
 		if got := ds[0].Job == cpuJob; got != tc.reorders {
 			t.Errorf("%s: examined %s first", tc.p.Name(), ds[0].Job.ID)
 		}

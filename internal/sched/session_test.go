@@ -10,7 +10,7 @@ import (
 // TestQuietBandEdges drives the adjusted target R̃' across both edges of
 // an adaptive round's quiet band while nothing else changes: no job starts,
 // finishes or arrives, and now stays before the round's wake time. Inside
-// the band Session.Quiet skips, and a fresh round at that now decides
+// the band session.Quiet skips, and a fresh round at that now decides
 // exactly as the executed one did; past either edge it does not skip, and a
 // fresh round decides differently, so neither edge is wider than exact.
 func TestQuietBandEdges(t *testing.T) {
@@ -61,20 +61,20 @@ func TestQuietBandEdges(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := AdaptivePolicy{TotalNodes: tc.nodes, ThroughputLimit: 1000}
-			s := NewSession(p)
+			s := newSession(p)
 			for _, j := range tc.running {
 				s.JobStarted(j)
 			}
 			input := func(now int64) RoundInput {
 				return RoundInput{Now: tsec(now), Running: tc.running, Waiting: tc.waiting}
 			}
-			var rn Runner
+			var rn runner
 			rt := s.BeginRound(input(0))
-			want := decisionsByID(rn.RunRound(p, rt, input(0), Options{}))
+			want := decisionsByID(rn.run(p, rt, input(0), Options{}))
 			if d := want["b"]; !d.Reserved || d.PlannedStart != tsec(1000) {
 				t.Fatalf("b at now 0: %+v, want planned at 1000 s", d)
 			}
-			if got := s.(*session).rnd.ov.band; got != tc.band {
+			if got := s.rnd.ov.band; got != tc.band {
 				t.Fatalf("band %+v, want %+v", got, tc.band)
 			}
 			sameAsFresh := func(now int64) bool {
@@ -127,13 +127,13 @@ func TestCarryConditions(t *testing.T) {
 		unavailable int
 	}
 	// carry runs the round at 0 s under p, then asks Carry at next.
-	carry := func(p Policy, first, next step) (Session, bool) {
+	carry := func(p Policy, first, next step) (*session, bool) {
 		a, b := iojob("a", 2, 1000*sec, 10), iojob("b", 4, 100*sec, 10)
-		s := NewSession(p)
+		s := newSession(p)
 		in := RoundInput{Waiting: []*Job{a, b}, MeasuredThroughput: first.measured}
-		var rn Runner
+		var rn runner
 		var running, waiting []*Job
-		for _, d := range rn.RunRound(p, s.BeginRound(in), in, Options{}) {
+		for _, d := range rn.run(p, s.BeginRound(in), in, Options{}) {
 			if d.StartNow {
 				d.Job.StartedAt = 0
 				s.JobStarted(d.Job)
@@ -279,16 +279,16 @@ func TestCarryConditions(t *testing.T) {
 		},
 	} {
 		t.Run("adaptive/"+tc.name, func(t *testing.T) {
-			s := NewSession(tc.p)
+			s := newSession(tc.p)
 			for _, j := range tc.run {
 				s.JobStarted(j)
 			}
 			in := RoundInput{Running: tc.run, Waiting: tc.wait}
-			var rn Runner
+			var rn runner
 			var plan []Decision
 			nowRunning := append([]*Job(nil), tc.run...)
 			var waiting []*Job
-			for _, d := range rn.RunRound(tc.p, s.BeginRound(in), in, Options{}) {
+			for _, d := range rn.run(tc.p, s.BeginRound(in), in, Options{}) {
 				if d.StartNow {
 					d.Job.StartedAt = 0
 					s.JobStarted(d.Job)
@@ -358,15 +358,15 @@ func TestQuietConditions(t *testing.T) {
 			a := running("a", 1, 1000*sec, 0)
 			a.Rate = 10
 			b := iojob("b", tc.bNodes, 100*sec, tc.bRate)
-			s := NewSession(p)
+			s := newSession(p)
 			s.JobStarted(a)
 			input := func(now int64, st step) RoundInput {
 				return RoundInput{Now: tsec(now), Running: []*Job{a}, Waiting: []*Job{b},
 					MeasuredThroughput: st.measured, UnavailableNodes: st.unavailable}
 			}
-			var rn Runner
+			var rn runner
 			in := input(0, tc.first)
-			last := rn.RunRound(p, s.BeginRound(in), in, Options{})[0]
+			last := rn.run(p, s.BeginRound(in), in, Options{})[0]
 			if !last.Reserved || last.PlannedStart != tsec(1000) {
 				t.Fatalf("b at 0 s: %+v, want planned at 1000 s", last)
 			}
@@ -387,13 +387,13 @@ func TestQuietConditions(t *testing.T) {
 	t.Run("JobUpdated equals a rebuilt base", func(t *testing.T) {
 		a := running("a", 1, 1000*sec, 0)
 		a.Rate = 10
-		s := NewSession(p)
+		s := newSession(p)
 		s.JobStarted(a)
 		a.Rate = 500 // clamped to the limit, 100
 		s.JobUpdated(a, 10, tsec(100))
-		rebuilt := NewSession(p)
+		rebuilt := newSession(p)
 		rebuilt.JobStarted(a)
-		got, want := s.(*session).base, rebuilt.(*session).base
+		got, want := s.base, rebuilt.base
 		for _, at := range []int64{100, 500, 999, 1000, 2000} {
 			for i := range got {
 				if g, w := got[i].ValueAt(tsec(at)), want[i].ValueAt(tsec(at)); g != w {
@@ -407,9 +407,9 @@ func TestQuietConditions(t *testing.T) {
 		// c (rate 30) fits beside a's old rate, not beside its new one.
 		c := iojob("c", 1, 100*sec, 30)
 		in := RoundInput{Now: tsec(120), Running: []*Job{a}, Waiting: []*Job{c}}
-		var rn Runner
+		var rn runner
 		fresh, _ := RunRound(p, in, Options{})
-		if got := rn.RunRound(p, s.BeginRound(in), in, Options{})[0]; got != fresh[0] || got.StartNow {
+		if got := rn.run(p, s.BeginRound(in), in, Options{})[0]; got != fresh[0] || got.StartNow {
 			t.Errorf("session round %+v, fresh round %+v; want c planned at a's end", got, fresh[0])
 		}
 		s.JobFinished(a, tsec(600))

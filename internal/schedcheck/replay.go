@@ -1,7 +1,6 @@
 package schedcheck
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -111,12 +110,11 @@ type ReplayResult struct {
 	Makespan des.Time
 	Rounds   int
 	// Scheduled counts the rounds that re-planned the queue with the
-	// backfill engine. Replay skips a round that no completion, arrival or
-	// start separates from the last executed one when its session proves
-	// it quiet (sched.Session.Quiet); replayReference leaves it zero.
+	// backfill engine (sched.FullRound). The driver skips the rounds it
+	// proves quiet (sched.QuietRound).
 	Scheduled int
 	// Carried counts the rounds that extended the last executed round's
-	// plan instead (sched.Session.Carry): the engine ran over the newly
+	// plan instead (sched.CarriedRound): the engine ran over the newly
 	// examined jobs alone.
 	Carried int
 	// Check holds the per-round and schedule-level invariant findings.
@@ -154,47 +152,22 @@ func starved(res *ReplayResult, unfinished, maxRounds int, running []*runJob) {
 	}
 }
 
-// unstarted is a waiting view's StartedAt: Replay marks the views a round
-// starts with that round's now, which is never negative.
-const unstarted des.Time = -1
-
 // Replay runs the workload through one policy on a round-based replayer
 // that mirrors the controller's loop: every Interval it completes finished
-// jobs, rebuilds the round input from the queue and the running set, runs
-// one backfill round, and starts the selected jobs. Each round is invariant
-// checked (node capacity, bandwidth headroom, decision-state exclusivity)
-// and the final schedule goes through ValidateJobs.
-//
-// This is the trace-scale hot path, so it runs on incremental scheduling
-// state: reservation trackers carried across rounds by a sched.Session
-// (updated on job start/finish deltas instead of rebuilt from the running
-// set), a waiting queue kept sorted by insertion instead of re-sorted
-// every round, and reused per-round buffers. The schedule it produces is
-// byte-identical to the from-scratch path — replayReference, kept as the
-// oracle — which TestReplayMatchesReferenceOnCorpus enforces over the
-// whole differential corpus. Policies without session support fall back
-// to the reference path.
-//
-// A round that no completion, arrival or start separates from the last
-// executed round is skipped when the session proves it quiet. BB drain
-// releases do not count: the scheduler's BB dimension books [start,
-// start+limit) and never sees drains, and a round whose start BB admission
-// deferred had a start-now decision, so the session never calls the next
-// one quiet. A round that only the last executed round's own starts and
-// arrivals behind the jobs it examined separate from it is carried when
-// the session allows (sched.Session.Carry): the engine runs over the jobs
-// the window adds, on top of the last plan. With round checks on, every
-// carried round is held to a from-scratch round at the same now
-// (checkCarried). Without a token layer, a round with an empty queue
-// jumps the clock to the first round with an arrival, a completion or a
-// BB drain release: the rounds in between do nothing.
+// jobs, queues the arrivals, runs one round through a sched.Driver (the
+// controller's) and starts the selected jobs. Each executed round is
+// invariant checked (node capacity, bandwidth headroom, decision-state
+// exclusivity), each quiet and carried round is held to a from-scratch
+// one (sched.Driver.CheckSkippedRounds), and the final schedule goes
+// through ValidateJobs. The replay keeps the running set in start order
+// and admits BB starts in arrival order; BB drain releases are no driver
+// event, since the scheduler's BB dimension books [start, start+limit)
+// and never sees drains. Without a token layer, a round with an empty
+// queue jumps the clock to the first round with an arrival, a completion
+// or a BB drain release: the rounds in between do nothing.
 func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	if cfg.Policy == nil {
 		panic("schedcheck: Replay needs a policy")
-	}
-	session := sched.NewSession(cfg.Policy)
-	if session == nil {
-		return replayReference(workload, cfg)
 	}
 	interval := cfg.Interval
 	if interval <= 0 {
@@ -219,7 +192,6 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			Limit:       j.Limit,
 			Submit:      j.Submit,
 			Priority:    j.Priority,
-			StartedAt:   unstarted,
 			Rate:        j.EstRate,
 			EstRuntime:  j.EstRuntime,
 			BBBytes:     j.BBBytes,
@@ -234,30 +206,16 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		// JobTrace footprint (the bench-replay allocs/op gate).
 		Jobs: make([]trace.JobTrace, 0, len(workload)),
 	}
+	drv := sched.NewDriver(cfg.Policy, cfg.Options)
+	if !cfg.SkipRoundChecks {
+		drv.CheckSkippedRounds(func(detail string) { res.Check.violatef("skipped-round", "%s", detail) })
+	}
 	bbState := newBBReplay(cfg)
 	tbfState := newTBFReplay(cfg)
-	// A carried round extends the last plan only under unlimited backfill:
-	// a bounded one would have to carry the reservation count.
-	canCarry := cfg.Options.BackfillMax == sched.Unlimited
 	var (
 		running      []*runJob
-		waiting      []int32      // arrival order, as the controller holds it
-		waitingViews []*sched.Job // kept sorted in SortQueue order
+		waiting      []int32 // arrival order, as the controller holds it
 		runningViews []*sched.Job
-		runner       sched.Runner
-		// dirty is set by every completion, arrival and start since the
-		// last executed round; only a clean round may be quiet.
-		dirty = true
-		// replan is set by what a carried plan cannot absorb: a
-		// completion, a start BB admission deferred, and an arrival that
-		// sorts among the jobs the plan examined.
-		replan = true
-		// planned counts the queue's leading jobs the last executed round
-		// examined and left waiting.
-		planned = 0
-		// plan holds their decisions, in queue order, when round checks
-		// are on: a carried round is held to a fresh one (checkCarried).
-		plan []sched.Decision
 	)
 	next := 0 // index into pending of the next arrival
 
@@ -284,9 +242,8 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				if r.end > res.Makespan {
 					res.Makespan = r.end
 				}
-				session.JobFinished(r.view, r.end)
+				drv.Finished(r.view, r.end)
 				completed = true
-				dirty, replan = true, true
 				continue
 			}
 			kept = append(kept, r)
@@ -297,15 +254,9 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			cfg.Progress(len(res.Jobs), now)
 		}
 		for next < len(pending) && workload[pending[next]].Submit <= now {
-			i := pending[next]
-			v := &viewArr[i]
-			if planned > 0 && sched.QueueLess(v, waitingViews[planned-1]) {
-				replan = true
-			}
-			waiting = append(waiting, i)
-			waitingViews = sched.QueueInsert(waitingViews, v)
+			waiting = append(waiting, pending[next])
+			drv.Add(&viewArr[pending[next]])
 			next++
-			dirty = true
 		}
 		res.Rounds = round + 1
 		if len(waiting) == 0 && len(running) == 0 && next == len(pending) {
@@ -316,7 +267,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				// Nothing happens in an empty-queue round before the next
 				// arrival, completion or BB drain release: go to the round
 				// that has the first of them. Such rounds never reach the
-				// session, so its trim clock does not move.
+				// driver, so its trim clock does not move.
 				round = idleUntil(workload, pending[next:], running, bbState, interval, maxRounds) - 1
 				res.Rounds = round + 1
 			}
@@ -332,51 +283,15 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		in := sched.RoundInput{
 			Now:                now,
 			Running:            runningViews,
-			Waiting:            waitingViews,
 			MeasuredThroughput: measured,
 		}
-		if !dirty && session.Quiet(in) {
+		decisions, state, kind := drv.Round(&in)
+		if kind == sched.QuietRound {
 			continue
 		}
-		// The engine examines the window's leading jobs, all of them when
-		// MaxJobTest is zero.
-		examined := len(waitingViews)
-		if w := cfg.Options.MaxJobTest; w > 0 && examined > w {
-			examined = w
-		}
-		var (
-			state     sched.Round
-			decisions []sched.Decision
-			carried   bool
-		)
-		if canCarry && !replan {
-			state, carried = session.Carry(in)
-		}
-		if carried {
-			res.Carried++
-			tail := in
-			tail.Waiting = waitingViews[planned:examined]
-			decisions = runner.RunRound(cfg.Policy, state, tail, sched.Options{})
-		} else {
-			res.Scheduled++
-			state = session.BeginRound(in)
-			decisions = runner.RunRound(cfg.Policy, state, in, cfg.Options)
-			plan = plan[:0]
-		}
-		dirty, replan = false, false
-		planned = examined
 		if !cfg.SkipRoundChecks {
 			checkRound(in, decisions, state, cfg, &res.Check)
-			if carried {
-				checkCarried(in, plan, decisions, cfg, &res.Check)
-			}
-			for _, d := range decisions {
-				if !d.StartNow {
-					plan = append(plan, d)
-				}
-			}
 		}
-
 		anyStarted := false
 		for _, d := range decisions {
 			if d.StartNow {
@@ -397,26 +312,17 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			if !bbState.admit(j) {
 				// Burst-buffer pool full: defer the start, exactly as the
 				// controller's admission path keeps the job pending.
-				v.StartedAt = unstarted
+				drv.Refused(v)
 				keptWaiting = append(keptWaiting, i)
-				replan = true
 				continue
 			}
-			session.JobStarted(v)
-			dirty = true
-			planned--
+			drv.Started(v)
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
 		}
 		waiting = keptWaiting
-		keptViews := waitingViews[:0]
-		for _, v := range waitingViews {
-			if v.StartedAt != now {
-				keptViews = append(keptViews, v)
-			}
-		}
-		waitingViews = keptViews
 	}
+	res.Scheduled, res.Carried, _ = drv.Rounds()
 	if !cfg.SkipRoundChecks {
 		res.Check.Merge(ValidateJobs(res.Jobs, ValidateOptions{Nodes: cfg.Nodes, BBCapacity: cfg.BBCapacity, TBF: cfg.TBFCapacity > 0}))
 	}
@@ -439,183 +345,6 @@ func idleUntil(workload []SimJob, pending []int32, running []*runJob, bb *bbRepl
 		return maxRounds
 	}
 	return int((at + iv - 1) / iv)
-}
-
-// checkCarried holds a carried round to a from-scratch round at the same
-// now: the jobs the carried plan kept must get the decisions in plan, and
-// the jobs it added the decisions the carried round gave them in tail.
-func checkCarried(in sched.RoundInput, plan, tail []sched.Decision, cfg ReplayConfig, res *Result) {
-	fresh, _ := sched.RunRound(cfg.Policy, in, cfg.Options)
-	if len(fresh) != len(plan)+len(tail) {
-		res.violatef("carried-round", "%v: carried round decided %d jobs, a fresh round %d", in.Now, len(plan)+len(tail), len(fresh))
-		return
-	}
-	for i, f := range fresh {
-		var c sched.Decision
-		if i < len(plan) {
-			c = plan[i]
-		} else {
-			c = tail[i-len(plan)]
-		}
-		if c != f {
-			res.violatef("carried-round", "%v job %s: carried %s, fresh round %s", in.Now, f.Job.ID, decisionString(c), decisionString(f))
-			return
-		}
-	}
-}
-
-// decisionString renders one decision for a violation report.
-func decisionString(d sched.Decision) string {
-	switch {
-	case d.StartNow:
-		return "starts now"
-	case d.Reserved:
-		return fmt.Sprintf("planned at %v", d.PlannedStart)
-	}
-	return "skipped"
-}
-
-// replayReference is the pre-optimization replay loop, rebuilt-from-scratch
-// scheduling state and all. It is retained verbatim as the oracle for the
-// incremental path: TestReplayMatchesReferenceOnCorpus requires Replay to
-// produce byte-identical schedules to this function on the full corpus,
-// and policies without session support run on it directly.
-func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
-	if cfg.Policy == nil {
-		panic("schedcheck: Replay needs a policy")
-	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = 30 * des.Second
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 50000
-	}
-
-	pending := make([]*SimJob, len(workload))
-	views := make(map[string]*sched.Job, len(workload))
-	for i := range workload {
-		j := &workload[i]
-		pending[i] = j
-		views[j.ID] = &sched.Job{
-			ID:          j.ID,
-			Fingerprint: j.Fingerprint,
-			Nodes:       j.Nodes,
-			Limit:       j.Limit,
-			Submit:      j.Submit,
-			Priority:    j.Priority,
-			Rate:        j.EstRate,
-			EstRuntime:  j.EstRuntime,
-			BBBytes:     j.BBBytes,
-		}
-	}
-	sort.SliceStable(pending, func(a, b int) bool { return pending[a].Submit < pending[b].Submit })
-
-	res := &ReplayResult{
-		Policy: cfg.Policy.Name(),
-		// Sized up front: every job completes exactly once, and growing the
-		// slice in place keeps the replay's alloc count independent of the
-		// JobTrace footprint (the bench-replay allocs/op gate).
-		Jobs: make([]trace.JobTrace, 0, len(workload)),
-	}
-	bbState := newBBReplay(cfg)
-	tbfState := newTBFReplay(cfg)
-	var running []*runJob
-	var waiting []*SimJob
-	next := 0 // index into pending of the next arrival
-
-	for round := 0; ; round++ {
-		if round >= maxRounds {
-			starved(res, len(waiting)+len(running)+(len(pending)-next), maxRounds, running)
-			break
-		}
-		now := des.Time(round) * des.Time(interval)
-		// The token layer advances over the interval just elapsed before
-		// the completion sweep, so throttled ends are final when checked.
-		tbfState.tick(running, now, interval)
-		// Completions first, as the controller's end events precede the
-		// round that reacts to them.
-		kept := running[:0]
-		for _, r := range running {
-			if r.end <= now {
-				jt := r.trace()
-				jt.End = r.end.Seconds()
-				bbState.complete(r.sim, &jt, r.view.StartedAt, r.end)
-				tbfState.complete(r.sim, &jt)
-				res.Jobs = append(res.Jobs, jt)
-				if r.end > res.Makespan {
-					res.Makespan = r.end
-				}
-				continue
-			}
-			kept = append(kept, r)
-		}
-		running = kept
-		bbState.release(now)
-		for next < len(pending) && pending[next].Submit <= now {
-			waiting = append(waiting, pending[next])
-			next++
-		}
-		res.Rounds = round + 1
-		if len(waiting) == 0 && len(running) == 0 && next == len(pending) {
-			break
-		}
-		if len(waiting) == 0 {
-			continue
-		}
-
-		runningViews := make([]*sched.Job, len(running))
-		measured := 0.0
-		for i, r := range running {
-			runningViews[i] = r.view
-			measured += r.sim.Rate
-		}
-		waitingViews := make([]*sched.Job, len(waiting))
-		for i, j := range waiting {
-			waitingViews[i] = views[j.ID]
-		}
-		sched.SortQueue(waitingViews)
-		in := sched.RoundInput{
-			Now:                now,
-			Running:            runningViews,
-			Waiting:            waitingViews,
-			MeasuredThroughput: measured,
-		}
-		decisions, state := sched.RunRound(cfg.Policy, in, cfg.Options)
-		if !cfg.SkipRoundChecks {
-			checkRound(in, decisions, state, cfg, &res.Check)
-		}
-
-		startedIDs := make(map[string]bool)
-		for _, d := range decisions {
-			if d.StartNow {
-				startedIDs[d.Job.ID] = true
-			}
-		}
-		keptWaiting := waiting[:0]
-		for _, j := range waiting {
-			if !startedIDs[j.ID] {
-				keptWaiting = append(keptWaiting, j)
-				continue
-			}
-			if !bbState.admit(j) {
-				// Burst-buffer pool full: defer the start, exactly as the
-				// controller's admission path keeps the job pending.
-				keptWaiting = append(keptWaiting, j)
-				continue
-			}
-			v := views[j.ID]
-			v.StartedAt = now
-			tbfState.register(j)
-			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
-		}
-		waiting = keptWaiting
-	}
-	if !cfg.SkipRoundChecks {
-		res.Check.Merge(ValidateJobs(res.Jobs, ValidateOptions{Nodes: cfg.Nodes, BBCapacity: cfg.BBCapacity, TBF: cfg.TBFCapacity > 0}))
-	}
-	return res
 }
 
 // bbReplay emulates the shared burst-buffer pool during a replay: start-now

@@ -285,30 +285,17 @@ type Controller struct {
 	bbDeferred uint64
 	tbf        TokenLimiter
 
-	// Round state kept across rounds (scheduleRound). The session is
-	// made at the first round with a pending job, and the buffers grow as
-	// used: Pretrain builds a scratch controller per job class, so
-	// nothing is made or sized before it is needed.
-	session      sched.Session // nil for a policy without session support
-	sessionMade  bool
-	runner       sched.Runner
-	waiting      []*sched.Job // schedulable pending views, in SortQueue order
+	// Round state kept across rounds (scheduleRound). The driver holds
+	// the schedulable queue, the session and the quiet/carry bookkeeping;
+	// it and the buffers grow as used: Pretrain builds a scratch
+	// controller per job class, so nothing is made or sized before it is
+	// needed.
+	drv          *sched.Driver
 	runningViews []*sched.Job // running views in ID order
 	joined       []*JobRecord // records that became schedulable since the last round
 	classes      map[string]*estClass
 	classList    []*estClass // classes in first-seen order
 	estRev       uint64      // the analytics revision the views reflect
-	// dirty is set by everything a quiet round must not have seen since
-	// the last executed round: a submit, start, end, requeue, cancel or
-	// dependency release, and an estimate change.
-	dirty     bool
-	decisions []sched.Decision // the last executed round's
-	diag      sched.Diagnoser  // the last executed round's, nil if none
-	// onQuiet, when set, sees the input of every round skipped as quiet.
-	onQuiet func(sched.RoundInput)
-	// readsMeasured is sched.ReadsMeasured(policy), set with the session:
-	// a round reads R_now from the analytics only when a guard can use it.
-	readsMeasured bool
 }
 
 // estClass is one job class's estimates as the controller last read them
@@ -336,6 +323,7 @@ func New(eng *des.Engine, cl *cluster.Cluster, policy sched.Policy, svc *analyti
 		policy:     policy,
 		svc:        svc,
 		cfg:        cfg,
+		drv:        sched.NewDriver(policy, cfg.Options),
 		byID:       make(map[string]*JobRecord),
 		dependents: make(map[string][]*JobRecord),
 		requeuing:  make(map[string]bool),
@@ -455,7 +443,6 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 	}
 	c.pending = append(c.pending, r)
 	c.joined = append(c.joined, r)
-	c.dirty = true
 	c.byID[r.ID] = r
 	c.emit(EventSubmit, r)
 	if c.started {
@@ -510,7 +497,7 @@ func (c *Controller) kick() {
 // syncEstimates re-reads every known job class's r_j and d_j when the
 // analytics estimates changed since the last round, and copies changed
 // values into the views of the pending and running jobs. A running job's
-// changed rate is re-booked in the session from now. Under the license
+// changed rate is re-booked by the driver from now. Under the license
 // configuration views keep the declared rate Submit set, and without a
 // service they keep no estimate.
 func (c *Controller) syncEstimates(now des.Time) {
@@ -525,12 +512,11 @@ func (c *Controller) syncEstimates(now des.Time) {
 	if !changed {
 		return
 	}
-	c.dirty = true
 	for _, r := range c.running {
 		old := r.view.Rate
 		r.view.Rate, r.view.EstRuntime = r.cls.rate, r.cls.runtime
-		if c.session != nil && r.view.Rate != old {
-			c.session.JobUpdated(&r.view, old, now)
+		if r.view.Rate != old {
+			c.drv.Updated(&r.view, old, now)
 		}
 	}
 	for _, r := range c.pending {
@@ -538,6 +524,7 @@ func (c *Controller) syncEstimates(now des.Time) {
 			r.view.Rate, r.view.EstRuntime = r.cls.rate, r.cls.runtime
 		}
 	}
+	c.drv.Changed()
 }
 
 // readClass reads cl's estimates from the analytics service (the
@@ -559,8 +546,8 @@ func (c *Controller) readClass(cl *estClass) bool {
 }
 
 // admit puts the records that became schedulable since the last round
-// into the waiting queue, in SortQueue order. A record joining for the
-// first time gets its class and the class's estimates.
+// into the driver's queue. A record joining for the first time gets its
+// class and the class's estimates.
 func (c *Controller) admit() {
 	for _, r := range c.joined {
 		if r.State != StatePending || r.held > 0 || r.queued {
@@ -570,7 +557,7 @@ func (c *Controller) admit() {
 			c.classify(r)
 		}
 		r.queued = true
-		c.waiting = sched.QueueInsert(c.waiting, &r.view)
+		c.drv.Add(&r.view)
 	}
 	c.joined = c.joined[:0]
 }
@@ -594,23 +581,17 @@ func (c *Controller) classify(r *JobRecord) {
 }
 
 // scheduleRound runs one backfill round (paper Algorithm 1) and starts the
-// jobs the policy selected. A built-in policy schedules through one
-// sched.Session, which keeps the running jobs' reservations across
-// rounds; the queue, the running set and the estimates are kept too, and
-// a round that nothing separates from the last executed one, and that the
-// session proves quiet, is skipped (DESIGN.md, "Quiet rounds").
+// jobs the policy selected. The controller schedules through one
+// sched.Driver, which keeps the queue and the running jobs' reservations
+// across rounds and skips the rounds it proves quiet or extends the last
+// plan where it can (DESIGN.md, "Quiet rounds" and "Carried rounds"); the
+// controller keeps the running set in ID order and the estimates.
 //
 //waschedlint:hotpath
 func (c *Controller) scheduleRound() {
 	c.rounds++
 	if len(c.pending) == 0 {
 		return
-	}
-	if !c.sessionMade {
-		// No job can have started before this round.
-		c.sessionMade = true
-		c.session = sched.NewSession(c.policy)
-		c.readsMeasured = sched.ReadsMeasured(c.policy)
 	}
 	// Line 1 inputs: latest estimates and the measured throughput.
 	now := c.eng.Now()
@@ -622,47 +603,32 @@ func (c *Controller) scheduleRound() {
 				r.view.Priority = c.cfg.Priority.Priority(r, now)
 			}
 		}
-		sched.SortQueue(c.waiting)
+		c.drv.Reprioritized()
+	}
+	if c.cfg.Preemption.Enabled {
+		// Preemption reads the queue head's wait and decision, which
+		// change a round the driver cannot see.
+		c.drv.Changed()
 	}
 	c.runningViews = c.runningViews[:0]
 	for _, r := range c.running {
 		c.runningViews = append(c.runningViews, &r.view)
 	}
 	measured := 0.0
-	if c.readsMeasured && c.svc != nil && !c.cfg.UseDeclaredRates {
+	if c.drv.ReadsMeasured() && c.svc != nil && !c.cfg.UseDeclaredRates {
 		measured = c.svc.CurrentThroughput()
 	}
 	in := sched.RoundInput{
 		Now:                now,
 		Running:            c.runningViews,
-		Waiting:            c.waiting,
 		MeasuredThroughput: measured,
 		UnavailableNodes:   c.cl.DownNodes(),
 	}
-	// Priorities that move with time and preemption, which reads the
-	// queue head's wait, can change a round that the session cannot see.
-	if c.session != nil && !c.dirty && c.cfg.Priority == nil && !c.cfg.Preemption.Enabled && c.session.Quiet(in) {
-		if c.diag != nil {
-			c.lastDiag = c.diag.Diagnostics()
-		}
-		if c.onQuiet != nil {
-			c.onQuiet(in)
-		}
-		return
+	decisions, round, _ := c.drv.Round(&in)
+	if dg, ok := round.(sched.Diagnoser); ok {
+		c.lastDiag = dg.Diagnostics()
 	}
-	var round sched.Round
-	if c.session != nil {
-		round = c.session.BeginRound(in)
-		c.decisions = c.runner.RunRound(c.policy, round, in, c.cfg.Options)
-	} else {
-		c.decisions, round = sched.RunRound(c.policy, in, c.cfg.Options)
-	}
-	c.dirty = false
-	c.diag, _ = round.(sched.Diagnoser)
-	if c.diag != nil {
-		c.lastDiag = c.diag.Diagnostics()
-	}
-	for _, d := range c.decisions {
+	for _, d := range decisions {
 		if !d.StartNow {
 			continue
 		}
@@ -675,13 +641,14 @@ func (c *Controller) scheduleRound() {
 			// policies rarely hit this — they co-reserved the pool.
 			if err := c.bb.Admit(r.ID, r.Spec.BBBytes, r.Spec.Nodes); err != nil {
 				c.bbDeferred++
+				c.drv.Refused(d.Job)
 				continue
 			}
 		}
 		c.startJob(r)
 	}
 	if c.cfg.Preemption.Enabled {
-		c.maybePreempt(c.decisions)
+		c.maybePreempt(decisions)
 	}
 }
 
@@ -782,12 +749,8 @@ func (c *Controller) startJob(r *JobRecord) {
 	r.view.StartedAt = r.Start
 	c.removePending(r)
 	r.queued = false
-	c.waiting = removeView(c.waiting, &r.view)
 	c.addRunning(r)
-	if c.session != nil {
-		c.session.JobStarted(&r.view)
-	}
-	c.dirty = true
+	c.drv.Started(&r.view)
 	if c.tbf != nil {
 		c.tbf.Register(r.ID, exec.Nodes)
 	}
@@ -808,18 +771,6 @@ func (c *Controller) removePending(r *JobRecord) {
 	panic(fmt.Sprintf("slurm: job %s not in pending queue", r.ID))
 }
 
-// removeView removes v from views, keeping the order.
-func removeView(views []*sched.Job, v *sched.Job) []*sched.Job {
-	for i, w := range views {
-		if w == v {
-			copy(views[i:], views[i+1:])
-			views[len(views)-1] = nil
-			return views[:len(views)-1]
-		}
-	}
-	return views
-}
-
 // addRunning inserts r into the running set, which is kept in ID order so
 // that sums over it (the guard's explained throughput, the adaptive
 // target) and the recorder's samples add in a reproducible order.
@@ -838,7 +789,7 @@ func (c *Controller) addRunning(r *JobRecord) {
 }
 
 // endRunning removes r from the running set and releases the unused tail
-// of its reservations in the session.
+// of its reservations in the driver.
 func (c *Controller) endRunning(r *JobRecord) {
 	for i, p := range c.running {
 		if p == r {
@@ -846,10 +797,7 @@ func (c *Controller) endRunning(r *JobRecord) {
 			break
 		}
 	}
-	if c.session != nil {
-		c.session.JobFinished(&r.view, c.eng.Now())
-	}
-	c.dirty = true
+	c.drv.Finished(&r.view, c.eng.Now())
 }
 
 // jobEnded finalises accounting when an execution finishes and notifies
@@ -924,7 +872,6 @@ func (c *Controller) resolveDependents(r *JobRecord) {
 		if r.State == StateCompleted {
 			if d.held--; d.held == 0 {
 				c.joined = append(c.joined, d)
-				c.dirty = true
 			}
 			continue
 		}
@@ -944,9 +891,8 @@ func (c *Controller) cancel(r *JobRecord) {
 	c.removePending(r)
 	if r.queued {
 		r.queued = false
-		c.waiting = removeView(c.waiting, &r.view)
+		c.drv.Remove(&r.view)
 	}
-	c.dirty = true
 	c.done = append(c.done, r)
 	c.emit(EventEnd, r)
 	c.resolveDependents(r)

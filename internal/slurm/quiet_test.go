@@ -16,8 +16,9 @@ import (
 // Workload 1 under the two-group adaptive policy and under io-aware
 // scheduling (whose guard reads the measured throughput), and on Workload
 // 2 under tbf-straggler tokens, and holds every round the controller
-// skips as quiet to a from-scratch round over the same input
-// (CheckQuietRounds).
+// skips as quiet or carries to a from-scratch round over the same input
+// (CheckQuietRounds). Each run must also carry rounds, so a change that
+// stops the controller carrying shows here.
 func TestQuietRoundsMatchFreshRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full-prototype workloads")
@@ -43,7 +44,7 @@ func TestQuietRoundsMatchFreshRounds(t *testing.T) {
 			if err := experiments.Pretrain(sys, tc.specs); err != nil {
 				t.Fatal(err)
 			}
-			quiet := slurm.CheckQuietRounds(sys.Controller, t.Errorf)
+			slurm.CheckQuietRounds(sys.Controller, t.Errorf)
 			if err := sys.SubmitAll(tc.specs); err != nil {
 				t.Fatal(err)
 			}
@@ -51,10 +52,14 @@ func TestQuietRoundsMatchFreshRounds(t *testing.T) {
 			if err := sys.RunToCompletion(1000 * des.Hour); err != nil {
 				t.Fatal(err)
 			}
-			if *quiet == 0 {
+			quiet, carried := slurm.SkippedRounds(sys.Controller)
+			if quiet == 0 {
 				t.Fatal("no round was quiet, so nothing was checked")
 			}
-			t.Logf("%d of %d rounds quiet", *quiet, sys.Controller.Rounds())
+			if carried == 0 {
+				t.Fatal("no round was carried, so no carry was checked")
+			}
+			t.Logf("%d of %d rounds quiet, %d carried", quiet, sys.Controller.Rounds(), carried)
 		})
 	}
 }
