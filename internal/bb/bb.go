@@ -98,8 +98,7 @@ type Tier struct {
 	fs  *pfs.FileSystem
 	cfg Config
 
-	occupied     float64
-	totalDrained float64
+	occupied float64
 
 	stageNames []string
 	drainNames []string
@@ -150,9 +149,6 @@ func (t *Tier) Capacity() float64 { return t.cfg.CapacityBytes }
 // Occupied returns the bytes currently reserved (admitted jobs plus
 // attempts still draining).
 func (t *Tier) Occupied() float64 { return t.occupied }
-
-// TotalDrained returns the cumulative bytes drained back to the PFS.
-func (t *Tier) TotalDrained() float64 { return t.totalDrained }
 
 // ApplianceNodes returns the node names carrying stage/drain traffic, in
 // a fixed order, so recorders can attribute their sampled rates.
@@ -260,7 +256,6 @@ func (t *Tier) JobEnded(jobID string, requeued bool) {
 func (t *Tier) release(e *entry, drained float64) {
 	e.DrainEnd = t.eng.Now()
 	e.Drained = drained
-	t.totalDrained += drained
 	t.occupied -= e.Bytes
 	if t.occupied < 0 {
 		t.occupied = 0

@@ -38,19 +38,14 @@ type ExitKind int
 const (
 	ExitCompleted ExitKind = iota // the program finished its work
 	ExitKilled                    // the controller killed it (time limit)
-	ExitNodeFail                  // a node under the job failed
 )
 
-// String returns "completed", "killed" or "node-fail".
+// String returns "completed" or "killed".
 func (k ExitKind) String() string {
-	switch k {
-	case ExitKilled:
+	if k == ExitKilled {
 		return "killed"
-	case ExitNodeFail:
-		return "node-fail"
-	default:
-		return "completed"
 	}
+	return "completed"
 }
 
 // Execution is one running (or finished) job instance on the cluster.
@@ -75,7 +70,6 @@ type Cluster struct {
 	nodes   []string
 	free    []string // stack of free node names (deterministic reuse order)
 	running map[string]*Execution
-	down    map[string]bool
 	seed    uint64
 }
 
@@ -92,7 +86,6 @@ func New(eng *des.Engine, fs *pfs.FileSystem, n int, prefix string, seed uint64)
 		eng:     eng,
 		fs:      fs,
 		running: make(map[string]*Execution),
-		down:    make(map[string]bool),
 		seed:    seed,
 	}
 	for i := n; i >= 1; i-- {
@@ -110,9 +103,8 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // FreeNodes returns the number of currently unallocated nodes.
 func (c *Cluster) FreeNodes() int { return len(c.free) }
 
-// BusyNodes returns the number of allocated (running-job) nodes; down
-// nodes are neither busy nor free.
-func (c *Cluster) BusyNodes() int { return len(c.nodes) - len(c.free) - len(c.down) }
+// BusyNodes returns the number of allocated (running-job) nodes.
+func (c *Cluster) BusyNodes() int { return len(c.nodes) - len(c.free) }
 
 // NodeNames returns all node names in sorted order.
 func (c *Cluster) NodeNames() []string {
@@ -184,65 +176,8 @@ func (c *Cluster) finish(e *Execution, kind ExitKind) {
 	e.Exit = kind
 	e.EndedAt = c.eng.Now()
 	delete(c.running, e.JobID)
-	for _, n := range e.Nodes {
-		if !c.down[n] {
-			c.free = append(c.free, n)
-		}
-	}
+	c.free = append(c.free, e.Nodes...)
 	if e.onExit != nil {
 		e.onExit(e)
 	}
-}
-
-// DownNodes returns how many nodes are marked down.
-func (c *Cluster) DownNodes() int { return len(c.down) }
-
-// FailNode marks a node down. A job running on it is killed with
-// ExitNodeFail (its onExit fires as usual). Failing an already-down node
-// is a no-op. Returns false for unknown node names.
-func (c *Cluster) FailNode(name string) bool {
-	known := false
-	for _, n := range c.nodes {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return false
-	}
-	if c.down[name] {
-		return true
-	}
-	c.down[name] = true
-	// Remove from the free list if idle.
-	for i, n := range c.free {
-		if n == name {
-			c.free = append(c.free[:i], c.free[i+1:]...)
-			return true
-		}
-	}
-	// Kill the occupying job, if any.
-	for _, e := range c.running {
-		for _, n := range e.Nodes {
-			if n == name {
-				if e.stop != nil {
-					e.stop()
-				}
-				c.finish(e, ExitNodeFail)
-				return true
-			}
-		}
-	}
-	return true
-}
-
-// RestoreNode brings a down node back into service.
-func (c *Cluster) RestoreNode(name string) bool {
-	if !c.down[name] {
-		return false
-	}
-	delete(c.down, name)
-	c.free = append(c.free, name)
-	return true
 }

@@ -101,9 +101,9 @@ func TestKillReleasesNodesAndCancelsWork(t *testing.T) {
 	if exit == nil || exit.Exit != ExitKilled || exit.Exit.String() != "killed" {
 		t.Fatalf("exit: %+v", exit)
 	}
-	if cl.FreeNodes() != 2 || cl.FS().ActiveStreams() != 0 {
+	if cl.FreeNodes() != 2 || len(cl.FS().CurrentNodeRates(nil)) != 0 {
 		t.Fatalf("kill must release nodes (%d) and streams (%d)",
-			cl.FreeNodes(), cl.FS().ActiveStreams())
+			cl.FreeNodes(), len(cl.FS().CurrentNodeRates(nil)))
 	}
 	eng.Run(des.TimeFromSeconds(10000))
 	if exit.Exit != ExitKilled {
@@ -119,11 +119,11 @@ func TestKillReleasesNodesAndCancelsWork(t *testing.T) {
 
 func TestSleepProgramDuration(t *testing.T) {
 	eng, cl := newTestEnv(t, 1)
-	var endAt des.Time
-	_, _ = cl.Start("s", 1, SleepProgram{D: 600 * des.Second}, func(e *Execution) { endAt = e.EndedAt })
+	var end *Execution
+	_, _ = cl.Start("s", 1, SleepProgram{D: 600 * des.Second}, func(e *Execution) { end = e })
 	eng.Run(des.TimeFromSeconds(7200))
-	if endAt != des.TimeFromSeconds(600) {
-		t.Fatalf("sleep ended at %v", endAt)
+	if end == nil || end.EndedAt != des.TimeFromSeconds(600) || end.Exit.String() != "completed" {
+		t.Fatalf("sleep exit: %+v", end)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestWriteProgramTransfersAllBytes(t *testing.T) {
 		t.Fatalf("total bytes = %g, want 80 GiB", got)
 	}
 	// All I/O must be attributed to the job's single node.
-	nodeBytes := cl.FS().NodeCounters(end.Nodes[0]).WriteBytes
+	nodeBytes := cl.FS().Client(end.Nodes[0]).Counters().WriteBytes
 	if math.Abs(nodeBytes-80*pfs.GiB) > 16 {
 		t.Fatalf("node attribution = %g", nodeBytes)
 	}
@@ -154,7 +154,7 @@ func TestWriteProgramSpreadsThreadsAcrossNodes(t *testing.T) {
 		func(e *Execution) { end = e })
 	eng.Run(des.TimeFromSeconds(36000))
 	for _, n := range end.Nodes {
-		b := cl.FS().NodeCounters(n).WriteBytes
+		b := cl.FS().Client(n).Counters().WriteBytes
 		if math.Abs(b-2*pfs.GiB) > 16 { // 8 threads round-robin over 4 nodes
 			t.Fatalf("node %s got %g bytes, want 2 GiB", n, b)
 		}
@@ -204,7 +204,7 @@ func TestPhasedProgramStopMidPhase(t *testing.T) {
 	if completed {
 		t.Fatal("killed phased job must not complete")
 	}
-	if cl.FS().ActiveStreams() != 0 {
+	if len(cl.FS().CurrentNodeRates(nil)) != 0 {
 		t.Fatal("streams must be cancelled")
 	}
 }
@@ -262,52 +262,5 @@ func TestNodeReuseIsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("allocation order differs: %v vs %v", a, b)
 		}
-	}
-}
-
-func TestNodeFailureDirect(t *testing.T) {
-	eng, cl := newTestEnv(t, 3)
-	if cl.DownNodes() != 0 {
-		t.Fatal("initial down count")
-	}
-	if cl.FailNode("nope") {
-		t.Fatal("unknown node")
-	}
-	names := cl.NodeNames()
-	// Fail an idle node: it leaves the free pool.
-	if !cl.FailNode(names[0]) || cl.FreeNodes() != 2 || cl.DownNodes() != 1 {
-		t.Fatalf("idle failure: free=%d down=%d", cl.FreeNodes(), cl.DownNodes())
-	}
-	if !cl.FailNode(names[0]) || cl.DownNodes() != 1 {
-		t.Fatal("repeat failure must be a counted-once no-op")
-	}
-	// Fail a busy node: the job dies with ExitNodeFail.
-	var exit *Execution
-	e, err := cl.Start("j", 2, SleepProgram{D: 500 * des.Second}, func(x *Execution) { exit = x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(des.TimeFromSeconds(10))
-	if !cl.FailNode(e.Nodes[0]) {
-		t.Fatal("busy failure")
-	}
-	if exit == nil || exit.Exit != ExitNodeFail || exit.Exit.String() != "node-fail" {
-		t.Fatalf("exit: %+v", exit)
-	}
-	// The healthy node of the allocation returns to free; the failed one
-	// does not.
-	if cl.FreeNodes() != 1 || cl.DownNodes() != 2 || cl.BusyNodes() != 0 {
-		t.Fatalf("post-failure accounting: free=%d down=%d busy=%d",
-			cl.FreeNodes(), cl.DownNodes(), cl.BusyNodes())
-	}
-	// Restore brings capacity back.
-	if !cl.RestoreNode(names[0]) || cl.FreeNodes() != 2 {
-		t.Fatalf("restore: free=%d", cl.FreeNodes())
-	}
-	if cl.RestoreNode(names[0]) {
-		t.Fatal("double restore must report false")
-	}
-	if ExitCompleted.String() != "completed" || ExitKilled.String() != "killed" {
-		t.Fatal("exit strings")
 	}
 }

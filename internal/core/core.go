@@ -35,7 +35,6 @@ import (
 	"wasched/internal/sos"
 	"wasched/internal/tbf"
 	"wasched/internal/trace"
-	"wasched/internal/workload"
 )
 
 // PolicyKind selects one of the library's scheduling policies.
@@ -383,9 +382,6 @@ func (s *System) Submitted() int { return s.submitted }
 // Start begins scheduling. Call once after the initial submissions.
 func (s *System) Start() { s.Controller.Run() }
 
-// RunUntil advances the simulation to the given time.
-func (s *System) RunUntil(t des.Time) { s.Eng.Run(t) }
-
 // RunToCompletion advances the simulation until every submitted job has
 // finished, failing if that takes longer than max simulated time.
 func (s *System) RunToCompletion(max des.Duration) error {
@@ -471,16 +467,4 @@ func (s *System) measureIsolated(spec slurm.JobSpec) (analytics.Estimate, error)
 		return analytics.Estimate{}, fmt.Errorf("no estimate after isolated run")
 	}
 	return est, nil
-}
-
-// FeedAll submits specs progressively through a depth-bounded feeder (see
-// workload.StartFeeder) instead of one batch, counting them toward
-// RunToCompletion. Start the system first or immediately after; the feeder
-// checks the queue every period.
-func (s *System) FeedAll(specs []slurm.JobSpec, depth int, period des.Duration) error {
-	if _, err := workload.StartFeeder(s.Eng, s.Controller, specs, depth, period); err != nil {
-		return err
-	}
-	s.submitted += len(specs)
-	return nil
 }

@@ -295,6 +295,8 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestFeedAll(t *testing.T) {
+	// A depth-bounded feeder drives the whole workload through a System,
+	// as the submission and plateau ablations do.
 	sys, err := NewSystem(quietConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -303,20 +305,19 @@ func TestFeedAll(t *testing.T) {
 	for i := range specs {
 		specs[i] = workload.SleepJob()
 	}
-	if err := sys.FeedAll(specs, 5, des.Second); err != nil {
+	if _, err := workload.StartFeeder(sys.Eng, sys.Controller, specs, 5, des.Second); err != nil {
 		t.Fatal(err)
-	}
-	if sys.Submitted() != 40 {
-		t.Fatalf("submitted: %d", sys.Submitted())
 	}
 	sys.Start()
-	if err := sys.RunToCompletion(100 * des.Hour); err != nil {
-		t.Fatal(err)
+	for sys.Controller.DoneCount() < len(specs) {
+		if sys.Controller.QueueLength() > 5 {
+			t.Fatalf("queue %d exceeds the feeder depth", sys.Controller.QueueLength())
+		}
+		if !sys.Eng.Step() {
+			t.Fatalf("went idle after %d of %d jobs", sys.Controller.DoneCount(), len(specs))
+		}
 	}
-	if sys.Controller.DoneCount() != 40 {
-		t.Fatalf("done: %d", sys.Controller.DoneCount())
-	}
-	if err := sys.FeedAll(specs, 0, des.Second); err == nil {
+	if _, err := workload.StartFeeder(sys.Eng, sys.Controller, specs, 0, des.Second); err == nil {
 		t.Fatal("bad depth must fail")
 	}
 }

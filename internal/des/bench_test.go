@@ -74,6 +74,6 @@ func BenchmarkRNG(b *testing.B) {
 	r := NewRNG(1, "bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = r.UnitLogNormal(0.16)
+		_ = r.LogNormal(0, 0.16)
 	}
 }

@@ -334,30 +334,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(7, "root")
-	a := r.Fork("child")
-	b := NewRNG(7, "root/child")
-	for i := 0; i < 10; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Fork must equal direct derivation")
-		}
-	}
-}
-
-func TestRNGUnitLogNormalMean(t *testing.T) {
-	r := NewRNG(1, "ln")
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.UnitLogNormal(0.2)
-	}
-	mean := sum / n
-	if mean < 0.99 || mean > 1.01 {
-		t.Fatalf("unit log-normal mean = %v, want ~1", mean)
-	}
-}
-
 func TestRNGJitter(t *testing.T) {
 	r := NewRNG(1, "j")
 	if r.Jitter(0) != 0 {

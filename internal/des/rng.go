@@ -13,8 +13,6 @@ import (
 // perturbs the draws seen by existing components.
 type RNG struct {
 	*rand.Rand
-	seed uint64
-	name string
 }
 
 // NewRNG derives a random stream from an experiment seed and a component
@@ -23,36 +21,14 @@ func NewRNG(seed uint64, name string) *RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	sub := h.Sum64()
-	return &RNG{
-		Rand: rand.New(rand.NewPCG(seed, sub)),
-		seed: seed,
-		name: name,
-	}
+	return &RNG{Rand: rand.New(rand.NewPCG(seed, sub))}
 }
-
-// Fork derives a child stream, e.g. one per job or per volume, with a
-// stable identity independent of creation order.
-func (r *RNG) Fork(name string) *RNG {
-	return NewRNG(r.seed, r.name+"/"+name)
-}
-
-// Seed returns the experiment seed this stream was derived from.
-func (r *RNG) Seed() uint64 { return r.seed }
-
-// Name returns the component name of this stream.
-func (r *RNG) Name() string { return r.name }
 
 // LogNormal draws a log-normal sample with the given mean and sigma of the
 // underlying normal. With mu chosen as -sigma^2/2 the multiplicative noise
 // has unit mean.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// UnitLogNormal draws a multiplicative noise factor with mean 1 and the
-// given sigma (of the underlying normal).
-func (r *RNG) UnitLogNormal(sigma float64) float64 {
-	return r.LogNormal(-sigma*sigma/2, sigma)
 }
 
 // Jitter returns a duration uniformly drawn from [0, d).

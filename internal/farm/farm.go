@@ -48,16 +48,6 @@ func (c Cell) Key() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// CellSeed derives a deterministic RNG seed for a cell from a base seed.
-// The derivation depends only on the cell's identity, never on execution
-// order, which is the contract that makes a parallel sweep bit-identical
-// to a serial one.
-func CellSeed(base uint64, c Cell) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d", c.Experiment, c.Config, c.Seed)
-	return base ^ h.Sum64()
-}
-
 // Exec runs one cell and returns its result payload. The payload must be a
 // pure function of the cell (the determinism and caching contracts both
 // rest on it) and must marshal to JSON when the sweep uses a state

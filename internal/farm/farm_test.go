@@ -23,11 +23,11 @@ func sweepCells(n int) []Cell {
 }
 
 // simExec is a deterministic stand-in for a simulation: it derives the
-// cell's RNG exactly as a real sweep would and returns a digest of the
-// stream, so any cross-cell state leakage or order dependence shows up as
-// a changed payload.
+// cell's RNG from the cell's identity alone (its key), never from
+// execution order, and returns a digest of the stream, so any cross-cell
+// state leakage or order dependence shows up as a changed payload.
 func simExec(ctx context.Context, c Cell) (any, error) {
-	rng := des.NewRNG(CellSeed(7, c), "farm-test/"+c.Config)
+	rng := des.NewRNG(7, "farm-test/"+c.Key())
 	sum := 0.0
 	for i := 0; i < 100; i++ {
 		sum += rng.Float64()
@@ -311,17 +311,14 @@ func TestOutcomeDecode(t *testing.T) {
 	}
 }
 
-// TestCellKeyStable pins the key and seed derivation: cached results and
-// journals from older runs must stay addressable.
+// TestCellKeyStable pins the key derivation: cached results and journals
+// from older runs must stay addressable.
 func TestCellKeyStable(t *testing.T) {
 	c := Cell{Experiment: "fig6", Config: "d", Seed: 7920}
 	if c.Key() != Cell.Key(c) || len(c.Key()) != 16 {
 		t.Fatalf("key shape: %q", c.Key())
 	}
-	if CellSeed(1, c) == CellSeed(1, Cell{Experiment: "fig6", Config: "e", Seed: 7920}) {
-		t.Fatal("distinct cells must derive distinct seeds")
-	}
-	if CellSeed(1, c) != CellSeed(1, c) {
-		t.Fatal("seed derivation must be stable")
+	if c.Key() == (Cell{Experiment: "fig6", Config: "e", Seed: 7920}).Key() {
+		t.Fatal("distinct cells must derive distinct keys")
 	}
 }

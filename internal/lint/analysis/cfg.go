@@ -20,11 +20,6 @@ type CFG struct {
 	// Blocks[0] is the entry block. Order is deterministic (construction
 	// order, which follows source order).
 	Blocks []*Block
-	// SelectComm marks nodes that are the comm operation of a select
-	// clause: by select semantics they only execute once ready, so
-	// analyzers looking for blocking channel operations must judge the
-	// select statement (default or not), not the comm itself.
-	SelectComm map[ast.Node]bool
 }
 
 // Block is a maximal straight-line run of nodes with no internal control
@@ -59,26 +54,6 @@ func InspectShallow(n ast.Node, f func(ast.Node) bool) {
 	})
 }
 
-// InspectSync walks a whole function body but visits only what executes
-// synchronously when the function is called: nested function literals,
-// `go` statements and deferred calls are skipped, and select statements
-// are judged whole (their clauses never descend — a comm op inside a
-// select follows select semantics, not plain channel-op semantics). Used
-// by call-graph summary scans.
-func InspectSync(body *ast.BlockStmt, f func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		}
-		if !f(n) {
-			return false
-		}
-		_, isSelect := n.(*ast.SelectStmt)
-		return !isSelect
-	})
-}
-
 // cfgBuilder carries the construction state: the block under
 // construction, the label table, and the loop/switch stacks break and
 // continue resolve against.
@@ -101,7 +76,7 @@ type branchTarget struct {
 
 // NewCFG builds the control-flow graph of one function body.
 func NewCFG(body *ast.BlockStmt) *CFG {
-	b := &cfgBuilder{cfg: &CFG{SelectComm: map[ast.Node]bool{}}, labels: map[string]*Block{}}
+	b := &cfgBuilder{cfg: &CFG{}, labels: map[string]*Block{}}
 	b.cur = b.newBlock()
 	b.stmtList(body.List)
 	return b.cfg
@@ -263,7 +238,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			cc := clause.(*ast.CommClause)
 			if cc.Comm != nil {
 				blk.Nodes = append(blk.Nodes, cc.Comm)
-				b.cfg.SelectComm[cc.Comm] = true
 			}
 			return cc.Body
 		}, false)

@@ -35,10 +35,6 @@ func TestFloatguard(t *testing.T) {
 	linttest.Run(t, "testdata/src/floatguard", lint.Floatguard)
 }
 
-func TestLockdiscipline(t *testing.T) {
-	linttest.Run(t, "testdata/src/lockdiscipline", lint.Lockdiscipline)
-}
-
 func TestGoroleak(t *testing.T) {
 	linttest.Run(t, "testdata/src/goroleak", lint.Goroleak)
 }

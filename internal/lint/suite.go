@@ -61,12 +61,10 @@ func hasPathPrefix(path, prefix string) bool {
 //     scheduler policies, the resource/file-system models and the
 //     token-bucket layer (fair-share division and borrow scaling are
 //     ratio-heavy).
-//   - lockdiscipline and goroleak run on the concurrent code — the farm
-//     pool and (goroleak) the CLIs that start it: one detached goroutine
-//     outlives the sweep that owns it. The farm holds no mutex (Run's
-//     goroutine is the state dir's one writer), so lockdiscipline keeps
-//     it that way: a lock taken around the cache or journal I/O again
-//     would stall every worker behind one disk write.
+//   - goroleak runs on the concurrent code — the farm pool and the CLIs
+//     that start it: one detached goroutine outlives the sweep that owns
+//     it. The farm needs no lock analyzer: it holds no mutex, because
+//     Run's goroutine is the state dir's one writer.
 //   - unitsafe runs where bytes/GiB/rate/time arithmetic mixes: the
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
@@ -107,12 +105,6 @@ func Suite() []ScopedAnalyzer {
 				"wasched/internal/pfs",
 				"wasched/internal/bb",
 				"wasched/internal/tbf",
-			},
-		},
-		{
-			Analyzer: Lockdiscipline,
-			Include: []string{
-				"wasched/internal/farm",
 			},
 		},
 		{

@@ -141,8 +141,11 @@ type FileSystem struct {
 	// after each noise step; 0 marks a volume not yet computed.
 	volFactor []float64
 	globalLog float64
-	noiseRNG  *des.RNG
-	stopNoise func()
+	// globalFactor is noiseFactor(globalLog), set with every step of it:
+	// the solver reads it on every stream boundary.
+	globalFactor float64
+	noiseRNG     *des.RNG
+	stopNoise    func()
 
 	mdsFreeAt des.Time
 
@@ -187,6 +190,7 @@ func New(eng *des.Engine, cfg Config, seed uint64) (*FileSystem, error) {
 		fs.volLogNoise[i] = cfg.NoiseSigma * fs.noiseRNG.NormFloat64()
 	}
 	fs.globalLog = cfg.NoiseSigma * fs.noiseRNG.NormFloat64()
+	fs.globalFactor = fs.noiseFactor(fs.globalLog)
 	fs.stopNoise = eng.Ticker(cfg.NoiseInterval, "pfs/noise", func(des.Time) {
 		fs.sync()
 		fs.rollNoise()
@@ -208,9 +212,6 @@ func (fs *FileSystem) Volumes() int { return fs.cfg.Volumes }
 // RandomVolume picks a volume uniformly at random, as the paper's write
 // jobs do ("written to a randomly chosen Lustre storage volume").
 func (fs *FileSystem) RandomVolume(rng *des.RNG) int { return rng.IntN(fs.cfg.Volumes) }
-
-// ActiveStreams returns the number of streams currently transferring.
-func (fs *FileSystem) ActiveStreams() int { return len(fs.streams) }
 
 // addStream appends s to the active set.
 func (fs *FileSystem) addStream(s *Stream) {
@@ -245,6 +246,7 @@ func (fs *FileSystem) rollNoise() {
 		fs.volFactor[i] = 0
 	}
 	fs.globalLog = rho*fs.globalLog + innov*fs.noiseRNG.NormFloat64()
+	fs.globalFactor = fs.noiseFactor(fs.globalLog)
 }
 
 // noiseFactor converts a log-noise value into a mean-one multiplier.
@@ -505,7 +507,7 @@ func (fs *FileSystem) recompute() {
 			eff = 1 / denom
 		}
 	}
-	agg := cfg.ServerCap * eff * fs.noiseFactor(fs.globalLog)
+	agg := cfg.ServerCap * eff * fs.globalFactor
 	if fs.globalDegrade > 0 {
 		agg *= fs.globalDegrade
 	}
@@ -575,16 +577,6 @@ func (fs *FileSystem) finish(s *Stream) {
 	if s.complete != nil {
 		s.complete()
 	}
-}
-
-// NodeCounters returns a snapshot of the cumulative counters for a node,
-// current as of now. Unknown nodes return zero counters.
-func (fs *FileSystem) NodeCounters(node string) Counters {
-	fs.sync()
-	if c, ok := fs.clients[node]; ok {
-		return c.counters
-	}
-	return Counters{}
 }
 
 // TotalCounters returns the cluster-wide cumulative counters as of now.

@@ -64,14 +64,14 @@ func TestSingleStreamRateAndCompletion(t *testing.T) {
 	if math.Abs(doneAt.Seconds()-want) > 0.1 {
 		t.Fatalf("completion at %.2fs, want ~%.2fs", doneAt.Seconds(), want)
 	}
-	c := fs.NodeCounters("n1")
+	c := fs.nodeCounters("n1")
 	if math.Abs(c.WriteBytes-bytes) > 1 {
 		t.Fatalf("write bytes = %g, want %g", c.WriteBytes, bytes)
 	}
 	if c.WriteOps != 1 || c.ReadOps != 0 {
 		t.Fatalf("ops = %d/%d", c.WriteOps, c.ReadOps)
 	}
-	if fs.ActiveStreams() != 0 {
+	if fs.activeStreams() != 0 {
 		t.Fatal("stream must be removed after completion")
 	}
 }
@@ -223,7 +223,7 @@ func TestNoiseFluctuatesButConservesBytes(t *testing.T) {
 	}
 	var rates []float64
 	stop := eng.Ticker(des.Second, "probe", func(des.Time) {
-		if fs.ActiveStreams() > 0 {
+		if fs.activeStreams() > 0 {
 			rates = append(rates, fs.CurrentAggregateRate())
 		}
 	})
@@ -283,10 +283,10 @@ func TestCancelStream(t *testing.T) {
 	if completed {
 		t.Fatal("cancelled stream must not complete")
 	}
-	if fs.ActiveStreams() != 0 {
+	if fs.activeStreams() != 0 {
 		t.Fatal("cancelled stream still active")
 	}
-	c := fs.NodeCounters("n1")
+	c := fs.nodeCounters("n1")
 	if c.WriteBytes < 1.5*GiB || c.WriteBytes > 2.5*GiB {
 		t.Fatalf("partial bytes = %.2f GiB, want ~2", c.WriteBytes/GiB)
 	}
@@ -302,7 +302,7 @@ func TestCancelBeforeMDSCreate(t *testing.T) {
 	s := fs.StartStream("n1", Write, 0, GiB, func() { t.Error("must not complete") })
 	fs.CancelStream(s)
 	eng.Run(des.TimeFromSeconds(3600))
-	if fs.ActiveStreams() != 0 || fs.NodeCounters("n1").WriteBytes != 0 {
+	if fs.activeStreams() != 0 || fs.nodeCounters("n1").WriteBytes != 0 {
 		t.Fatal("stream cancelled during create must never transfer")
 	}
 }
@@ -313,7 +313,7 @@ func TestMDSQueueing(t *testing.T) {
 	cfg.MDSOpsPerSec = 10 // 100 ms per create
 	fs, _ := New(eng, cfg, 1)
 	started := 0
-	probe := func() { started = fs.ActiveStreams() }
+	probe := func() { started = fs.activeStreams() }
 	for i := 0; i < 5; i++ {
 		fs.StartStream("n1", Write, i, 100*GiB, nil)
 	}
@@ -323,8 +323,8 @@ func TestMDSQueueing(t *testing.T) {
 		t.Fatalf("after 250ms with 10 creates/s, want 2 active streams, got %d", started)
 	}
 	eng.Run(des.TimeFromSeconds(1))
-	if fs.ActiveStreams() != 5 {
-		t.Fatalf("all creates must eventually finish, active=%d", fs.ActiveStreams())
+	if fs.activeStreams() != 5 {
+		t.Fatalf("all creates must eventually finish, active=%d", fs.activeStreams())
 	}
 }
 
@@ -334,7 +334,7 @@ func TestReadAndWriteCountersSeparate(t *testing.T) {
 	fs.StartStream("n1", Write, 0, GiB, nil)
 	fs.StartStream("n1", Read, 1, 2*GiB, nil)
 	eng.Run(des.TimeFromSeconds(3600))
-	c := fs.NodeCounters("n1")
+	c := fs.nodeCounters("n1")
 	if math.Abs(c.WriteBytes-GiB) > 1 || math.Abs(c.ReadBytes-2*GiB) > 1 {
 		t.Fatalf("counters: %+v", c)
 	}
@@ -544,12 +544,12 @@ func TestByteConservationRandomized(t *testing.T) {
 }
 
 // TestClientHandles pins the client contract: one handle per node name,
-// shared by Client, Clients and the streams, with the counters NodeCounters
+// shared by Client, Clients and the streams, with the counters nodeCounters
 // reports.
 func TestClientHandles(t *testing.T) {
 	eng := des.NewEngine()
 	fs, _ := New(eng, quietConfig(), 1)
-	if got := fs.NodeCounters("n0"); got != (Counters{}) {
+	if got := fs.nodeCounters("n0"); got != (Counters{}) {
 		t.Fatalf("unknown node has counters %+v", got)
 	}
 	cs := fs.Clients([]string{"n0", "n1", "n0"})
@@ -561,8 +561,8 @@ func TestClientHandles(t *testing.T) {
 	}
 	s := fs.StartStream("n1", Write, 0, GiB, nil)
 	eng.Run(des.TimeFromSeconds(1))
-	if got, want := cs[1].Counters(), fs.NodeCounters("n1"); got != want || got.WriteOps != 1 || got.WriteBytes <= 0 {
-		t.Fatalf("client counters %+v, NodeCounters %+v", got, want)
+	if got, want := cs[1].Counters(), fs.nodeCounters("n1"); got != want || got.WriteOps != 1 || got.WriteBytes <= 0 {
+		t.Fatalf("client counters %+v, nodeCounters %+v", got, want)
 	}
 	if s.Node() != "n1" {
 		t.Fatalf("stream node %q", s.Node())

@@ -69,7 +69,7 @@ func TestRateSolverInvariants(t *testing.T) {
 				}
 			}
 		}
-		k := fs.ActiveStreams()
+		k := fs.activeStreams()
 		if k != len(streams) {
 			t.Fatalf("trial %d: %d of %d streams active after 1s", trial, k, len(streams))
 		}

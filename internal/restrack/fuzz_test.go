@@ -110,7 +110,7 @@ func FuzzProfile(f *testing.F) {
 			if got < from {
 				t.Fatalf("EarliestFit returned %v before from=%v", got, from)
 			}
-			if max := p.MaxOver(got, got.Add(dur)); !fits(max, need, limit) {
+			if max := p.maxOver(got, got.Add(dur)); !fits(max, need, limit) {
 				t.Fatalf("EarliestFit start %v does not fit: max %g + need %g > limit %g", got, max, need, limit)
 			}
 		}
@@ -344,4 +344,21 @@ func checkSamePoints(t *testing.T, p *Profile, ref []point, format string, args 
 		t.Fatalf("after "+format+": local compaction gives %v, whole-profile pass %v",
 			append(args, p.pts, ref)...)
 	}
+}
+
+// maxOver returns the maximum usage over [lo, hi), the oracle that checks
+// an EarliestFit answer for feasibility. An empty interval yields the
+// value at lo.
+func (p *Profile) maxOver(lo, hi des.Time) float64 {
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	i := p.locate(lo)
+	max := p.valueOf(i)
+	for i++; i < len(p.pts) && p.pts[i].t < hi; i++ {
+		if p.pts[i].v > max {
+			max = p.pts[i].v
+		}
+	}
+	return max
 }

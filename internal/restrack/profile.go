@@ -213,41 +213,6 @@ func fits(usage, need, limit float64) bool {
 	return usage+need <= limit+1e-9*scale
 }
 
-// MaxOver returns the maximum usage over [lo, hi). An empty interval
-// yields the value at lo.
-func (p *Profile) MaxOver(lo, hi des.Time) float64 {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	i := p.locate(lo)
-	max := p.valueOf(i)
-	for i++; i < len(p.pts) && p.pts[i].t < hi; i++ {
-		if p.pts[i].v > max {
-			max = p.pts[i].v
-		}
-	}
-	return max
-}
-
-// IntegralOver returns the integral of usage over [lo, hi) in value-seconds
-// (e.g. node·s or byte). hi must be finite.
-func (p *Profile) IntegralOver(lo, hi des.Time) float64 {
-	if hi <= lo {
-		return 0
-	}
-	total := 0.0
-	t := lo
-	i := p.locate(lo)
-	v := p.valueOf(i)
-	for i++; i < len(p.pts) && p.pts[i].t < hi; i++ {
-		total += v * p.pts[i].t.Sub(t).Seconds()
-		t = p.pts[i].t
-		v = p.pts[i].v
-	}
-	total += v * hi.Sub(t).Seconds()
-	return total
-}
-
 // EarliestFit returns the earliest time t >= from such that for every
 // instant u in [t, t+dur), usage(u) + need <= limit. It returns
 // (des.MaxTime, false) when no such time exists, which can only happen when

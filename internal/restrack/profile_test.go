@@ -155,28 +155,14 @@ func TestProfileMaxOver(t *testing.T) {
 	p := NewProfile()
 	p.Add(des.Time(10*sec), des.Time(20*sec), 3)
 	p.Add(des.Time(15*sec), des.Time(25*sec), 4)
-	if got := p.MaxOver(0, des.Time(100*sec)); got != 7 {
+	if got := p.maxOver(0, des.Time(100*sec)); got != 7 {
 		t.Fatalf("MaxOver full = %v", got)
 	}
-	if got := p.MaxOver(des.Time(20*sec), des.Time(30*sec)); got != 4 {
+	if got := p.maxOver(des.Time(20*sec), des.Time(30*sec)); got != 4 {
 		t.Fatalf("MaxOver tail = %v", got)
 	}
-	if got := p.MaxOver(0, des.Time(5*sec)); got != 0 {
+	if got := p.maxOver(0, des.Time(5*sec)); got != 0 {
 		t.Fatalf("MaxOver head = %v", got)
-	}
-}
-
-func TestProfileIntegralOver(t *testing.T) {
-	p := NewProfile()
-	p.Add(des.Time(10*sec), des.Time(20*sec), 3)
-	if got := p.IntegralOver(0, des.Time(30*sec)); math.Abs(got-30) > 1e-9 {
-		t.Fatalf("integral = %v, want 30", got)
-	}
-	if got := p.IntegralOver(des.Time(15*sec), des.Time(18*sec)); math.Abs(got-9) > 1e-9 {
-		t.Fatalf("partial integral = %v, want 9", got)
-	}
-	if got := p.IntegralOver(des.Time(25*sec), des.Time(20*sec)); got != 0 {
-		t.Fatalf("inverted interval integral = %v, want 0", got)
 	}
 }
 
@@ -269,13 +255,13 @@ func TestProfileEarliestFitPostcondition(t *testing.T) {
 			return false
 		}
 		// The window must fit.
-		if p.MaxOver(got, got.Add(dur))+need > limit+1e-6 {
+		if p.maxOver(got, got.Add(dur))+need > limit+1e-6 {
 			return false
 		}
 		// Minimality: probe a second earlier (if possible).
 		if got > from {
 			probe := got - 1
-			if p.MaxOver(probe, probe.Add(dur))+need <= limit-1e-6 {
+			if p.maxOver(probe, probe.Add(dur))+need <= limit-1e-6 {
 				return false
 			}
 		}

@@ -29,14 +29,13 @@ const unstarted des.Time = -1
 // and a full round; a policy defined outside this package has no session
 // and gets a from-scratch round every time. The caller keeps the running
 // set, in an order of its own, passes it in each round's input, and
-// reports every event: a job becomes schedulable (Add) or leaves the
-// queue unstarted (Remove); a start-now decision of the last round starts
-// (Started, with StartedAt set) or is refused by an admission gate
-// (Refused); a running job ends (Finished) or its rate estimate moves
-// (Updated); queued jobs' priorities move (Reprioritized); anything else
-// a round reads changes (Changed), such as queued jobs' estimates. A
-// job's Nodes, Limit and BBBytes
-// stay fixed while it waits or runs. Everything is made when first used.
+// reports every event: a job becomes schedulable (Add); a start-now
+// decision of the last round starts (Started, with StartedAt set) or is
+// refused by an admission gate (Refused); a running job ends (Finished) or
+// its rate estimate moves (Updated); queued jobs' priorities move
+// (Reprioritized); anything else a round reads changes (Changed), such as
+// queued jobs' estimates. A job's Nodes, Limit and BBBytes stay fixed
+// while it waits or runs. Everything is made when first used.
 type Driver struct {
 	policy Policy
 	opt    Options
@@ -97,19 +96,6 @@ func (d *Driver) Add(j *Job) {
 	j.StartedAt = unstarted
 	d.queue = queueInsert(d.queue, j)
 	d.dirty = true
-}
-
-// Remove takes the queued job j out of the queue.
-func (d *Driver) Remove(j *Job) {
-	d.drop()
-	if i := slices.Index(d.queue, j); i >= 0 {
-		if i < d.planned {
-			d.planned--
-			d.replan = true
-		}
-		d.queue = slices.Delete(d.queue, i, i+1)
-		d.dirty = true
-	}
 }
 
 // Started records that j started at j.StartedAt.

@@ -33,9 +33,7 @@ const (
 	opArrive  = iota // a job joins the queue at now
 	opRound          // now advances by arg%4 rounds of 30 s; jobs past their limit end; one round runs
 	opFinish         // a running job ends at now
-	opRemove         // a queued job leaves the queue
 	opRate           // a running job's rate estimate changes
-	opDown           // the down-node count changes
 	opMeasure        // the measured throughput changes
 	opQueued         // a queued job's priority (even arg) or rate estimate (odd) changes
 	numOps
@@ -65,13 +63,12 @@ func driverScript(t *testing.T, data []byte) (full, carried, quiet int) {
 	fail := func(detail string) { t.Fatalf("skipped-round check: %s", detail) }
 	d.CheckSkippedRounds(fail)
 	var (
-		now         des.Time
-		running     []*Job
-		waiting     []*Job
-		measured    float64
-		unavailable int
-		n           int
-		plan        []Decision
+		now      des.Time
+		running  []*Job
+		waiting  []*Job
+		measured float64
+		n        int
+		plan     []Decision
 	)
 	pick := func(js []*Job, b byte) int { return int(b) % len(js) }
 	for len(data) >= 2 {
@@ -108,7 +105,7 @@ func driverScript(t *testing.T, data []byte) (full, carried, quiet int) {
 				kept = append(kept, j)
 			}
 			running = kept
-			in := RoundInput{Now: now, Running: running, MeasuredThroughput: measured, UnavailableNodes: unavailable}
+			in := RoundInput{Now: now, Running: running, MeasuredThroughput: measured}
 			decisions, _, kind := d.Round(&in)
 			fresh, _ := RunRound(pol.p, in, opt)
 			switch kind {
@@ -142,18 +139,6 @@ func driverScript(t *testing.T, data []byte) (full, carried, quiet int) {
 				d.Finished(running[i], now)
 				running = append(running[:i], running[i+1:]...)
 			}
-		case opRemove:
-			if len(waiting) > 0 {
-				j := waiting[pick(waiting, arg)]
-				d.Remove(j)
-				waiting = remove(waiting, j)
-				for i := range plan {
-					if plan[i].Job == j {
-						plan = append(plan[:i], plan[i+1:]...)
-						break
-					}
-				}
-			}
 		case opRate:
 			if len(running) > 0 {
 				j := running[pick(running, arg)]
@@ -161,8 +146,6 @@ func driverScript(t *testing.T, data []byte) (full, carried, quiet int) {
 				j.Rate = float64(arg % 120)
 				d.Updated(j, old, now)
 			}
-		case opDown:
-			unavailable = int(arg % 3)
 		case opMeasure:
 			measured = float64(arg) * 0.75
 		case opQueued:
@@ -205,14 +188,15 @@ func sameDecisions(t *testing.T, now des.Time, kind RoundKind, got, want []Decis
 // the policy index and the option byte (bit 0: MaxJobTest 3; the rest:
 // the refusal mask).
 var driverSeeds = [][]byte{
-	// io-aware: a starts, b and c are planned behind it; b, planned,
-	// leaves the queue; the next round must re-plan c, not carry.
+	// io-aware: a starts, b, c and d are planned behind it; c, planned,
+	// is raised above b; the next round must re-plan, not carry.
 	{2, 0,
 		opArrive, 7, 3, 0, 10, 0,
 		opArrive, 7, 3, 0, 10, 0,
 		opArrive, 3, 3, 0, 10, 0,
+		opArrive, 3, 3, 0, 10, 0,
 		opRound, 0,
-		opRemove, 0,
+		opQueued, 4,
 		opRound, 1,
 		opRound, 1},
 	// adaptive: starts, arrivals behind the plan (carried), quiet rounds,
@@ -235,7 +219,7 @@ var driverSeeds = [][]byte{
 		opMeasure, 200,
 		opRound, 1,
 		opRound, 3},
-	// plan with BB: refused starts, down nodes, removals behind the plan.
+	// plan with BB: refused starts, an estimate change behind the plan.
 	{4, 0x0a,
 		opArrive, 4, 6, 0, 50, 40,
 		opArrive, 4, 6, 0, 50, 30,
@@ -243,9 +227,8 @@ var driverSeeds = [][]byte{
 		opArrive, 2, 1, 0, 5, 59,
 		opRound, 0,
 		opRound, 1,
-		opDown, 1,
 		opRound, 1,
-		opRemove, 3,
+		opQueued, 3,
 		opRound, 1,
 		opArrive, 1, 11, 0, 0, 10,
 		opRound, 2,
@@ -283,9 +266,8 @@ var driverSeeds = [][]byte{
 
 // FuzzDriverMatchesFresh drives a Driver through byte-coded event scripts
 // (arrivals inside and behind the planned prefix, starts, refused starts,
-// finishes, removals, rate updates, down-node, measured-throughput and
-// queued priority and estimate changes, and rounds) under default, EASY,
-// io-aware, adaptive,
+// finishes, rate updates, measured-throughput and queued priority and
+// estimate changes, and rounds) under default, EASY, io-aware, adaptive,
 // plan and bb+io-aware scheduling, and holds every round to a fresh
 // RunRound (driverScript).
 func FuzzDriverMatchesFresh(f *testing.F) {

@@ -22,8 +22,8 @@
 //
 // The package is pure scheduling logic: it never touches the simulator or
 // the analytics service. The callers report the events between rounds,
-// assemble each round's input (the running set, the measured throughput,
-// the down nodes) and apply the decisions.
+// assemble each round's input (the running set and the measured
+// throughput) and apply the decisions.
 package sched
 
 import (
@@ -142,9 +142,6 @@ type RoundInput struct {
 	Running            []*Job
 	Waiting            []*Job
 	MeasuredThroughput float64
-	// UnavailableNodes counts nodes that are down/drained: the node
-	// tracker reserves them for the whole horizon.
-	UnavailableNodes int
 }
 
 // Round is one scheduling round's reservation state. EarliestStart and

@@ -231,11 +231,9 @@ type round struct {
 	// in the base (Session.Carry).
 	planWake des.Time
 	// guarded records that the measured-throughput guard booked anything
-	// this round; unavailable is the node count booked as down, and
-	// measured the throughput the round read.
-	guarded     bool
-	unavailable int
-	measured    float64
+	// this round, and measured the throughput the round read.
+	guarded  bool
+	measured float64
 	// deferred records that a job the plan examined did not start at its
 	// now; atMoved that a start-now booking into AT may change what a
 	// round at a later now decides for a job before it (noteStart), so
@@ -253,19 +251,14 @@ func emptyRound(m model) *round {
 }
 
 // begin layers this round's state over the running set's bookings already
-// in r.work: unavailable nodes for the whole horizon, the
-// measured-throughput guard and the adaptive overlay.
+// in r.work: the measured-throughput guard and the adaptive overlay.
 func (r *round) begin(in RoundInput) Round {
 	r.wake, r.planWake = des.MaxTime, des.MaxTime
 	r.setHorizon(in.Now)
-	r.guarded, r.unavailable, r.measured = false, in.UnavailableNodes, in.MeasuredThroughput
+	r.guarded, r.measured = false, in.MeasuredThroughput
 	r.deferred, r.atMoved = false, false
 	for i := range r.m.dims {
-		d := &r.m.dims[i]
-		switch {
-		case d.kind == dimNodes && in.UnavailableNodes > 0:
-			r.work[i].Add(in.Now, des.MaxTime, float64(in.UnavailableNodes))
-		case d.guard:
+		if d := &r.m.dims[i]; d.guard {
 			booked, residual := bookGuard(&r.work[i], d.limit, in)
 			r.guarded = r.guarded || booked
 			if residual {
@@ -295,17 +288,16 @@ func (r *round) setHorizon(now des.Time) {
 	}
 }
 
-// extend carries this round's plan to in.Now when that is exactly the
-// plan a round at in.Now would make for the jobs it examined, once their
+// extend carries this round's plan to in.Now when that is exactly the plan
+// a round at in.Now would make for the jobs it examined, once their
 // start-now bookings are in the base (Session.Carry; DESIGN.md, "Carried
-// rounds"): in.Now is before every future start and horizon entry, the
-// guard books nothing now and booked nothing then, and the down nodes
-// are the same. An adaptive round also needs its overlay to hold at
-// in.Now (overlay.carry) and no start to have booked into AT what moves
-// an earlier job's plan (atMoved). On success the round decides at
-// in.Now, and its wake starts from the plan's.
+// rounds"): in.Now is before every future start and horizon entry, and the
+// guard books nothing now and booked nothing then. An adaptive round also
+// needs its overlay to hold at in.Now (overlay.carry) and no start to have
+// booked into AT what moves an earlier job's plan (atMoved). On success
+// the round decides at in.Now, and its wake starts from the plan's.
 func (r *round) extend(in RoundInput) bool {
-	if r.guarded || r.atMoved || in.Now >= r.planWake || in.UnavailableNodes != r.unavailable || r.guardBooks(in) {
+	if r.guarded || r.atMoved || in.Now >= r.planWake || r.guardBooks(in) {
 		return false
 	}
 	if p := r.m.adaptive; p != nil && !r.ov.carry(p, in) {
@@ -445,20 +437,19 @@ func (r *round) noteStart(j *Job, now des.Time) {
 // time at or after its argument, so from a now before the wake time each
 // job lands on the same start as here, books the same reservation in the
 // same order, and none starts now. The bookings made from now (running
-// jobs, the guard while jobs run, unavailable nodes, AT) keep their values
-// over [in.Now, ∞) while the down-node count is the same and the guard
-// books the same excess: the measurement is bit-equal, or the guard
-// booked nothing then and books nothing now. The adaptive target R̃ reads
-// the running jobs' remaining(now), so R̃' drifts with time; AT is the
-// only thing it limits. An adaptive round is quiet only if R̃' recomputed
-// at in.Now leaves every AT value this round's fits examined on the same
-// side of the limit (the overlay's band): then every time those fits
-// proved infeasible stays infeasible, every window they accepted stays
-// accepted, and each EarliestStart returns what it returned here
+// jobs, the guard while jobs run, AT) keep their values over [in.Now, ∞)
+// while the guard books the same excess: the measurement is bit-equal, or
+// the guard booked nothing then and books nothing now. The adaptive target
+// R̃ reads the running jobs' remaining(now), so R̃' drifts with time; AT
+// is the only thing it limits. An adaptive round is quiet only if R̃'
+// recomputed at in.Now leaves every AT value this round's fits examined on
+// the same side of the limit (the overlay's band): then every time those
+// fits proved infeasible stays infeasible, every window they accepted
+// stays accepted, and each EarliestStart returns what it returned here
 // (DESIGN.md, "Quiet rounds"). The round then adopts R̃ and R̃' at in.Now,
 // as a carried one does, so its diagnostics are a fresh round's.
 func (r *round) quiet(in RoundInput) bool {
-	if in.Now >= r.wake || in.UnavailableNodes != r.unavailable {
+	if in.Now >= r.wake {
 		return false
 	}
 	if in.MeasuredThroughput != r.measured && (r.guarded || r.guardBooks(in)) {

@@ -122,9 +122,8 @@ func TestQuietBandEdges(t *testing.T) {
 func TestCarryConditions(t *testing.T) {
 	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 100}
 	type step struct {
-		now         int64
-		measured    float64
-		unavailable int
+		now      int64
+		measured float64
 	}
 	// carry runs the round at 0 s under p, then asks Carry at next.
 	carry := func(p Policy, first, next step) (*session, bool) {
@@ -143,7 +142,7 @@ func TestCarryConditions(t *testing.T) {
 			}
 		}
 		_, ok := s.Carry(RoundInput{Now: tsec(next.now), Running: running, Waiting: waiting,
-			MeasuredThroughput: next.measured, UnavailableNodes: next.unavailable})
+			MeasuredThroughput: next.measured})
 		return s, ok
 	}
 	plain := step{now: 30, measured: 10}
@@ -174,7 +173,6 @@ func TestCarryConditions(t *testing.T) {
 		first, next step
 	}{
 		{"now reaches the planned start", io, step{}, step{now: 1000, measured: 10}},
-		{"a node went down", io, step{}, step{now: 30, measured: 10, unavailable: 1}},
 		{"the guard books now", io, step{}, step{now: 30, measured: 50}},
 		{"the guard booked then", io, step{measured: 50}, plain},
 		{"tetris+", TetrisPolicy{Inner: io, TotalNodes: 4, ThroughputLimit: 100}, step{}, plain},
@@ -322,15 +320,14 @@ func TestCarryConditions(t *testing.T) {
 
 // TestQuietConditions runs one io-aware round with a session at 0 s, in
 // which a (1 of 4 nodes, rate 10) runs and b waits for 1000 s, and asks
-// Quiet at 30 s with nothing else changed but the measured throughput or
-// the down nodes. A quiet answer must agree with a fresh round; the
-// refusals where a fresh round decides differently show the condition is
-// needed, and the others that it is checked as stated.
+// Quiet at 30 s with nothing else changed but the measured throughput. A
+// quiet answer must agree with a fresh round; the refusals where a fresh
+// round decides differently show the condition is needed, and the others
+// that it is checked as stated.
 func TestQuietConditions(t *testing.T) {
 	p := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 100}
 	type step struct {
-		measured    float64
-		unavailable int
+		measured float64
 	}
 	for _, tc := range []struct {
 		name        string
@@ -351,8 +348,6 @@ func TestQuietConditions(t *testing.T) {
 		// either time, whatever the measurement.
 		{"measurement moves, no guard then or now", 4, 0, step{measured: 5}, step{measured: 8}, true, true},
 		{"measurement moves, the guard books now", 4, 0, step{measured: 5}, step{measured: 50}, false, true},
-		// With a node down for good, b can never start.
-		{"a node went down", 4, 0, step{}, step{unavailable: 1}, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := running("a", 1, 1000*sec, 0)
@@ -362,7 +357,7 @@ func TestQuietConditions(t *testing.T) {
 			s.JobStarted(a)
 			input := func(now int64, st step) RoundInput {
 				return RoundInput{Now: tsec(now), Running: []*Job{a}, Waiting: []*Job{b},
-					MeasuredThroughput: st.measured, UnavailableNodes: st.unavailable}
+					MeasuredThroughput: st.measured}
 			}
 			var rn runner
 			in := input(0, tc.first)

@@ -6,6 +6,7 @@ import (
 
 	"wasched/internal/des"
 	"wasched/internal/sched"
+	"wasched/internal/tbf"
 	"wasched/internal/trace"
 )
 
@@ -456,17 +457,15 @@ func (b *bbReplay) complete(sim *SimJob, jt *trace.JobTrace, start, end des.Time
 	jt.BBDrained = sim.BBBytes
 }
 
-// Token-bucket emulation constants. The burst default is two scheduling
-// rounds of fill; the credit decay halves a lender's reclaimable credit
-// every round ("decay-based reclamation" — unclaimed credit fades and the
-// system returns to plain fair share); the straggler alpha is the fraction
-// of the health gap a straggler-aware client recovers by reordering its
-// requests toward healthy servers.
+// Token-bucket emulation constants. The replay takes tbf's burst default
+// (two scheduling rounds of fill here) and credit decay (a lender's
+// reclaimable credit halves every round: "decay-based reclamation" —
+// unclaimed credit fades and the system returns to plain fair share).
+// The straggler alpha is the fraction of the health gap a straggler-aware
+// client recovers by reordering its requests toward healthy servers.
 const (
-	tbfDefaultBurstSec = 60.0
-	tbfCreditDecay     = 0.5
-	tbfStragglerAlpha  = 0.6
-	tbfHealthMin       = 0.4
+	tbfStragglerAlpha = 0.6
+	tbfHealthMin      = 0.4
 )
 
 // tbfReplay emulates the client-side token-bucket bandwidth layer during a
@@ -520,7 +519,7 @@ func newTBFReplay(cfg ReplayConfig) *tbfReplay {
 	}
 	burst := cfg.TBFBurst.Seconds()
 	if burst <= 0 {
-		burst = tbfDefaultBurstSec
+		burst = tbf.DefaultBurstSeconds
 	}
 	return &tbfReplay{
 		capacity: cfg.TBFCapacity,
@@ -539,14 +538,7 @@ func (b *tbfReplay) register(j *SimJob) {
 	}
 	bk := &tbfBucket{}
 	if b.servers > 0 {
-		// FNV-1a over the ID: a stable server assignment shared by both
-		// replay paths with no RNG state to carry.
-		h := uint32(2166136261)
-		for i := 0; i < len(j.ID); i++ {
-			h ^= uint32(j.ID[i])
-			h *= 16777619
-		}
-		bk.server = int(h % uint32(b.servers))
+		bk.server = tbf.ServerOf(j.ID, b.servers)
 	}
 	b.buckets[j] = bk
 }
@@ -738,7 +730,7 @@ func (b *tbfReplay) tick(running []*runJob, now des.Time, interval des.Duration)
 		if bk == nil {
 			continue
 		}
-		bk.credit *= tbfCreditDecay
+		bk.credit *= tbf.CreditDecay
 		if bk.credit < 1 {
 			bk.credit = 0 // sub-byte credit: reclaimed by decay
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"wasched/internal/pfs"
-	"wasched/internal/slurm"
 	"wasched/internal/trace"
 )
 
@@ -72,7 +71,7 @@ type ValidateOptions struct {
 //     legitimate, later twins that jumped it while it waited again are
 //     violations.
 //
-// Never-started jobs (cancelled before start) are skipped.
+// Never-started jobs are skipped.
 func ValidateJobs(jobs []trace.JobTrace, opts ValidateOptions) Result {
 	var res Result
 	type interval struct {
@@ -338,10 +337,8 @@ func checkNodeIdentity(jobs []trace.JobTrace, res *Result) {
 	}
 }
 
-// neverStarted reports a job cancelled before it started.
-func neverStarted(j trace.JobTrace) bool {
-	return j.State == slurm.StateCancelled || (j.Start == 0 && j.End == 0)
-}
+// neverStarted reports a job that never ran.
+func neverStarted(j trace.JobTrace) bool { return j.Start == 0 && j.End == 0 }
 
 // classKey identifies jobs the scheduler cannot distinguish: same
 // fingerprint (hence same estimates), same node request, same limit, same

@@ -22,7 +22,7 @@ func (c *Controller) WriteAccounting(w io.Writer) error {
 	for _, id := range ids {
 		r := c.byID[id]
 		start, end, wait, elapsed := "-", "-", "-", "-"
-		if r.State != StatePending && r.State != StateCancelled {
+		if r.State != StatePending {
 			start = fmt.Sprintf("%.1f", r.Start.Seconds())
 			wait = fmt.Sprintf("%.1f", r.WaitTime().Seconds())
 		}

@@ -52,9 +52,7 @@ const (
 	StatePending JobState = iota
 	StateRunning
 	StateCompleted
-	StateTimeout   // killed at its requested limit L_j
-	StateCancelled // dependency can never be satisfied
-	StateNodeFail  // lost its node and requeueing is disabled
+	StateTimeout // killed at its requested limit L_j
 )
 
 // String returns the Slurm-style state name.
@@ -68,10 +66,6 @@ func (s JobState) String() string {
 		return "COMPLETED"
 	case StateTimeout:
 		return "TIMEOUT"
-	case StateCancelled:
-		return "CANCELLED"
-	case StateNodeFail:
-		return "NODE_FAIL"
 	default:
 		return fmt.Sprintf("JobState(%d)", int(s))
 	}
@@ -96,10 +90,6 @@ type JobSpec struct {
 	// the static-license integration path (paper §II-A); ignored unless
 	// Config.UseDeclaredRates is set.
 	DeclaredRate float64
-	// DependsOn holds job IDs that must COMPLETE (Slurm's afterok) before
-	// this job becomes eligible. If any dependency times out or is
-	// cancelled, this job is cancelled (DependencyNeverSatisfied).
-	DependsOn []string
 	// User is the submitting user for fair-share accounting (empty = the
 	// anonymous user).
 	User string
@@ -147,20 +137,16 @@ type JobRecord struct {
 	// waiting between its preemption and its restart.
 	EligibleAt des.Time
 	// Attempts counts how many times the job has started (>1 after
-	// requeue preemption or node-failure requeues).
+	// requeue preemption).
 	Attempts int
 
 	view    sched.Job // the scheduler's mutable view
 	timeout des.Event
-	held    int // unsatisfied dependency count; schedulable at 0
 	// cls is the job's estimate class, set when it first joins the queue;
 	// queued is set while its view is in the controller's waiting queue.
 	cls    *estClass
 	queued bool
 }
-
-// Held reports whether the job is waiting on dependencies.
-func (r *JobRecord) Held() bool { return r.held > 0 }
 
 // WaitTime returns Q_j for started jobs.
 func (r *JobRecord) WaitTime() des.Duration { return r.Start.Sub(r.Submit) }
@@ -205,9 +191,6 @@ type Config struct {
 	// Preemption enables requeue-based preemption (Slurm's
 	// PreemptMode=REQUEUE) for starvation control.
 	Preemption PreemptionConfig
-	// DisableNodeFailRequeue keeps jobs that lose a node in the terminal
-	// NODE_FAIL state instead of requeueing them (Slurm's JobRequeue=0).
-	DisableNodeFailRequeue bool
 	// RateQuantile, when in (0,1], replaces the EWMA rate estimate with
 	// the given quantile of the class's observed rates (falling back to
 	// the EWMA when no history exists). 0.9 makes the I/O-aware scheduler
@@ -264,13 +247,11 @@ type Controller struct {
 	svc    *analytics.Service // may be nil (default policy needs none)
 	cfg    Config
 
-	pending []*JobRecord // arrival order, held jobs included
+	pending []*JobRecord // arrival order
 	running []*JobRecord // ID order
 	done    []*JobRecord
 	byID    map[string]*JobRecord
 	nextID  int
-	// dependents maps a job ID to the records held on it.
-	dependents map[string][]*JobRecord
 
 	listeners   []func(Event)
 	stopTicker  func()
@@ -318,15 +299,14 @@ func New(eng *des.Engine, cl *cluster.Cluster, policy sched.Policy, svc *analyti
 		return nil, fmt.Errorf("slurm: nil policy")
 	}
 	return &Controller{
-		eng:        eng,
-		cl:         cl,
-		policy:     policy,
-		svc:        svc,
-		cfg:        cfg,
-		drv:        sched.NewDriver(policy, cfg.Options),
-		byID:       make(map[string]*JobRecord),
-		dependents: make(map[string][]*JobRecord),
-		requeuing:  make(map[string]bool),
+		eng:       eng,
+		cl:        cl,
+		policy:    policy,
+		svc:       svc,
+		cfg:       cfg,
+		drv:       sched.NewDriver(policy, cfg.Options),
+		byID:      make(map[string]*JobRecord),
+		requeuing: make(map[string]bool),
 	}, nil
 }
 
@@ -424,23 +404,6 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 	if c.cfg.UseDeclaredRates {
 		r.view.Rate = spec.DeclaredRate // no runtime estimate: d_j falls back to L_j
 	}
-	for _, depID := range spec.DependsOn {
-		dep, ok := c.byID[depID]
-		if !ok {
-			c.nextID-- // roll back the consumed ID
-			return nil, fmt.Errorf("slurm: job %q depends on unknown job %q", spec.Name, depID)
-		}
-		switch dep.State {
-		case StateCompleted:
-			// Already satisfied.
-		case StateTimeout, StateCancelled:
-			c.nextID--
-			return nil, fmt.Errorf("slurm: job %q depends on failed job %q", spec.Name, depID)
-		default:
-			r.held++
-			c.dependents[depID] = append(c.dependents[depID], r)
-		}
-	}
 	c.pending = append(c.pending, r)
 	c.joined = append(c.joined, r)
 	c.byID[r.ID] = r
@@ -449,23 +412,6 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 		c.kick()
 	}
 	return r, nil
-}
-
-// SubmitArray submits count copies of spec (a Slurm job array) and
-// returns their records in index order.
-func (c *Controller) SubmitArray(spec JobSpec, count int) ([]*JobRecord, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("slurm: array size must be positive, got %d", count)
-	}
-	recs := make([]*JobRecord, 0, count)
-	for i := 0; i < count; i++ {
-		r, err := c.Submit(spec)
-		if err != nil {
-			return recs, fmt.Errorf("slurm: array element %d: %w", i, err)
-		}
-		recs = append(recs, r)
-	}
-	return recs, nil
 }
 
 // SubmitAt schedules a submission at a future time (arrival processes).
@@ -550,7 +496,7 @@ func (c *Controller) readClass(cl *estClass) bool {
 // class and the class's estimates.
 func (c *Controller) admit() {
 	for _, r := range c.joined {
-		if r.State != StatePending || r.held > 0 || r.queued {
+		if r.State != StatePending || r.queued {
 			continue
 		}
 		if r.cls == nil && c.svc != nil && !c.cfg.UseDeclaredRates {
@@ -622,7 +568,6 @@ func (c *Controller) scheduleRound() {
 		Now:                now,
 		Running:            c.runningViews,
 		MeasuredThroughput: measured,
-		UnavailableNodes:   c.cl.DownNodes(),
 	}
 	decisions, round, _ := c.drv.Round(&in)
 	if dg, ok := round.(sched.Diagnoser); ok {
@@ -805,7 +750,7 @@ func (c *Controller) endRunning(r *JobRecord) {
 func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 	c.eng.Cancel(r.timeout)
 	r.timeout = des.Event{}
-	if c.requeuing[r.ID] || (e.Exit == cluster.ExitNodeFail && !c.cfg.DisableNodeFailRequeue) {
+	if c.requeuing[r.ID] {
 		// Preempted: back to the queue, original submit time preserved.
 		// Emit while the attempt's Start/End/EligibleAt are still intact —
 		// listeners (the trace recorder) record the finished attempt, which
@@ -833,13 +778,9 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		c.kick()
 		return
 	}
-	switch e.Exit {
-	case cluster.ExitKilled:
+	r.State = StateCompleted
+	if e.Exit == cluster.ExitKilled {
 		r.State = StateTimeout
-	case cluster.ExitNodeFail:
-		r.State = StateNodeFail
-	default:
-		r.State = StateCompleted
 	}
 	r.End = c.eng.Now()
 	c.endRunning(r)
@@ -857,45 +798,7 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		c.cfg.Priority.JobEnded(r)
 	}
 	c.emit(EventEnd, r)
-	c.resolveDependents(r)
 	c.kick()
-}
-
-// resolveDependents releases (or cancels) jobs held on the ended job.
-func (c *Controller) resolveDependents(r *JobRecord) {
-	deps := c.dependents[r.ID]
-	delete(c.dependents, r.ID)
-	for _, d := range deps {
-		if d.State != StatePending {
-			continue
-		}
-		if r.State == StateCompleted {
-			if d.held--; d.held == 0 {
-				c.joined = append(c.joined, d)
-			}
-			continue
-		}
-		// afterok with a failed dependency: DependencyNeverSatisfied.
-		c.cancel(d)
-	}
-}
-
-// cancel removes a pending job (dependency failure) and recursively
-// cancels anything held on it.
-func (c *Controller) cancel(r *JobRecord) {
-	if r.State != StatePending {
-		return
-	}
-	r.State = StateCancelled
-	r.End = c.eng.Now()
-	c.removePending(r)
-	if r.queued {
-		r.queued = false
-		c.drv.Remove(&r.view)
-	}
-	c.done = append(c.done, r)
-	c.emit(EventEnd, r)
-	c.resolveDependents(r)
 }
 
 // QueueLength returns the number of pending jobs.

@@ -115,7 +115,7 @@ func (r *refStore) deltaOver(src string, col int, lo, hi des.Time) (float64, boo
 // FuzzContainer decodes the input into Append, bulk-append and Trim
 // operations over one to three sources of a 2-column schema and, after
 // every operation, checks Len, Sources, RangeBySource, LastBefore,
-// FirstAfter and DeltaOver — through the container and through each
+// firstAfter and DeltaOver — through the container and through each
 // source's Series handle — against refStore, with floats compared bit for
 // bit. Handles are resolved before any append, so the test also holds
 // that resolving one does not put a source in Sources().
@@ -227,7 +227,7 @@ func checkAgainstRef(t *testing.T, c *Container, ref *refStore, names []string, 
 			g, gok := c.LastBefore(src, at)
 			w, wok := ref.lastBefore(src, at)
 			sameRecord(t, "LastBefore", g, gok, w, wok)
-			g, gok = c.FirstAfter(src, at)
+			g, gok = c.firstAfter(src, at)
 			w, wok = ref.firstAfter(src, at)
 			sameRecord(t, "FirstAfter", g, gok, w, wok)
 		}

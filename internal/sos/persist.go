@@ -87,35 +87,3 @@ func (st *Store) Load(r io.Reader) error {
 	}
 	return nil
 }
-
-// ExportCSV writes one container as CSV: source,time_s,<metrics...>, in
-// source order then time order.
-func (c *Container) ExportCSV(w io.Writer) error {
-	if _, err := fmt.Fprint(w, "source,time_s"); err != nil {
-		return err
-	}
-	for _, m := range c.schema.Metrics {
-		if _, err := fmt.Fprintf(w, ",%s", m); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, s := range c.order {
-		for i := 0; i < s.n; i++ {
-			if _, err := fmt.Fprintf(w, "%s,%.6f", s.source, s.time(i).Seconds()); err != nil {
-				return err
-			}
-			for _, v := range s.row(i) {
-				if _, err := fmt.Fprintf(w, ",%g", v); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

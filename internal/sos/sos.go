@@ -308,16 +308,6 @@ func (s *Series) Append(at des.Time, values []float64) error {
 	return nil
 }
 
-// Range returns all records with lo <= At < hi across all sources, ordered
-// by source (first-seen order) then time.
-func (c *Container) Range(lo, hi des.Time) []Record {
-	var out []Record
-	for _, s := range c.order {
-		out = append(out, s.rangeOf(lo, hi)...)
-	}
-	return out
-}
-
 // RangeBySource returns the records of one source with lo <= At < hi in
 // time order.
 func (c *Container) RangeBySource(source string, lo, hi des.Time) []Record {
@@ -352,19 +342,6 @@ func (c *Container) LastBefore(source string, at des.Time) (Record, bool) {
 		return Record{}, false
 	}
 	return s.record(i - 1), true
-}
-
-// FirstAfter returns the oldest record of a source with At >= at.
-func (c *Container) FirstAfter(source string, at des.Time) (Record, bool) {
-	s := c.lookup(source)
-	if s == nil {
-		return Record{}, false
-	}
-	i := s.lowerBound(at)
-	if i >= s.n {
-		return Record{}, false
-	}
-	return s.record(i), true
 }
 
 // DeltaOver computes, for one source and one metric column, the increase of

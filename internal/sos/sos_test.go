@@ -2,7 +2,6 @@ package sos
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -91,9 +90,8 @@ func TestAppendAndRange(t *testing.T) {
 	if recs[1].Value(0) != 400 {
 		t.Fatalf("value: %v", recs[1].Value(0))
 	}
-	all := c.Range(ts(0), ts(2))
-	if len(all) != 4 {
-		t.Fatalf("cross-source range: %d", len(all))
+	if n := len(c.RangeBySource("n1", ts(0), ts(2))) + len(c.RangeBySource("n2", ts(0), ts(2))); n != 4 {
+		t.Fatalf("cross-source range: %d", n)
 	}
 	if srcs := c.Sources(); len(srcs) != 2 || srcs[0] != "n1" || srcs[1] != "n2" {
 		t.Fatalf("sources: %v", srcs)
@@ -151,14 +149,14 @@ func TestLastBeforeFirstAfter(t *testing.T) {
 	if _, ok := c.LastBefore("ghost", ts(100)); ok {
 		t.Fatal("LastBefore on unknown source must fail")
 	}
-	r, ok = c.FirstAfter("n1", ts(25))
+	r, ok = c.firstAfter("n1", ts(25))
 	if !ok || r.At != ts(30) {
 		t.Fatalf("FirstAfter: %v %v", r, ok)
 	}
-	if _, ok := c.FirstAfter("n1", ts(41)); ok {
+	if _, ok := c.firstAfter("n1", ts(41)); ok {
 		t.Fatal("FirstAfter past the end must fail")
 	}
-	if _, ok := c.FirstAfter("ghost", ts(0)); ok {
+	if _, ok := c.firstAfter("ghost", ts(0)); ok {
 		t.Fatal("FirstAfter on unknown source must fail")
 	}
 }
@@ -276,27 +274,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExportCSV(t *testing.T) {
-	st := NewStore()
-	c, _ := st.CreateContainer(testSchema())
-	_ = c.Append("n1", ts(1), []float64{100, 5})
-	_ = c.Append("n1", ts(2), []float64{200, 6})
-	var buf bytes.Buffer
-	if err := c.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "source,time_s,write_bytes,read_bytes\n") {
-		t.Fatalf("header: %q", out)
-	}
-	if !strings.Contains(out, "n1,1.000000,100,5") {
-		t.Fatalf("row: %q", out)
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Fatalf("rows: %q", out)
-	}
-}
-
 func TestRecordsSurviveAppendAndTrim(t *testing.T) {
 	st := NewStore()
 	c, _ := st.CreateContainer(testSchema())
@@ -305,7 +282,7 @@ func TestRecordsSurviveAppendAndTrim(t *testing.T) {
 	}
 	recs := c.RangeBySource("n1", ts(0), ts(10))
 	last, _ := c.LastBefore("n1", ts(9))
-	first, _ := c.FirstAfter("n1", ts(0))
+	first, _ := c.firstAfter("n1", ts(0))
 	// Trim everything those records cover, then append far past the
 	// backing arrays' capacity so they are reallocated.
 	c.Trim(ts(10))
@@ -430,23 +407,6 @@ func TestPersistWireFormatStable(t *testing.T) {
 	}
 }
 
-func TestExportCSVAfterTrim(t *testing.T) {
-	st := trimmedStore()
-	a, _ := st.Container("alpha")
-	var buf bytes.Buffer
-	if err := a.ExportCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var want strings.Builder
-	want.WriteString("source,time_s,x,y\n")
-	for i := 25; i < 40; i++ {
-		fmt.Fprintf(&want, "n1,%d.000000,%g,%g\n", i, float64(i)*1.5, float64(-i))
-	}
-	if buf.String() != want.String() {
-		t.Fatalf("CSV after trim:\n%s\nwant:\n%s", buf.String(), want.String())
-	}
-}
-
 func equalBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -493,7 +453,7 @@ func checkRows(t *testing.T, c *Container, s *Series, first, last int) {
 		}
 	}
 	if n == 0 {
-		if _, ok := c.FirstAfter("a", 0); ok {
+		if _, ok := c.firstAfter("a", 0); ok {
 			t.Fatal("FirstAfter on an emptied series must fail")
 		}
 		if _, ok := s.DeltaOver(0, 0, des.MaxTime); ok {
@@ -503,7 +463,7 @@ func checkRows(t *testing.T, c *Container, s *Series, first, last int) {
 	}
 	for _, b := range []int{chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows - 1, 2 * chunkRows, 3 * chunkRows} {
 		want := min(max(b, first), last-1)
-		if r, ok := c.FirstAfter("a", ts(int64(b))); b < last && (!ok || r.At != ts(int64(want))) {
+		if r, ok := c.firstAfter("a", ts(int64(b))); b < last && (!ok || r.At != ts(int64(want))) {
 			t.Fatalf("FirstAfter(%d s) = %+v %v, want row %d", b, r, ok, want)
 		}
 		if r, ok := c.LastBefore("a", ts(int64(b))); b >= first && (!ok || r.At != ts(int64(want))) {

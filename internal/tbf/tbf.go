@@ -39,14 +39,14 @@ import (
 	"wasched/internal/pfs"
 )
 
-// Control-loop constants, mirrored by the schedcheck replayer's token
-// emulation (internal/schedcheck/replay.go); keep the two in sync.
+// Control-loop constants. The schedcheck replayer's token emulation
+// (internal/schedcheck/replay.go) uses the exported ones too.
 const (
-	// defaultBurstSeconds is the bucket depth in seconds of fair share.
-	defaultBurstSeconds = 60.0
-	// creditDecay is the per-interval geometric decay of reclamation
+	// DefaultBurstSeconds is the bucket depth in seconds of fair share.
+	DefaultBurstSeconds = 60.0
+	// CreditDecay is the per-interval geometric decay of reclamation
 	// credit; anything that falls below one byte is forgotten.
-	creditDecay = 0.5
+	CreditDecay = 0.5
 	// throttledFrac is the fraction of its allowance a job must have
 	// consumed last interval to count as throttled (a borrower).
 	throttledFrac = 0.9
@@ -146,7 +146,7 @@ func New(eng *des.Engine, fs *pfs.FileSystem, cfg Config) (*Limiter, error) {
 		return nil, fmt.Errorf("tbf: BurstSeconds must be non-negative, got %g", cfg.BurstSeconds)
 	}
 	if cfg.BurstSeconds == 0 {
-		cfg.BurstSeconds = defaultBurstSeconds
+		cfg.BurstSeconds = DefaultBurstSeconds
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = des.Second
@@ -214,7 +214,7 @@ func (l *Limiter) Register(jobID string, nodes []string) {
 			Granted:    burst,
 		},
 		clients: l.fs.Clients(nodes),
-		server:  serverOf(jobID, l.cfg.Servers),
+		server:  ServerOf(jobID, l.cfg.Servers),
 		balance: burst,
 	}
 	b.lastTotal = nodeTotal(b.clients)
@@ -485,7 +485,7 @@ func redistribute(order []*bucket, capacity, burstSec, dt float64, deltas []floa
 		}
 	}
 	for _, b := range order {
-		b.credit *= creditDecay
+		b.credit *= CreditDecay
 		if b.credit < 1 {
 			b.credit = 0
 		}
@@ -493,10 +493,11 @@ func redistribute(order []*bucket, capacity, burstSec, dt float64, deltas []floa
 	return granted
 }
 
-// serverOf attributes a job to its dominant OSS by FNV-1a hash of its ID,
-// matching the schedcheck replayer's attribution so the two layers agree
-// on which jobs straggle together.
-func serverOf(jobID string, servers int) int {
+// ServerOf attributes a job to its dominant OSS by FNV-1a hash of its ID:
+// a stable assignment with no RNG state to carry, which the schedcheck
+// replayer shares, so the two layers agree on which jobs straggle
+// together.
+func ServerOf(jobID string, servers int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(jobID); i++ {
 		h ^= uint32(jobID[i])

@@ -388,14 +388,14 @@ type Metrics struct {
 // BoundedSlowdownTau is the τ of the bounded-slowdown metric.
 const BoundedSlowdownTau = 10.0
 
-// ComputeMetrics summarises finished jobs. Cancelled jobs (never started)
-// are excluded.
+// ComputeMetrics summarises finished jobs. Jobs that never ran are
+// excluded.
 func ComputeMetrics(jobs []JobTrace) Metrics {
 	var m Metrics
 	var waits []float64
 	for _, j := range jobs {
 		if j.End <= j.Start && j.Runtime() <= 0 {
-			continue // cancelled before start
+			continue // never ran
 		}
 		w := j.Wait()
 		rt := j.Runtime()

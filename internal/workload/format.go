@@ -289,13 +289,3 @@ func Timed(specs []slurm.JobSpec, at des.Time) []TimedSpec {
 	}
 	return out
 }
-
-// SubmitTimed schedules all timed specs on the controller.
-func SubmitTimed(ctl *slurm.Controller, jobs []TimedSpec) error {
-	for i, tj := range jobs {
-		if err := ctl.SubmitAt(tj.Spec, tj.At); err != nil {
-			return fmt.Errorf("workload: submit %d (%s): %w", i, tj.Spec.Name, err)
-		}
-	}
-	return nil
-}

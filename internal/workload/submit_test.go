@@ -32,11 +32,14 @@ func TestSubmitAllEmpty(t *testing.T) {
 
 func TestSubmitTimedDuplicateTimes(t *testing.T) {
 	// Every job shares one submission instant (the paper's batch protocol
-	// expressed as timed specs). All must enter the queue, in spec order.
+	// expressed as timed specs, submitted one by one as wasim does). All
+	// must enter the queue, in spec order.
 	eng, ctl := feederRig(t)
 	specs := sleepSpecs(12)
-	if err := SubmitTimed(ctl, Timed(specs, des.TimeFromSeconds(5))); err != nil {
-		t.Fatal(err)
+	for _, tj := range Timed(specs, des.TimeFromSeconds(5)) {
+		if err := ctl.SubmitAt(tj.Spec, tj.At); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if ctl.QueueLength() != 0 {
 		t.Fatalf("queue %d before the submission instant", ctl.QueueLength())
