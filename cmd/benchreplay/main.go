@@ -120,34 +120,33 @@ func run() error {
 	}
 	// The token policies run against the corpus token pool, as `wasched
 	// replay -policy tbf` defaults to.
-	withTBF := func(straggler bool) func(*schedcheck.ReplayConfig) {
-		return func(cfg *schedcheck.ReplayConfig) {
-			cfg.TBFCapacity = schedcheck.CorpusTBFCapacity
-			cfg.TBFServers = schedcheck.CorpusTBFServers
-			cfg.TBFStraggler = straggler
-		}
+	withTBF := func(cfg *schedcheck.ReplayConfig) {
+		cfg.TBFCapacity = schedcheck.CorpusTBFCapacity
+		cfg.TBFServers = schedcheck.CorpusTBFServers
 	}
 	for _, v := range []struct {
-		label  string
-		policy sched.Policy
-		limit  float64
-		jobs   []schedcheck.SimJob
-		setup  func(*schedcheck.ReplayConfig)
+		name  string // registry policy name
+		jobs  []schedcheck.SimJob
+		setup func(*schedcheck.ReplayConfig)
 	}{
-		{"default", sched.NodePolicy{TotalNodes: nodes}, 0, jobs, nil},
-		{"io-aware", sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit, jobs, nil},
-		{"adaptive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit, jobs, nil},
-		{"adaptive-naive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit, jobs, nil},
-		{"plan", sched.PlanPolicy{TotalNodes: nodes, BBCapacity: bbCap, ThroughputLimit: limit}, limit, bbJobs, withBB},
-		{"bb-io-aware", sched.BBAwarePolicy{Inner: sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, Capacity: bbCap}, limit, bbJobs, withBB},
-		{"tbf", sched.TBFPolicy{TotalNodes: nodes}, 0, jobs, withTBF(false)},
-		{"tbf-straggler", sched.TBFPolicy{TotalNodes: nodes, Straggler: true}, 0, jobs, withTBF(true)},
+		{"default", jobs, nil},
+		{"io-aware", jobs, nil},
+		{"adaptive", jobs, nil},
+		{"adaptive-naive", jobs, nil},
+		{"plan", bbJobs, withBB},
+		{"bb-io-aware", bbJobs, withBB},
+		{"tbf", jobs, withTBF},
+		{"tbf-straggler", jobs, withTBF},
 	} {
+		p, err := sched.NewPolicy(v.name, sched.PolicyParams{Nodes: nodes, Limit: limit, BBCapacity: bbCap})
+		if err != nil {
+			return err
+		}
 		cfg := schedcheck.ReplayConfig{
-			Policy:          v.policy,
+			Policy:          p,
 			Options:         sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
 			Nodes:           nodes,
-			Limit:           v.limit,
+			Limit:           sched.ThroughputLimit(p),
 			MaxRounds:       1 << 30,
 			SkipRoundChecks: true,
 		}
@@ -180,9 +179,9 @@ func run() error {
 				}
 			}
 		}
-		entry.Policies[v.label] = pb
+		entry.Policies[v.name] = pb
 		fmt.Printf("%-16s %9.0f jobs/s  %9.0f rounds/s  %8d allocs/op\n",
-			v.label, pb.JobsPerSec, pb.RoundsPerSec, pb.AllocsPerOp)
+			v.name, pb.JobsPerSec, pb.RoundsPerSec, pb.AllocsPerOp)
 	}
 
 	if *farm {

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"wasched/internal/des"
@@ -23,55 +24,28 @@ import (
 	"wasched/internal/workload"
 )
 
-// replayPolicies builds the named policy set for a replay. bbCap is the
-// burst-buffer pool the BB-aware policies plan against (0 with BB off).
-func replayPolicies(name string, nodes int, limit, bbCap float64) ([]sched.Policy, []float64, error) {
-	mk := func(label string) (sched.Policy, float64, error) {
-		switch label {
-		case "tbf":
-			return sched.TBFPolicy{TotalNodes: nodes}, 0, nil
-		case "tbf-straggler":
-			return sched.TBFPolicy{TotalNodes: nodes, Straggler: true}, 0, nil
-		case "default":
-			return sched.NodePolicy{TotalNodes: nodes}, 0, nil
-		case "io-aware":
-			return sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit, nil
-		case "adaptive":
-			return sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit, nil
-		case "adaptive-naive":
-			return sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit, nil
-		case "plan":
-			return sched.PlanPolicy{TotalNodes: nodes, BBCapacity: bbCap, ThroughputLimit: limit}, limit, nil
-		case "bb-io-aware":
-			return sched.BBAwarePolicy{
-				Inner:    sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit},
-				Capacity: bbCap,
-			}, limit, nil
-		default:
-			return nil, 0, fmt.Errorf("unknown policy %q (want default, io-aware, adaptive, adaptive-naive, plan, bb-io-aware, tbf, tbf-straggler or all)", label)
-		}
-	}
-	labels := []string{name}
+// replayPolicies resolves -policy: one registry name, or all for the
+// four paper policies.
+func replayPolicies(name string) ([]sched.PolicySpec, error) {
+	names := []string{name}
 	if name == "all" {
-		labels = []string{"default", "io-aware", "adaptive", "adaptive-naive"}
+		names = schedcheck.PolicyLabels()
 	}
-	policies := make([]sched.Policy, 0, len(labels))
-	limits := make([]float64, 0, len(labels))
-	for _, l := range labels {
-		p, lim, err := mk(l)
+	specs := make([]sched.PolicySpec, len(names))
+	for i, n := range names {
+		spec, err := sched.LookupPolicy(n)
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("%w, or all", err)
 		}
-		policies = append(policies, p)
-		limits = append(limits, lim)
+		specs[i] = spec
 	}
-	return policies, limits, nil
+	return specs, nil
 }
 
 // runReplay implements `wasched replay <trace.swf[.gz]> [flags]`.
 func runReplay(args []string) (err error) {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	policy := fs.String("policy", "all", "policy: default, io-aware, adaptive, adaptive-naive, plan, bb-io-aware, tbf, tbf-straggler or all")
+	policy := fs.String("policy", "all", "policy: "+strings.Join(sched.PolicyNames(), ", ")+", or all for the four paper policies")
 	nodes := fs.Int("nodes", 15, "cluster size (the paper's Stria partition)")
 	coresPerNode := fs.Int("cores-per-node", 56, "cores per node for SWF processor→node conversion")
 	limitGiB := fs.Float64("limit-gib", 20, "policy throughput limit R_limit, GiB/s")
@@ -117,13 +91,12 @@ func runReplay(args []string) (err error) {
 		}
 	}()
 
+	specs, err := replayPolicies(*policy)
+	if err != nil {
+		return err
+	}
 	if *bbFraction > 0 && *bbCapGiB <= 0 {
 		return fmt.Errorf("-bb-fraction needs -bb-capacity-gib: jobs with BB demand can never start against an absent pool")
-	}
-	// The tbf policies need a token pool; default it to the corpus fill
-	// capacity so `-policy tbf` works out of the box on any trace.
-	if (*policy == "tbf" || *policy == "tbf-straggler") && *tbfCapGiB <= 0 {
-		*tbfCapGiB = schedcheck.CorpusTBFCapacity / pfs.GiB
 	}
 	opts := workload.DefaultSWFOptions()
 	opts.CoresPerNode = *coresPerNode
@@ -155,17 +128,17 @@ func runReplay(args []string) (err error) {
 	fmt.Printf("loaded %s: %d jobs in %.2fs (quirks: %s)\n",
 		path, len(jobs), time.Since(loadStart).Seconds(), quirks)
 
-	policies, limits, err := replayPolicies(*policy, *nodes, limit, bbCap)
-	if err != nil {
-		return err
-	}
-	for i, p := range policies {
+	for _, spec := range specs {
+		p, err := spec.New(sched.PolicyParams{Nodes: *nodes, Limit: limit, BBCapacity: bbCap})
+		if err != nil {
+			return err
+		}
 		cfg := schedcheck.ReplayConfig{
 			Policy:          p,
-			Options:         sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
+			Options:         sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit, BackfillMax: spec.BackfillMax},
 			Interval:        des.FromSeconds(*interval),
 			Nodes:           *nodes,
-			Limit:           limits[i],
+			Limit:           sched.ThroughputLimit(p),
 			MaxRounds:       *maxRounds,
 			SkipRoundChecks: !*checks,
 		}
@@ -174,14 +147,17 @@ func runReplay(args []string) (err error) {
 			cfg.BBStageRate = *bbStage * pfs.GiB
 			cfg.BBDrainRate = *bbDrain * pfs.GiB
 		}
-		if *tbfCapGiB > 0 {
-			cfg.TBFCapacity = *tbfCapGiB * pfs.GiB
+		// The tbf policies need a token pool; default it to the corpus
+		// fill capacity so `-policy tbf` works out of the box on any trace.
+		tbfCap := *tbfCapGiB * pfs.GiB
+		if _, ok := p.(sched.TBFPolicy); ok && tbfCap <= 0 {
+			tbfCap = schedcheck.CorpusTBFCapacity
+		}
+		if tbfCap > 0 {
+			cfg.TBFCapacity = tbfCap
 			cfg.TBFBurst = des.FromSeconds(*tbfBurst)
 			if cfg.TBFServers = *tbfServers; cfg.TBFServers <= 0 {
 				cfg.TBFServers = schedcheck.CorpusTBFServers
-			}
-			if tp, ok := p.(sched.TBFPolicy); ok {
-				cfg.TBFStraggler = tp.Straggler
 			}
 		}
 		if cfg.MaxRounds == 0 {

@@ -3,12 +3,15 @@
 // Usage:
 //
 //	wasim -file workload.txt [-conf slurm.conf]
-//	      [-policy default|easy|io-aware|adaptive|adaptive-naive|plan|tbf|tbf-straggler]
+//	      [-policy NAME]
 //	      [-limit GIBPS] [-nodes N] [-seed N] [-pretrain]
 //	      [-bb-capacity-gib G] [-bb-aware]
 //	      [-tbf-capacity-gib G] [-tbf-burst-s S] [-tbf-servers N]
 //	      [-csv series.csv] [-jobs-csv jobs.csv] [-plot]
 //	      [-cpuprofile FILE] [-memprofile FILE]
+//
+// -policy names one of the policy registry's entries (sched.PolicyNames;
+// `wasim -h` lists them), in any case.
 //
 // With -bb-capacity-gib, a shared burst-buffer tier of that size is
 // attached: jobs declaring a reservation (the workload format's `bb <gib>`
@@ -47,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"wasched/internal/core"
 	"wasched/internal/des"
@@ -69,7 +73,7 @@ func main() {
 func run() (err error) {
 	file := flag.String("file", "", "workload trace file (required)")
 	confPath := flag.String("conf", "", "slurm.conf-style configuration file")
-	policyName := flag.String("policy", "default", "default, easy, io-aware, adaptive, adaptive-naive, plan, tbf or tbf-straggler")
+	policyName := flag.String("policy", "default", "scheduling policy: "+strings.Join(sched.PolicyNames(), ", "))
 	limit := flag.Float64("limit", 20, "throughput limit in GiB/s for io-aware/adaptive")
 	nodes := flag.Int("nodes", 15, "compute node count")
 	bbCapGiB := flag.Float64("bb-capacity-gib", 0, "shared burst-buffer pool, GiB (0 = no BB tier)")
@@ -141,11 +145,7 @@ func run() (err error) {
 		cfg.Seed = *seed
 	}
 	if explicit["policy"] || *confPath == "" {
-		k, err := core.ParsePolicyKind(*policyName)
-		if err != nil {
-			return err
-		}
-		cfg.Scheduler.Policy = k
+		cfg.Scheduler.Policy = *policyName
 	}
 	if explicit["limit"] || cfg.Scheduler.ThroughputLimit == 0 {
 		cfg.Scheduler.ThroughputLimit = *limit * pfs.GiB
@@ -156,11 +156,10 @@ func run() (err error) {
 	if *bbAware {
 		cfg.Scheduler.BBAware = true
 	}
-	// The tbf policy kinds need a token pool; default it so `-policy tbf`
+	// The tbf policies need a token pool; default it so `-policy tbf`
 	// works out of the box. An explicit capacity attaches the layer under
 	// any policy.
-	if *tbfCapGiB <= 0 && (cfg.Scheduler.Policy == core.TBF || cfg.Scheduler.Policy == core.TBFStraggler) &&
-		cfg.TBF.CapacityBytesPerSec == 0 {
+	if *tbfCapGiB <= 0 && cfg.TBF.CapacityBytesPerSec == 0 && tokenPolicy(cfg.Scheduler.Policy) {
 		*tbfCapGiB = 10
 	}
 	if *tbfCapGiB > 0 {
@@ -230,6 +229,16 @@ func run() (err error) {
 		}
 	}
 	return nil
+}
+
+// tokenPolicy reports whether the named policy runs under the token layer.
+func tokenPolicy(name string) bool {
+	p, err := sched.NewPolicy(name, sched.PolicyParams{})
+	if err != nil {
+		return false // no token policy needs a limit; NewSystem reports bad names
+	}
+	_, ok := p.(sched.TBFPolicy)
+	return ok
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {

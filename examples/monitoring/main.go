@@ -23,7 +23,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	cfg.Scheduler = core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}
+	cfg.Scheduler = core.SchedulerConfig{Policy: "adaptive", ThroughputLimit: 20 * pfs.GiB}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)

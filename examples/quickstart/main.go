@@ -19,7 +19,7 @@ import (
 func main() {
 	cfg := core.DefaultConfig()
 	cfg.Scheduler = core.SchedulerConfig{
-		Policy:          core.Adaptive,
+		Policy:          "adaptive",
 		ThroughputLimit: 20 * pfs.GiB,
 	}
 	sys, err := core.NewSystem(cfg)

@@ -76,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("SWF conversion: %d jobs kept, %d dropped\n\n", len(res.Jobs), res.Dropped)
-	run("default Slurm", core.SchedulerConfig{Policy: core.Default}, res.Jobs)
+	run("default Slurm", core.SchedulerConfig{Policy: "default"}, res.Jobs)
 	run("workload-adaptive", core.SchedulerConfig{
-		Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}, res.Jobs)
+		Policy: "adaptive", ThroughputLimit: 20 * pfs.GiB}, res.Jobs)
 }

@@ -25,11 +25,11 @@ type variant struct {
 
 func main() {
 	variants := []variant{
-		{"default Slurm", core.SchedulerConfig{Policy: core.Default}, false},
-		{"I/O-aware 20 GiB/s", core.SchedulerConfig{Policy: core.IOAware, ThroughputLimit: 20 * pfs.GiB}, true},
-		{"I/O-aware 15 GiB/s", core.SchedulerConfig{Policy: core.IOAware, ThroughputLimit: 15 * pfs.GiB}, true},
-		{"adaptive 20 GiB/s", core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}, true},
-		{"adaptive 20 GiB/s (untrained)", core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}, false},
+		{"default Slurm", core.SchedulerConfig{Policy: "default"}, false},
+		{"I/O-aware 20 GiB/s", core.SchedulerConfig{Policy: "io-aware", ThroughputLimit: 20 * pfs.GiB}, true},
+		{"I/O-aware 15 GiB/s", core.SchedulerConfig{Policy: "io-aware", ThroughputLimit: 15 * pfs.GiB}, true},
+		{"adaptive 20 GiB/s", core.SchedulerConfig{Policy: "adaptive", ThroughputLimit: 20 * pfs.GiB}, true},
+		{"adaptive 20 GiB/s (untrained)", core.SchedulerConfig{Policy: "adaptive", ThroughputLimit: 20 * pfs.GiB}, false},
 	}
 	specs := workload.Workload1()
 	fmt.Printf("Workload 1: %d jobs on 15 nodes\n\n", len(specs))

@@ -46,9 +46,9 @@ func idleNodeSeconds(sys *core.System) float64 {
 }
 
 func main() {
-	ioaware := run("io-aware 15", core.SchedulerConfig{Policy: core.IOAware, ThroughputLimit: 15 * pfs.GiB})
-	adaptive := run("adaptive 15", core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 15 * pfs.GiB})
-	naive := run("adaptive 15 naive", core.SchedulerConfig{Policy: core.AdaptiveNaive, ThroughputLimit: 15 * pfs.GiB})
+	ioaware := run("io-aware 15", core.SchedulerConfig{Policy: "io-aware", ThroughputLimit: 15 * pfs.GiB})
+	adaptive := run("adaptive 15", core.SchedulerConfig{Policy: "adaptive", ThroughputLimit: 15 * pfs.GiB})
+	naive := run("adaptive 15 naive", core.SchedulerConfig{Policy: "adaptive-naive", ThroughputLimit: 15 * pfs.GiB})
 
 	fmt.Printf("Workload 2: %d jobs on 15 nodes, 15 GiB/s limit\n\n", len(workload.Workload2()))
 	fmt.Printf("%-36s %12s %14s\n", "configuration", "makespan[s]", "idle[node-s]")

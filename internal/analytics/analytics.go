@@ -220,16 +220,6 @@ func (s *Service) JobCompleted(fingerprint string, nodes []string, start, end de
 	e.Observations++
 }
 
-// History returns the retained observations for a job class, oldest
-// first (up to the last 64 completions). Pre-trained entries have no
-// history. The slice is a copy.
-func (s *Service) History(fingerprint string) []Observation {
-	h := s.history[fingerprint]
-	out := make([]Observation, len(h))
-	copy(out, h)
-	return out
-}
-
 // QuantileRate returns the q-th quantile (0..1) of the class's observed
 // rates — a conservative alternative to the EWMA point estimate for
 // schedulers that prefer to over-provision. ok is false without history.

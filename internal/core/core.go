@@ -8,7 +8,7 @@
 // A minimal session:
 //
 //	cfg := core.DefaultConfig()
-//	cfg.Scheduler = core.SchedulerConfig{Policy: core.Adaptive, ThroughputLimit: 20 * pfs.GiB}
+//	cfg.Scheduler = core.SchedulerConfig{Policy: "adaptive", ThroughputLimit: 20 * pfs.GiB}
 //	sys, err := core.NewSystem(cfg)
 //	...
 //	sys.MustSubmit(workload.WriteJob(8))
@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"wasched/internal/analytics"
 	"wasched/internal/bb"
@@ -37,93 +36,21 @@ import (
 	"wasched/internal/trace"
 )
 
-// PolicyKind selects one of the library's scheduling policies.
-type PolicyKind int
-
-// Scheduling policies (paper §§V–VII).
-const (
-	// Default is the node-only Slurm backfill scheduler.
-	Default PolicyKind = iota
-	// EASY is the node-only scheduler with BackfillMax = 1.
-	EASY
-	// IOAware adds the Lustre throughput resource with a fixed limit
-	// (Algorithms 2–4).
-	IOAware
-	// Adaptive is the workload-adaptive scheduler with the two-group
-	// approximation (Algorithms 5–7).
-	Adaptive
-	// AdaptiveNaive is the workload-adaptive scheduler without the
-	// two-group approximation.
-	AdaptiveNaive
-	// Plan is the plan-based burst-buffer co-scheduler (requires
-	// Config.BB.CapacityBytes > 0; ThroughputLimit optional).
-	Plan
-	// TBF is the node-only scheduler running above the decentralized
-	// token-bucket bandwidth layer (requires Config.TBF to be enabled):
-	// central I/O reservation is replaced by client-side throttling.
-	TBF
-	// TBFStraggler is TBF with straggler-aware allowance weighting.
-	TBFStraggler
-
-	numPolicyKinds
-)
-
-// String names the policy kind.
-func (k PolicyKind) String() string {
-	switch k {
-	case Default:
-		return "default"
-	case EASY:
-		return "easy"
-	case IOAware:
-		return "io-aware"
-	case Adaptive:
-		return "adaptive"
-	case AdaptiveNaive:
-		return "adaptive-naive"
-	case Plan:
-		return "plan"
-	case TBF:
-		return "tbf"
-	case TBFStraggler:
-		return "tbf-straggler"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(k))
-	}
-}
-
-// ParsePolicyKind is the inverse of PolicyKind.String. It ignores case
-// and also accepts the slurm.conf spellings "ioaware" and "adaptivenaive".
-func ParsePolicyKind(name string) (PolicyKind, error) {
-	lower := strings.ToLower(name)
-	switch lower {
-	case "ioaware":
-		return IOAware, nil
-	case "adaptivenaive":
-		return AdaptiveNaive, nil
-	}
-	for k := Default; k < numPolicyKinds; k++ {
-		if k.String() == lower {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", name)
-}
-
 // SchedulerConfig selects and parameterises the scheduling policy.
 type SchedulerConfig struct {
-	Policy PolicyKind
-	// ThroughputLimit is R_limit in bytes/s; required for IOAware,
-	// Adaptive and AdaptiveNaive.
+	// Policy names a registry policy (sched.PolicyNames, any case); empty
+	// is "default". plan and bb-io-aware need Config.BB.CapacityBytes > 0,
+	// tbf and tbf-straggler Config.TBF.CapacityBytesPerSec > 0.
+	Policy string
+	// ThroughputLimit is R_limit in bytes/s; required for io-aware,
+	// adaptive, adaptive-naive and bb-io-aware.
 	ThroughputLimit float64
 	// QoSFraction tunes the two-group split (0 = the paper's 1/2).
 	QoSFraction float64
-	// IgnoreMeasured disables the R_now guard (ablations only).
-	IgnoreMeasured bool
 	// BBAware wraps the selected policy in sched.BBAwarePolicy so its
 	// backfill reservations also respect the burst-buffer pool (requires
-	// Config.BB.CapacityBytes > 0). Ignored for Plan, which co-schedules
-	// the pool natively.
+	// Config.BB.CapacityBytes > 0). Ignored for plan and bb-io-aware,
+	// which plan the pool already.
 	BBAware bool
 	// Custom overrides everything above with a caller-supplied policy.
 	Custom sched.Policy
@@ -147,7 +74,7 @@ type Config struct {
 	// TBF configures the client-side token-bucket bandwidth layer;
 	// CapacityBytesPerSec = 0 (the default) builds no limiter. The layer
 	// is execution-time control and composes with any policy, but the
-	// TBF and TBFStraggler policy kinds require it.
+	// tbf and tbf-straggler policies require it.
 	TBF tbf.Config
 	// TracePeriod is the run recorder's sampling period (0 = 5 s).
 	TracePeriod des.Duration
@@ -170,71 +97,49 @@ func DefaultConfig() Config {
 	}
 }
 
-// policy materialises the configured scheduling policy.
-func (c Config) policy() (sched.Policy, int, error) {
-	if c.Scheduler.Custom != nil {
-		return c.Scheduler.Custom, c.Control.Options.BackfillMax, nil
-	}
-	p, backfillMax, err := c.basePolicy()
-	if err != nil {
-		return nil, 0, err
-	}
-	if c.Scheduler.BBAware && c.Scheduler.Policy != Plan {
-		if c.BB.CapacityBytes <= 0 {
-			return nil, 0, fmt.Errorf("core: BBAware needs a positive BB.CapacityBytes")
+// policy materialises the configured scheduling policy and applies to c
+// what the policy implies: its backfill depth, and straggler-aware token
+// ordering for tbf-straggler.
+func (c *Config) policy() (sched.Policy, error) {
+	p := c.Scheduler.Custom
+	wrapBB := false
+	if p == nil {
+		name := c.Scheduler.Policy
+		if name == "" {
+			name = "default"
 		}
+		spec, err := sched.LookupPolicy(name)
+		if err == nil {
+			p, err = spec.New(sched.PolicyParams{
+				Nodes:       c.Nodes,
+				Limit:       c.Scheduler.ThroughputLimit,
+				BBCapacity:  c.BB.CapacityBytes,
+				QoSFraction: c.Scheduler.QoSFraction,
+			})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		if spec.BackfillMax != 0 {
+			c.Control.Options.BackfillMax = spec.BackfillMax
+		}
+		_, plan := p.(sched.PlanPolicy)
+		_, bbAware := p.(sched.BBAwarePolicy)
+		if (plan || bbAware || c.Scheduler.BBAware) && c.BB.CapacityBytes <= 0 {
+			return nil, fmt.Errorf("core: %s policy with BBAware=%t plans a burst-buffer pool and needs a positive BB.CapacityBytes", name, c.Scheduler.BBAware)
+		}
+		if _, ok := p.(sched.TBFPolicy); ok && c.TBF.CapacityBytesPerSec <= 0 {
+			return nil, fmt.Errorf("core: %s policy needs a positive TBF.CapacityBytesPerSec", name)
+		}
+		wrapBB = c.Scheduler.BBAware && !plan && !bbAware
+	}
+	if tp, ok := p.(sched.TBFPolicy); ok && tp.Straggler {
+		c.TBF.Straggler = true
+	}
+	if wrapBB {
 		p = sched.BBAwarePolicy{Inner: p, Capacity: c.BB.CapacityBytes}
 	}
-	return p, backfillMax, nil
-}
-
-func (c Config) basePolicy() (sched.Policy, int, error) {
-	backfillMax := c.Control.Options.BackfillMax
-	switch c.Scheduler.Policy {
-	case Default:
-		return sched.NodePolicy{TotalNodes: c.Nodes}, backfillMax, nil
-	case EASY:
-		return sched.NodePolicy{TotalNodes: c.Nodes}, sched.EASY, nil
-	case IOAware:
-		if c.Scheduler.ThroughputLimit <= 0 {
-			return nil, 0, fmt.Errorf("core: io-aware policy needs a positive ThroughputLimit")
-		}
-		return sched.IOAwarePolicy{
-			TotalNodes:      c.Nodes,
-			ThroughputLimit: c.Scheduler.ThroughputLimit,
-			IgnoreMeasured:  c.Scheduler.IgnoreMeasured,
-		}, backfillMax, nil
-	case Adaptive, AdaptiveNaive:
-		if c.Scheduler.ThroughputLimit <= 0 {
-			return nil, 0, fmt.Errorf("core: adaptive policy needs a positive ThroughputLimit")
-		}
-		return sched.AdaptivePolicy{
-			TotalNodes:      c.Nodes,
-			ThroughputLimit: c.Scheduler.ThroughputLimit,
-			TwoGroup:        c.Scheduler.Policy == Adaptive,
-			QoSFraction:     c.Scheduler.QoSFraction,
-		}, backfillMax, nil
-	case Plan:
-		if c.BB.CapacityBytes <= 0 {
-			return nil, 0, fmt.Errorf("core: plan policy needs a positive BB.CapacityBytes")
-		}
-		return sched.PlanPolicy{
-			TotalNodes:      c.Nodes,
-			BBCapacity:      c.BB.CapacityBytes,
-			ThroughputLimit: c.Scheduler.ThroughputLimit,
-			IgnoreMeasured:  c.Scheduler.IgnoreMeasured,
-		}, backfillMax, nil
-	case TBF, TBFStraggler:
-		if c.TBF.CapacityBytesPerSec <= 0 {
-			return nil, 0, fmt.Errorf("core: %v policy needs a positive TBF.CapacityBytesPerSec", c.Scheduler.Policy)
-		}
-		return sched.TBFPolicy{
-			TotalNodes: c.Nodes,
-			Straggler:  c.Scheduler.Policy == TBFStraggler,
-		}, backfillMax, nil
-	default:
-		return nil, 0, fmt.Errorf("core: unknown policy kind %v", c.Scheduler.Policy)
-	}
+	return p, nil
 }
 
 // System is a fully wired scheduling system on its own simulated timeline.
@@ -262,11 +167,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("core: node count must be positive, got %d", cfg.Nodes)
 	}
-	policy, backfillMax, err := cfg.policy()
+	policy, err := cfg.policy()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Control.Options.BackfillMax = backfillMax
 	eng := des.NewEngine()
 	fs, err := pfs.New(eng, cfg.FS, cfg.Seed)
 	if err != nil {
@@ -296,9 +200,6 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 		ctl.AttachBB(tier)
-	}
-	if cfg.Scheduler.Policy == TBFStraggler && cfg.Scheduler.Custom == nil {
-		cfg.TBF.Straggler = true
 	}
 	var lim *tbf.Limiter
 	if cfg.TBF.CapacityBytesPerSec > 0 {
@@ -374,10 +275,6 @@ func (s *System) SubmitAll(specs []slurm.JobSpec) error {
 	}
 	return nil
 }
-
-// Submitted returns how many jobs have been submitted (or scheduled for
-// submission) through this System.
-func (s *System) Submitted() int { return s.submitted }
 
 // Start begins scheduling. Call once after the initial submissions.
 func (s *System) Start() { s.Controller.Run() }

@@ -29,9 +29,6 @@ func (ev Event) live() bool {
 		ev.eng.slots[ev.id].gen == ev.gen && ev.eng.slots[ev.id].pos >= 0
 }
 
-// Pending reports whether the event is still queued.
-func (ev Event) Pending() bool { return ev.live() }
-
 // At returns the time the event is scheduled to fire, or zero if the event
 // already fired or was cancelled.
 func (ev Event) At() Time {
@@ -93,7 +90,7 @@ type lane struct {
 // safe for concurrent use: a simulation is a single logical timeline, and
 // all model code runs inside event callbacks on one goroutine. Callbacks
 // may schedule, cancel and reschedule events and start and stop tickers,
-// but must not call Step, Run or RunUntilIdle.
+// but must not call Step or Run.
 //
 // The pending queue has two parts, and Step pops the smallest (at, seq)
 // key across them. One-shot events sit in a 4-ary min-heap of inline
@@ -105,15 +102,14 @@ type lane struct {
 // allocates nothing per event or tick and never boxes through an
 // interface.
 type Engine struct {
-	now     Time
-	slots   []slot
-	heap    []entry // one-shot events ordered by (at, seq)
-	lanes   []lane  // one per ticker period, in creation order
-	heads   []entry // each lane's first entry, idle when it is empty
-	free    []int32 // recycled slot ids
-	tickers int     // running tickers
-	seq     uint64
-	fired   uint64
+	now   Time
+	slots []slot
+	heap  []entry // one-shot events ordered by (at, seq)
+	lanes []lane  // one per ticker period, in creation order
+	heads []entry // each lane's first entry, idle when it is empty
+	free  []int32 // recycled slot ids
+	seq   uint64
+	fired uint64
 }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
@@ -121,11 +117,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of queued one-shot events plus the number of
-// running tickers. A ticker counts while its own callback runs, unless the
-// callback stops it.
-func (e *Engine) Pending() int { return len(e.heap) + e.tickers }
 
 // Fired returns the total number of events executed so far, ticks
 // included.
@@ -238,31 +229,6 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunUntilIdle executes events until the queue is empty. The limit guards
-// against runaway self-rescheduling models: exceeding it panics with a
-// diagnostic rather than hanging the test suite. Pass 0 for no limit.
-func (e *Engine) RunUntilIdle(limit uint64) {
-	start := e.fired
-	for e.Step() {
-		if limit != 0 && e.fired-start > limit {
-			panic(fmt.Sprintf("des: RunUntilIdle exceeded %d events (next %q at %v)",
-				limit, e.peekName(), e.now))
-		}
-	}
-}
-
-func (e *Engine) peekName() string {
-	li, _, ok := e.next()
-	switch {
-	case !ok:
-		return "<none>"
-	case li < 0:
-		return e.slots[e.heap[0].id].name
-	default:
-		return e.slots[e.heads[li].id].name
-	}
-}
-
 // next finds the earliest pending event: the lane whose head it is, or -1
 // for the heap's root. ok is false when nothing is pending.
 func (e *Engine) next() (li int, at Time, ok bool) {
@@ -343,7 +309,6 @@ func (e *Engine) Ticker(period Duration, name string, fn func(Time)) (stop func(
 	l.ring[(l.head+l.n)&(len(l.ring)-1)] = entry{at: e.now.Add(period), seq: e.seq, id: id}
 	l.n++
 	e.heads[li] = l.ring[l.head]
-	e.tickers++
 	return func() { e.stopTicker(li, id, gen) }
 }
 
@@ -385,7 +350,6 @@ func (e *Engine) stopTicker(li int, id int32, gen uint32) {
 	if l.n > 0 {
 		e.heads[li] = l.ring[l.head]
 	}
-	e.tickers--
 	e.release(id)
 }
 

@@ -6,10 +6,7 @@
 // only sources of nondeterminism are explicitly seeded RNG streams.
 package des
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulation timestamp measured in integer microseconds since the
 // start of the simulation. Integer time makes event ordering exact and keeps
@@ -55,9 +52,6 @@ func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
 
 // TimeFromSeconds converts floating-point seconds to a Time.
 func TimeFromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Std converts a des.Duration to a time.Duration (microsecond precision).
-func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
 
 // String formats the time as seconds with microsecond precision.
 func (t Time) String() string {

@@ -64,17 +64,16 @@ func AblationBurstBuffer(seed uint64) ([]AblationRow, error) {
 	for _, cfg := range []struct {
 		label  string
 		policy sched.Policy
-		limit  float64
 	}{
-		{"default (BB-blind)", sched.NodePolicy{TotalNodes: Nodes}, 0},
-		{"io-aware 20 GiB/s (BB-blind)", sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: limit}, limit},
-		{"plan (node+BB co-reservation)", sched.PlanPolicy{TotalNodes: Nodes, BBCapacity: schedcheck.CorpusBBCapacity, ThroughputLimit: limit}, limit},
-		{"bb+io-aware (BB admission hook)", sched.BBAwarePolicy{Inner: sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: limit}, Capacity: schedcheck.CorpusBBCapacity}, limit},
+		{"default (BB-blind)", sched.NodePolicy{TotalNodes: Nodes}},
+		{"io-aware 20 GiB/s (BB-blind)", sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: limit}},
+		{"plan (node+BB co-reservation)", sched.PlanPolicy{TotalNodes: Nodes, BBCapacity: schedcheck.CorpusBBCapacity, ThroughputLimit: limit}},
+		{"bb+io-aware (BB admission hook)", sched.BBAwarePolicy{Inner: sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: limit}, Capacity: schedcheck.CorpusBBCapacity}},
 	} {
 		r := schedcheck.Replay(workload, schedcheck.ReplayConfig{
 			Policy:      cfg.policy,
 			Nodes:       Nodes,
-			Limit:       cfg.limit,
+			Limit:       sched.ThroughputLimit(cfg.policy),
 			BBCapacity:  schedcheck.CorpusBBCapacity,
 			BBStageRate: schedcheck.CorpusBBStageRate,
 			BBDrainRate: schedcheck.CorpusBBDrainRate,

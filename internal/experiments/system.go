@@ -191,29 +191,6 @@ func RunWorkload(opts Options, specs []slurm.JobSpec, pretrain bool, label strin
 	return res, nil
 }
 
-// policyLimit extracts a policy's hard throughput limit R_limit for the
-// validator's soft throughput check (0 = policy has none).
-func policyLimit(p sched.Policy) float64 {
-	switch q := p.(type) {
-	case sched.IOAwarePolicy:
-		return q.ThroughputLimit
-	case sched.AdaptivePolicy:
-		return q.ThroughputLimit
-	case sched.TetrisPolicy:
-		return policyLimit(q.Inner)
-	case sched.PlanPolicy:
-		return q.ThroughputLimit
-	case sched.BBAwarePolicy:
-		return policyLimit(q.Inner)
-	case sched.TBFAwarePolicy:
-		// The token layer throttles at the clients, not at admission: the
-		// wrapper adds no R_limit of its own, only the inner policy's.
-		return policyLimit(q.Inner)
-	default:
-		return 0
-	}
-}
-
 func summarize(sys *System, label string) *RunResult {
 	makespan := sys.Controller.Makespan().Seconds()
 	waits := make([]float64, 0, sys.Controller.DoneCount())
@@ -244,7 +221,7 @@ func summarize(sys *System, label string) *RunResult {
 	// rather than skipped.
 	vopts := schedcheck.ValidateOptions{
 		Nodes:           sys.Cluster.Size(),
-		ThroughputLimit: policyLimit(sys.Controller.Policy()),
+		ThroughputLimit: sched.ThroughputLimit(sys.Controller.Policy()),
 	}
 	if sys.BB != nil {
 		vopts.BBCapacity = sys.BB.Capacity()

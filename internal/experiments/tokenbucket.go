@@ -29,22 +29,20 @@ func AblationTokenBucket(seed uint64) ([]AblationRow, error) {
 	const budget = schedcheck.CorpusTBFCapacity
 	seeds := []uint64{seed, seed + 1, seed + 2}
 	type variantCfg struct {
-		label        string
-		policy       sched.Policy
-		limit        float64
-		tbfCapacity  float64
-		tbfStraggler bool
+		label       string
+		policy      sched.Policy
+		tbfCapacity float64
 	}
 	variants := []variantCfg{
 		{label: "default (unthrottled)", policy: sched.NodePolicy{TotalNodes: Nodes}},
 		{label: "io-aware 10 GiB/s (central reservation)",
-			policy: sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: budget}, limit: budget},
+			policy: sched.IOAwarePolicy{TotalNodes: Nodes, ThroughputLimit: budget}},
 		{label: "adaptive 10 GiB/s (central, two-group)",
-			policy: sched.AdaptivePolicy{TotalNodes: Nodes, ThroughputLimit: budget, TwoGroup: true}, limit: budget},
+			policy: sched.AdaptivePolicy{TotalNodes: Nodes, ThroughputLimit: budget, TwoGroup: true}},
 		{label: "tbf (decentralized token buckets)",
 			policy: sched.TBFPolicy{TotalNodes: Nodes}, tbfCapacity: budget},
 		{label: "tbf-straggler (straggler-aware tokens)",
-			policy: sched.TBFPolicy{TotalNodes: Nodes, Straggler: true}, tbfCapacity: budget, tbfStraggler: true},
+			policy: sched.TBFPolicy{TotalNodes: Nodes, Straggler: true}, tbfCapacity: budget},
 	}
 	var rows []AblationRow
 	for _, v := range variants {
@@ -53,12 +51,11 @@ func AblationTokenBucket(seed uint64) ([]AblationRow, error) {
 		for _, s := range seeds {
 			workload := schedcheck.Generate(schedcheck.KindTBFContended, s, Nodes, budget)
 			r := schedcheck.Replay(workload, schedcheck.ReplayConfig{
-				Policy:       v.policy,
-				Nodes:        Nodes,
-				Limit:        v.limit,
-				TBFCapacity:  v.tbfCapacity,
-				TBFServers:   schedcheck.CorpusTBFServers,
-				TBFStraggler: v.tbfStraggler,
+				Policy:      v.policy,
+				Nodes:       Nodes,
+				Limit:       sched.ThroughputLimit(v.policy),
+				TBFCapacity: v.tbfCapacity,
+				TBFServers:  schedcheck.CorpusTBFServers,
 			})
 			if err := r.Check.Err(); err != nil {
 				return nil, fmt.Errorf("experiments: tokenbucket ablation %s seed %d: %w", v.label, s, err)

@@ -30,11 +30,6 @@ type CleanReport struct {
 	Removed int
 }
 
-// Empty reports that the pass found nothing to collect.
-func (r *CleanReport) Empty() bool {
-	return len(r.Corrupt) == 0 && len(r.Orphaned) == 0 && len(r.Temp) == 0
-}
-
 // Clean garbage-collects a sweep state dir: it removes cache entries that
 // are corrupt (unparsable, non-done, or holding a cell that hashes to a
 // different key — exactly the entries lookup refuses to serve), cache

@@ -95,7 +95,7 @@ func TestCleanCollectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Empty() || rep.Removed != 0 {
+	if len(rep.Corrupt)+len(rep.Orphaned)+len(rep.Temp) != 0 || rep.Removed != 0 {
 		t.Fatalf("second clean not empty: %+v", rep)
 	}
 }
@@ -166,7 +166,7 @@ func TestCleanEmptyDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Empty() || rep.Scanned != 0 {
+	if len(rep.Corrupt)+len(rep.Orphaned)+len(rep.Temp) != 0 || rep.Scanned != 0 {
 		t.Fatalf("empty dir should clean to nothing: %+v", rep)
 	}
 }

@@ -109,9 +109,6 @@ type Stream struct {
 // Node returns the client node the stream belongs to.
 func (s *Stream) Node() string { return s.client.name }
 
-// Volume returns the index of the volume the stream targets.
-func (s *Stream) Volume() int { return s.volume }
-
 // Rate returns the instantaneous transfer rate in bytes/s.
 func (s *Stream) Rate() float64 { return s.rate }
 
@@ -149,9 +146,8 @@ type FileSystem struct {
 
 	mdsFreeAt des.Time
 
-	// Failure injection (see SetVolumeDegradation / SetGlobalDegradation).
-	volDegrade    []float64 // nil until first injection; factor per volume
-	globalDegrade float64   // 0 means 1 (healthy)
+	// Failure injection (see SetGlobalDegradation).
+	globalDegrade float64 // 0 means 1 (healthy)
 
 	// capped counts the clients with a rate cap (Client.SetRateCap); the
 	// solver skips its client-throttling pass while it is zero.
@@ -445,9 +441,6 @@ func (fs *FileSystem) recompute() {
 			cap *= cfg.BurstBoost
 		}
 		volBW := cfg.VolumeBandwidth * fs.volNoise(s.volume)
-		if fs.volDegrade != nil {
-			volBW *= fs.volDegrade[s.volume]
-		}
 		//waschedlint:allow floatguard every stream was counted into its own volume above, so the count is >= 1
 		share := volBW / float64(volCount[s.volume])
 		s.rate = math.Min(cap, share)
@@ -622,10 +615,10 @@ func (fs *FileSystem) ApplyRateCaps() {
 }
 
 // ServerHealth reports each OSS server's current relative health — the
-// mean of its volumes' noise × degradation bandwidth factors, so 1 is
-// nominal and values well below 1 mark a straggling server. The result is
-// written into dst (grown when too small) and returned; it is empty when
-// the configuration has no server layer. The token-bucket limiter's
+// mean of its volumes' noise bandwidth factors, so 1 is nominal and
+// values well below 1 mark a straggling server. The result is written
+// into dst (grown when too small) and returned; it is empty when the
+// configuration has no server layer. The token-bucket limiter's
 // straggler-aware mode reads this to deprioritize I/O bound for slow
 // servers, the client-visible counterpart of AdapTBF's straggling-OST
 // detection.
@@ -642,11 +635,7 @@ func (fs *FileSystem) ServerHealth(dst []float64) []float64 {
 		dst[i] = 0
 	}
 	for v := 0; v < fs.cfg.Volumes; v++ {
-		f := fs.volNoise(v)
-		if fs.volDegrade != nil {
-			f *= fs.volDegrade[v]
-		}
-		dst[v%srv] += f
+		dst[v%srv] += fs.volNoise(v)
 	}
 	for i := range dst {
 		// Volumes map to servers round-robin, so server i's volume count
@@ -662,27 +651,6 @@ func (fs *FileSystem) ServerHealth(dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// SetVolumeDegradation scales one volume's bandwidth by factor (1 =
-// healthy, 0.1 = severely degraded, 0 < factor). Failure injection for
-// resilience experiments.
-func (fs *FileSystem) SetVolumeDegradation(volume int, factor float64) {
-	if volume < 0 || volume >= fs.cfg.Volumes {
-		panic(fmt.Sprintf("pfs: volume %d out of range [0,%d)", volume, fs.cfg.Volumes))
-	}
-	if factor <= 0 {
-		panic(fmt.Sprintf("pfs: degradation factor must be positive, got %g", factor))
-	}
-	if fs.volDegrade == nil {
-		fs.volDegrade = make([]float64, fs.cfg.Volumes)
-		for i := range fs.volDegrade {
-			fs.volDegrade[i] = 1
-		}
-	}
-	fs.sync()
-	fs.volDegrade[volume] = factor
-	fs.recompute()
 }
 
 // SetGlobalDegradation scales the backend server capacity by factor

@@ -351,8 +351,8 @@ func TestStreamAccessors(t *testing.T) {
 	fs, _ := New(eng, quietConfig(), 1)
 	s := fs.StartStream("n9", Write, 3, GiB, nil)
 	eng.Run(des.TimeFromSeconds(0.001))
-	if s.Node() != "n9" || s.Volume() != 3 || s.Done() {
-		t.Fatalf("accessors: %v %v %v", s.Node(), s.Volume(), s.Done())
+	if s.Node() != "n9" || s.volume != 3 || s.Done() {
+		t.Fatalf("accessors: %v %v %v", s.Node(), s.volume, s.Done())
 	}
 	if s.Rate() <= 0 || s.Remaining() <= 0 {
 		t.Fatalf("rate=%g remaining=%g", s.Rate(), s.Remaining())
@@ -385,9 +385,6 @@ func TestStartStreamPanicsOnBadArgs(t *testing.T) {
 func TestFailureInjectionPanics(t *testing.T) {
 	fs, _ := New(des.NewEngine(), quietConfig(), 1)
 	for i, f := range []func(){
-		func() { fs.SetVolumeDegradation(-1, 0.5) },
-		func() { fs.SetVolumeDegradation(fs.Volumes(), 0.5) },
-		func() { fs.SetVolumeDegradation(0, 0) },
 		func() { fs.SetGlobalDegradation(0) },
 	} {
 		func() {
@@ -398,26 +395,6 @@ func TestFailureInjectionPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestVolumeDegradationSlowsStreams(t *testing.T) {
-	eng := des.NewEngine()
-	fs, err := New(eng, quietConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doneHealthy, doneDegraded des.Time
-	fs.StartStream("n1", Write, 0, 4*GiB, func() { doneHealthy = eng.Now() })
-	fs.SetVolumeDegradation(1, 0.1)
-	fs.StartStream("n1", Write, 1, 4*GiB, func() { doneDegraded = eng.Now() })
-	eng.Run(des.TimeFromSeconds(3600))
-	if doneHealthy == 0 || doneDegraded == 0 {
-		t.Fatal("streams must finish")
-	}
-	if float64(doneDegraded) < 8*float64(doneHealthy) {
-		t.Fatalf("degraded volume must be ~10× slower: healthy %v degraded %v",
-			doneHealthy, doneDegraded)
 	}
 }
 
@@ -594,7 +571,7 @@ func TestClientRateCap(t *testing.T) {
 	}
 	c.SetRateCap(0)
 	fs.ApplyRateCaps()
-	if a.Rate() != 0 || b.Rate() != 0 || a.event.Pending() {
+	if a.Rate() != 0 || b.Rate() != 0 || a.event.At() != 0 {
 		t.Fatalf("zero cap must stall: rates %g, %g", a.Rate(), b.Rate())
 	}
 	c.ClearRateCap()

@@ -51,9 +51,9 @@ func TestRateSolverInvariants(t *testing.T) {
 			if r > cfg.StreamCap*cfg.BurstBoost*1.0001 {
 				t.Fatalf("trial %d: stream rate %g exceeds cap", trial, r)
 			}
-			volSum[s.Volume()] += r
+			volSum[s.volume] += r
 			if withOSS {
-				srvSum[s.Volume()%cfg.Servers] += r
+				srvSum[s.volume%cfg.Servers] += r
 			}
 			total += r
 		}

@@ -43,7 +43,8 @@ type Options struct {
 
 // RunRound executes one round of the backfill algorithm (paper
 // Algorithm 1) under the given policy. The waiting slice must already be
-// sorted (SortQueue); running jobs must carry StartedAt. The returned
+// in queue order (descending priority, then submit time, then ID);
+// running jobs must carry StartedAt. The returned
 // decisions list one entry per examined job, in queue order; callers start
 // the StartNow jobs. The round state is returned alongside so callers can
 // read per-round diagnostics (Diagnoser).

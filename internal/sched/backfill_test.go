@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sort"
 	"testing"
 
 	"wasched/internal/des"
@@ -28,6 +29,13 @@ func decisionsByID(ds []Decision) map[string]Decision {
 	return m
 }
 
+// sortQueue puts waiting in queue order, as the driver's insertion keeps
+// it.
+func sortQueue(waiting []*Job) {
+	sort.SliceStable(waiting, func(a, b int) bool { return queueLess(waiting[a], waiting[b]) })
+}
+
+// The queue order: descending priority, then submit time, then ID.
 func TestSortQueue(t *testing.T) {
 	a := job("a", 1, sec)
 	a.Submit = tsec(10)
@@ -38,8 +46,10 @@ func TestSortQueue(t *testing.T) {
 	hi := job("hi", 1, sec)
 	hi.Submit = tsec(99)
 	hi.Priority = 10
-	q := []*Job{a, b, hi, c}
-	SortQueue(q)
+	var q []*Job
+	for _, j := range []*Job{a, b, hi, c} {
+		q = queueInsert(q, j)
+	}
 	want := []string{"hi", "b", "c", "a"}
 	for i, j := range q {
 		if j.ID != want[i] {

@@ -24,7 +24,7 @@ func (k RoundKind) String() string { return [...]string{"full", "carried", "quie
 const unstarted des.Time = -1
 
 // Driver runs one policy's backfill rounds (paper Algorithm 1). It owns
-// the waiting queue, kept in SortQueue order by insertion, the policy's
+// the waiting queue, kept in queue order by insertion, the policy's
 // session, the engine's buffers and the choice between a quiet, a carried
 // and a full round; a policy defined outside this package has no session
 // and gets a from-scratch round every time. The caller keeps the running

@@ -249,6 +249,16 @@ var driverSeeds = [][]byte{
 		opFinish, 0,
 		opRound, 1,
 		opRound, 1},
+	// io-aware: a starts, b waits for its bandwidth; b's estimate drops
+	// so that it fits now; the next round must re-plan and start it, not
+	// carry b's old reservation.
+	{2, 0,
+		opArrive, 3, 7, 0, 80, 0,
+		opArrive, 3, 7, 0, 80, 0,
+		opRound, 0,
+		opQueued, 1,
+		opRound, 0,
+		opRound, 1},
 	// bb+io-aware under a measured throughput the estimates do not explain.
 	{5, 0x04,
 		opMeasure, 40,

@@ -88,7 +88,7 @@ func FuzzRunRound(f *testing.F) {
 		if len(rest) > 2 {
 			opt.MaxJobTest = int(rest[2] % 8)
 		}
-		SortQueue(waiting)
+		sortQueue(waiting)
 		in := RoundInput{Now: now, Running: running, Waiting: waiting, MeasuredThroughput: measured}
 
 		for _, p := range fuzzPolicies() {

@@ -26,11 +26,7 @@
 // throughput) and apply the decisions.
 package sched
 
-import (
-	"sort"
-
-	"wasched/internal/des"
-)
+import "wasched/internal/des"
 
 // Job is the scheduler's view of one job. The controller fills the
 // identity and request fields at submission and refreshes the estimate
@@ -87,13 +83,9 @@ func (j *Job) remaining(now des.Time) des.Duration {
 	return end.Sub(now)
 }
 
-// SortQueue orders waiting jobs by descending priority, then FIFO by
-// submit time, then by ID for total determinism (Algorithm 1 line 2).
-func SortQueue(waiting []*Job) {
-	sort.SliceStable(waiting, func(a, b int) bool { return queueLess(waiting[a], waiting[b]) })
-}
-
-// queueLess is SortQueue's strict order: a sorts before b.
+// queueLess is the waiting queue's strict order (Algorithm 1 line 2):
+// descending priority, then FIFO by submit time, then by ID for total
+// determinism. a sorts before b.
 func queueLess(a, b *Job) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
@@ -115,10 +107,10 @@ func queueCmp(a, b *Job) int {
 	return 0
 }
 
-// queueInsert inserts j into waiting, which is in SortQueue order, and
+// queueInsert inserts j into waiting, which is in queueLess order, and
 // returns the grown slice, still in that order. queueLess is a total
 // order, so a queue whose keys do not change while it waits, kept sorted
-// by insertion, is exactly the slice SortQueue would make every round.
+// by insertion, is exactly the slice a full sort would make every round.
 func queueInsert(waiting []*Job, j *Job) []*Job {
 	lo, hi := 0, len(waiting)
 	for lo < hi {

@@ -88,7 +88,7 @@ func modelOf(p Policy) (m model, ok bool) {
 		}
 		m.dims = append(m.dims, dim{kind: dimBB, limit: p.BBCapacity})
 		if p.ThroughputLimit > 0 {
-			m.dims = append(m.dims, dim{kind: dimRate, limit: p.ThroughputLimit, guard: !p.IgnoreMeasured})
+			m.dims = append(m.dims, dim{kind: dimRate, limit: p.ThroughputLimit, guard: true})
 		}
 		m.horizon = p.Horizon
 		m.limit, m.reportLimit = p.ThroughputLimit, true

@@ -88,7 +88,6 @@ func TestReadsMeasured(t *testing.T) {
 		{"node", node, false},
 		{"tbf", TBFPolicy{TotalNodes: 4, Straggler: true}, false},
 		{"plan without a limit", PlanPolicy{TotalNodes: 4, BBCapacity: 1}, false},
-		{"plan with a limit, guard off", PlanPolicy{TotalNodes: 4, BBCapacity: 1, ThroughputLimit: limit, IgnoreMeasured: true}, false},
 		{"io-aware", io, true},
 		{"io-aware, guard off", IOAwarePolicy{TotalNodes: 4, ThroughputLimit: limit, IgnoreMeasured: true}, false},
 		{"adaptive", AdaptivePolicy{TotalNodes: 4, ThroughputLimit: limit, TwoGroup: true}, true},

@@ -53,7 +53,7 @@ func TestAdaptiveThrottlesRegularJobs(t *testing.T) {
 		estjob("w1", 1, 50*sec, 10, 25*sec),
 		estjob("w2", 1, 50*sec, 10, 25*sec),
 	)
-	SortQueue(waiting)
+	sortQueue(waiting)
 	ds, _ := RunRound(p, RoundInput{Now: 0, Waiting: waiting}, Options{})
 	m := decisionsByID(ds)
 	for i := 0; i < 8; i++ {

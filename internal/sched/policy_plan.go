@@ -29,9 +29,6 @@ type PlanPolicy struct {
 	// fall after Now+Horizon are skipped this round instead of reserved.
 	// Zero means unbounded (plan the whole queue).
 	Horizon des.Duration
-	// IgnoreMeasured disables the measured-throughput guard (only
-	// meaningful with a ThroughputLimit; ablation only).
-	IgnoreMeasured bool
 }
 
 // Name implements Policy.

@@ -60,8 +60,8 @@ type DiffResult struct {
 	Check Result
 }
 
-// The policy labels of a differential run. ioAwareInfLabel is the internal
-// baseline — the I/O-aware policy with InfLimit — used by property M2.
+// The policy labels of a differential run: registry names (sched.NewPolicy)
+// and the three unbounded baselines of properties M2, M5 and M6.
 const (
 	labelDefault  = "default"
 	labelIOAware  = "io-aware"
@@ -140,56 +140,53 @@ func RunDifferential(workload []SimJob, cfg DiffConfig) *DiffResult {
 	}
 
 	type variant struct {
-		label  string
-		policy sched.Policy
-		limit  float64 // for the replay bandwidth invariant; 0 = no check
+		label string
+		name  string // the registry policy the variant replays
+		pp    sched.PolicyParams
 		// Per-variant token-bucket emulation (the token layer belongs to
 		// the tbf policy family, not the cluster).
-		tbfCap       float64
-		tbfServers   int
-		tbfStraggler bool
+		tbfCap     float64
+		tbfServers int
 	}
-	variants := []variant{
-		{label: labelDefault, policy: sched.NodePolicy{TotalNodes: nodes}},
-		{label: labelIOAware, policy: sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit: limit},
-		{label: labelAdaptive, policy: sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit: limit},
-		{label: labelNaive, policy: sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit: limit},
-		{label: labelInf, policy: sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: InfLimit}},
+	pp := sched.PolicyParams{Nodes: nodes, Limit: limit, BBCapacity: cfg.BBCapacity}
+	var variants []variant
+	for _, label := range PolicyLabels() {
+		variants = append(variants, variant{label: label, name: label, pp: pp})
 	}
+	variants = append(variants, variant{label: labelInf, name: labelIOAware, pp: sched.PolicyParams{Nodes: nodes, Limit: InfLimit}})
 	if cfg.BBCapacity > 0 {
-		variants = append(variants,
-			variant{label: labelPlan, policy: sched.PlanPolicy{TotalNodes: nodes, BBCapacity: cfg.BBCapacity, ThroughputLimit: limit}, limit: limit},
-			variant{label: labelBBIO, policy: sched.BBAwarePolicy{Inner: sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, Capacity: cfg.BBCapacity}, limit: limit},
-			variant{label: labelPlanInf, policy: sched.PlanPolicy{TotalNodes: nodes, BBCapacity: InfLimit}},
-		)
+		for _, label := range BBPolicyLabels() {
+			variants = append(variants, variant{label: label, name: label, pp: pp})
+		}
+		variants = append(variants, variant{label: labelPlanInf, name: labelPlan, pp: sched.PolicyParams{Nodes: nodes, BBCapacity: InfLimit}})
 	}
 	if cfg.TBFCapacity > 0 {
-		variants = append(variants,
-			variant{label: labelTBF, policy: sched.TBFPolicy{TotalNodes: nodes},
-				tbfCap: cfg.TBFCapacity, tbfServers: cfg.TBFServers},
-			variant{label: labelTBFStraggler, policy: sched.TBFPolicy{TotalNodes: nodes, Straggler: true},
-				tbfCap: cfg.TBFCapacity, tbfServers: cfg.TBFServers, tbfStraggler: true},
-			// The M6 baseline: infinite fill, uniform servers — the token
-			// layer must be bitwise inert.
-			variant{label: labelTBFInf, policy: sched.TBFPolicy{TotalNodes: nodes}, tbfCap: InfLimit},
-		)
+		for _, label := range TBFPolicyLabels() {
+			variants = append(variants, variant{label: label, name: label, pp: pp, tbfCap: cfg.TBFCapacity, tbfServers: cfg.TBFServers})
+		}
+		// The M6 baseline: infinite fill, uniform servers — the token
+		// layer must be bitwise inert.
+		variants = append(variants, variant{label: labelTBFInf, name: labelTBF, pp: pp, tbfCap: InfLimit})
 	}
 
 	res := &DiffResult{Results: make(map[string]*ReplayResult, len(variants))}
 	for _, v := range variants {
+		p, err := sched.NewPolicy(v.name, v.pp)
+		if err != nil {
+			panic(err) // every variant carries a positive limit
+		}
 		r := Replay(workload, ReplayConfig{
-			Policy:       v.policy,
-			Options:      cfg.Options,
-			Interval:     cfg.Interval,
-			Nodes:        nodes,
-			Limit:        v.limit,
-			BBCapacity:   cfg.BBCapacity,
-			BBStageRate:  cfg.BBStageRate,
-			BBDrainRate:  cfg.BBDrainRate,
-			TBFCapacity:  v.tbfCap,
-			TBFBurst:     cfg.TBFBurst,
-			TBFServers:   v.tbfServers,
-			TBFStraggler: v.tbfStraggler,
+			Policy:      p,
+			Options:     cfg.Options,
+			Interval:    cfg.Interval,
+			Nodes:       nodes,
+			Limit:       sched.ThroughputLimit(p),
+			BBCapacity:  cfg.BBCapacity,
+			BBStageRate: cfg.BBStageRate,
+			BBDrainRate: cfg.BBDrainRate,
+			TBFCapacity: v.tbfCap,
+			TBFBurst:    cfg.TBFBurst,
+			TBFServers:  v.tbfServers,
 		})
 		res.Results[v.label] = r
 		for _, viol := range r.Check.Violations {

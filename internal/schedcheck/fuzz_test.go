@@ -72,7 +72,7 @@ func fuzzReplay(data []byte) ([]SimJob, ReplayConfig) {
 		cfg.Policy, cfg.Limit, cfg.BBCapacity = sched.BBAwarePolicy{Inner: adaptive, Capacity: bbCap}, fuzzLimit, bbCap
 	case 8:
 		cfg.Policy = sched.TBFPolicy{TotalNodes: fuzzNodes, Straggler: knob&1 != 0}
-		cfg.TBFCapacity, cfg.TBFStraggler = 40, knob&1 != 0
+		cfg.TBFCapacity = 40
 	default:
 		cfg.Policy, cfg.Limit, cfg.TBFCapacity = sched.TBFAwarePolicy{Inner: adaptive}, fuzzLimit, 40
 	}

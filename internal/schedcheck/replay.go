@@ -40,6 +40,8 @@ type SimJob struct {
 
 // ReplayConfig configures one replay.
 type ReplayConfig struct {
+	// Policy schedules the replay; a tbf-straggler TBFPolicy also turns
+	// on straggler-aware ordering in the token emulation.
 	Policy sched.Policy
 	// Options are the backfill engine options (zero value: unlimited
 	// backfill, whole queue examined).
@@ -49,8 +51,8 @@ type ReplayConfig struct {
 	Interval des.Duration
 	// Nodes is the cluster size for invariant checking.
 	Nodes int
-	// Limit is the policy's R_limit for bandwidth invariant checking;
-	// 0 skips the bandwidth check (node-only policies).
+	// Limit is the policy's R_limit for bandwidth invariant checking
+	// (sched.ThroughputLimit(Policy)); 0 skips the bandwidth check.
 	Limit float64
 	// BBCapacity, when positive, turns on the burst-buffer emulation:
 	// each job's BBBytes is admitted against this shared pool when the
@@ -80,10 +82,6 @@ type ReplayConfig struct {
 	// emulation: each job's streams land on a deterministic server and
 	// slow servers inflate the tokens the job needs per byte.
 	TBFServers int
-	// TBFStraggler enables straggler-aware request ordering: the token
-	// layer shifts a job's requests toward healthy servers, recovering
-	// most of the straggler penalty (Tavakoli et al.).
-	TBFStraggler bool
 	// MaxRounds bounds the replay (0 = 50000); exceeding it is reported
 	// as a starvation violation. Archive-scale traces need an explicit
 	// budget: a day of simulated time is 2880 rounds.
@@ -521,11 +519,15 @@ func newTBFReplay(cfg ReplayConfig) *tbfReplay {
 	if burst <= 0 {
 		burst = tbf.DefaultBurstSeconds
 	}
+	// A tbf-straggler policy turns on straggler-aware request ordering:
+	// the token layer shifts a job's requests toward healthy servers,
+	// recovering most of the straggler penalty (Tavakoli et al.).
+	tp, _ := cfg.Policy.(sched.TBFPolicy)
 	return &tbfReplay{
 		capacity: cfg.TBFCapacity,
 		burstSec: burst,
 		servers:  cfg.TBFServers,
-		aware:    cfg.TBFStraggler,
+		aware:    tp.Straggler,
 		buckets:  make(map[*SimJob]*tbfBucket),
 	}
 }

@@ -125,12 +125,11 @@ func TestReplayMatchesReferenceOnCorpus(t *testing.T) {
 					// reuse is most likely to diverge from the oracle.
 					for _, straggler := range []bool{false, true} {
 						cfg := ReplayConfig{
-							Policy:       sched.TBFPolicy{TotalNodes: nodes, Straggler: straggler},
-							Options:      sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
-							Nodes:        nodes,
-							TBFCapacity:  CorpusTBFCapacity,
-							TBFServers:   CorpusTBFServers,
-							TBFStraggler: straggler,
+							Policy:      sched.TBFPolicy{TotalNodes: nodes, Straggler: straggler},
+							Options:     sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
+							Nodes:       nodes,
+							TBFCapacity: CorpusTBFCapacity,
+							TBFServers:  CorpusTBFServers,
 						}
 						got := scheduleDigest(Replay(workload, cfg))
 						want := scheduleDigest(replayReference(workload, cfg))

@@ -109,7 +109,18 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		for i, j := range waiting {
 			waitingViews[i] = views[j.ID]
 		}
-		sched.SortQueue(waitingViews)
+		// Algorithm 1 line 2: descending priority, then FIFO by submit
+		// time, then by ID.
+		sort.SliceStable(waitingViews, func(a, b int) bool {
+			x, y := waitingViews[a], waitingViews[b]
+			if x.Priority != y.Priority {
+				return x.Priority > y.Priority
+			}
+			if x.Submit != y.Submit {
+				return x.Submit < y.Submit
+			}
+			return x.ID < y.ID
+		})
 		in := sched.RoundInput{
 			Now:                now,
 			Running:            runningViews,

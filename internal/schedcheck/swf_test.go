@@ -74,7 +74,7 @@ func TestSWFReplayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !quirks.Any() {
+	if quirks == (workload.SWFQuirks{}) {
 		t.Fatalf("generated trace should carry quirks, got %+v", quirks)
 	}
 	const nodes = 15

@@ -260,11 +260,9 @@ type Controller struct {
 	started     bool
 	lastDiag    map[string]float64
 	requeuing   map[string]bool
-	requeues    uint64
 
-	bb         BurstBuffer
-	bbDeferred uint64
-	tbf        TokenLimiter
+	bb  BurstBuffer
+	tbf TokenLimiter
 
 	// Round state kept across rounds (scheduleRound). The driver holds
 	// the schedulable queue, the session and the quiet/carry bookkeeping;
@@ -318,10 +316,6 @@ func (c *Controller) AttachBB(b BurstBuffer) {
 	}
 	c.bb = b
 }
-
-// BBDeferred returns how many start decisions were deferred because the
-// burst-buffer pool could not admit them that round.
-func (c *Controller) BBDeferred() uint64 { return c.bbDeferred }
 
 // AttachTBF wires the token-bucket bandwidth limiter into the start/end
 // path. Call once during system assembly.
@@ -585,7 +579,6 @@ func (c *Controller) scheduleRound() {
 			// stay pending and are retried next round. Plan-based
 			// policies rarely hit this — they co-reserved the pool.
 			if err := c.bb.Admit(r.ID, r.Spec.BBBytes, r.Spec.Nodes); err != nil {
-				c.bbDeferred++
 				c.drv.Refused(d.Job)
 				continue
 			}
@@ -758,7 +751,6 @@ func (c *Controller) jobEnded(r *JobRecord, e *cluster.Execution) {
 		// requeues instead of being skipped wholesale.
 		delete(c.requeuing, r.ID)
 		c.endRunning(r)
-		c.requeues++
 		r.State = StatePending
 		r.End = c.eng.Now()
 		if c.bb != nil && r.Spec.BBBytes > 0 {
@@ -820,9 +812,6 @@ func (c *Controller) DoneCount() int { return len(c.done) }
 // Rounds returns how many scheduling rounds have run.
 func (c *Controller) Rounds() uint64 { return c.rounds }
 
-// Requeues returns how many preemption requeues have occurred.
-func (c *Controller) Requeues() uint64 { return c.requeues }
-
 // Job returns a record by ID.
 func (c *Controller) Job(id string) (*JobRecord, bool) {
 	r, ok := c.byID[id]
@@ -835,9 +824,6 @@ func (c *Controller) DoneJobs() []*JobRecord {
 	copy(out, c.done)
 	return out
 }
-
-// Idle reports whether no work remains (empty queue, nothing running).
-func (c *Controller) Idle() bool { return len(c.pending) == 0 && len(c.running) == 0 }
 
 // Makespan returns the completion time of the last finished job.
 func (c *Controller) Makespan() des.Time {

@@ -145,7 +145,7 @@ func TestLifecycleAndAccounting(t *testing.T) {
 	if rec.WaitTime() != rec.Start.Sub(rec.Submit) {
 		t.Fatal("wait time")
 	}
-	if r.ctl.DoneCount() != 1 || !r.ctl.Idle() {
+	if r.ctl.DoneCount() != 1 || !idle(r.ctl) {
 		t.Fatal("done accounting")
 	}
 	if r.ctl.Makespan() != rec.End {
@@ -193,7 +193,7 @@ func TestFIFOOrderAndBackfillQueueDrain(t *testing.T) {
 	}
 	r.ctl.Run()
 	r.eng.Run(des.TimeFromSeconds(3600))
-	if !r.ctl.Idle() || r.ctl.DoneCount() != 6 {
+	if !idle(r.ctl) || r.ctl.DoneCount() != 6 {
 		t.Fatalf("all jobs must finish: done=%d", r.ctl.DoneCount())
 	}
 	// FIFO: starts must be non-decreasing in submit order.

@@ -16,3 +16,17 @@ func SkippedRounds(c *Controller) (quiet, carried int) {
 	_, carried, quiet = c.drv.Rounds()
 	return quiet, carried
 }
+
+// idle reports whether no work remains (empty queue, nothing running).
+func idle(c *Controller) bool { return c.QueueLength() == 0 && c.RunningCount() == 0 }
+
+// countRequeues counts c's preemption requeues from now on.
+func countRequeues(c *Controller) *int {
+	n := new(int)
+	c.OnEvent(func(e Event) {
+		if e.Kind == EventRequeue {
+			*n++
+		}
+	})
+	return n
+}

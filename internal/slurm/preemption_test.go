@@ -45,8 +45,9 @@ func preemptionConfig() Config {
 }
 
 func TestPreemptionFreesStarvedWideJob(t *testing.T) {
-	run := func(cfg Config) (wideWait des.Duration, requeues uint64) {
+	run := func(cfg Config) (wideWait des.Duration, requeues int) {
 		r := newRig(t, 4, sched.NodePolicy{TotalNodes: 4}, cfg)
+		n := countRequeues(r.ctl)
 		submitLongRunners(t, r, 12)
 		submitUrgentWide(t, r, 4)
 		r.ctl.Run()
@@ -60,7 +61,7 @@ func TestPreemptionFreesStarvedWideJob(t *testing.T) {
 		if wideRec == nil || wideRec.State != StateCompleted {
 			t.Fatalf("wide job: %+v", wideRec)
 		}
-		return wideRec.WaitTime(), r.ctl.Requeues()
+		return wideRec.WaitTime(), *n
 	}
 	withWait, withRequeues := run(preemptionConfig())
 	withoutWait, withoutRequeues := run(DefaultConfig())
@@ -105,7 +106,7 @@ func TestPreemptedJobsCompleteEventually(t *testing.T) {
 			t.Fatalf("requeued job %s ended %v", j.ID, j.State)
 		}
 	}
-	if !r.ctl.Idle() || r.cl.FreeNodes() != 4 {
+	if !idle(r.ctl) || r.cl.FreeNodes() != 4 {
 		t.Fatal("accounting must balance after preemptions")
 	}
 }
@@ -116,9 +117,10 @@ func TestPreemptionRespectsPriorityGap(t *testing.T) {
 	r := newRig(t, 4, sched.NodePolicy{TotalNodes: 4}, cfg)
 	submitLongRunners(t, r, 12)
 	submitUrgentWide(t, r, 4)
+	n := countRequeues(r.ctl)
 	r.ctl.Run()
 	r.eng.Run(des.TimeFromSeconds(30000))
-	if r.ctl.Requeues() != 0 {
-		t.Fatalf("gap too large for any victim, yet %d requeues", r.ctl.Requeues())
+	if *n != 0 {
+		t.Fatalf("gap too large for any victim, yet %d requeues", *n)
 	}
 }

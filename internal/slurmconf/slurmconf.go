@@ -8,7 +8,7 @@
 //	ClusterName=stria
 //	Nodes=15
 //	Seed=42
-//	SchedulerPolicy=adaptive          # default|easy|io-aware|adaptive|adaptive-naive|plan|tbf|tbf-straggler
+//	SchedulerPolicy=adaptive          # a sched.PolicyNames entry, or ioaware|adaptivenaive
 //	ThroughputLimit=20GiB             # bytes/s; accepts GiB/MiB suffixes
 //	SchedulerParameters=bf_interval=30,bf_max_job_test=100,bf_max_job_start=0
 //	TwoGroupQoSFraction=0.5
@@ -47,6 +47,7 @@ import (
 	"wasched/internal/core"
 	"wasched/internal/des"
 	"wasched/internal/pfs"
+	"wasched/internal/sched"
 	"wasched/internal/slurm"
 )
 
@@ -175,11 +176,11 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Seed = s
 	case "schedulerpolicy":
-		k, err := core.ParsePolicyKind(value)
+		spec, err := sched.LookupPolicy(value)
 		if err != nil {
 			return fmt.Errorf("SchedulerPolicy: %w", err)
 		}
-		cfg.Scheduler.Policy = k
+		cfg.Scheduler.Policy = spec.Name
 	case "throughputlimit":
 		v, err := parseBytes(value)
 		if err != nil {

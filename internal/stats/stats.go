@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the sample standard deviation; NaN for fewer than two values.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear
 // interpolation between order statistics (R type 7). NaN for empty input.
 func Quantile(xs []float64, q float64) float64 {

@@ -190,9 +190,6 @@ func (l *Limiter) Capacity() float64 { return l.cfg.CapacityBytesPerSec }
 // Ticks returns how many control intervals have elapsed (diagnostics).
 func (l *Limiter) Ticks() uint64 { return l.ticks }
 
-// Active returns the number of live buckets.
-func (l *Limiter) Active() int { return len(l.order) }
-
 // Register opens a bucket for a job that just started on the given nodes.
 // The bucket opens with one full burst of tokens so the job's first
 // interval is not rate-starved, and the job's nodes are capped from its

@@ -60,12 +60,6 @@ func (f *Feeder) fill() {
 	}
 }
 
-// Submitted returns how many jobs have been submitted so far.
-func (f *Feeder) Submitted() int { return f.next }
-
-// Exhausted reports whether every spec has been submitted.
-func (f *Feeder) Exhausted() bool { return f.next == len(f.specs) }
-
 // Stop halts the feeder (it stops automatically once exhausted).
 func (f *Feeder) Stop() {
 	if f.closed {

@@ -53,8 +53,8 @@ func TestFeederBoundsQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Submitted() != 6 {
-		t.Fatalf("initial fill: %d", f.Submitted())
+	if f.next != 6 {
+		t.Fatalf("initial fill: %d", f.next)
 	}
 	ctl.Run()
 	maxQueue := 0
@@ -65,8 +65,8 @@ func TestFeederBoundsQueueDepth(t *testing.T) {
 	})
 	eng.Run(des.TimeFromSeconds(3600))
 	stop()
-	if !f.Exhausted() {
-		t.Fatalf("feeder must exhaust, submitted %d", f.Submitted())
+	if f.next != len(specs) {
+		t.Fatalf("feeder must exhaust, submitted %d", f.next)
 	}
 	if ctl.DoneCount() != 40 {
 		t.Fatalf("done: %d", ctl.DoneCount())
@@ -81,16 +81,15 @@ func TestFeederEmptySpecsLeavesNoTicker(t *testing.T) {
 	// install its ticker, or the engine would hold a forever-firing event
 	// and never drain.
 	eng, ctl := feederRig(t)
-	pend := eng.Pending()
 	f, err := StartFeeder(eng, ctl, nil, 4, des.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Exhausted() || f.Submitted() != 0 {
-		t.Fatalf("empty feeder: exhausted=%v submitted=%d", f.Exhausted(), f.Submitted())
+	if !f.closed || f.next != 0 {
+		t.Fatalf("empty feeder: closed=%v submitted=%d", f.closed, f.next)
 	}
-	if got := eng.Pending(); got != pend {
-		t.Fatalf("empty feeder leaked %d engine event(s)", got-pend)
+	if f.stop != nil {
+		t.Fatal("empty feeder installed its ticker")
 	}
 	f.Stop() // idempotent on a feeder that never ticked
 }
@@ -103,16 +102,15 @@ func TestFeederShallowWorkloadExhaustsImmediately(t *testing.T) {
 		{Name: "s", Nodes: 1, Limit: 200 * des.Second, Program: cluster.SleepProgram{D: des.Second}},
 		{Name: "s", Nodes: 1, Limit: 200 * des.Second, Program: cluster.SleepProgram{D: des.Second}},
 	}
-	pend := eng.Pending()
 	f, err := StartFeeder(eng, ctl, specs, 6, 5*des.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Exhausted() || f.Submitted() != len(specs) {
-		t.Fatalf("shallow feeder: exhausted=%v submitted=%d", f.Exhausted(), f.Submitted())
+	if !f.closed || f.next != len(specs) {
+		t.Fatalf("shallow feeder: closed=%v submitted=%d", f.closed, f.next)
 	}
-	if got := eng.Pending(); got != pend {
-		t.Fatalf("shallow feeder leaked %d engine event(s)", got-pend)
+	if f.stop != nil {
+		t.Fatal("shallow feeder installed its ticker")
 	}
 	ctl.Run()
 	eng.Run(des.TimeFromSeconds(3600))
@@ -134,9 +132,9 @@ func TestFeederStop(t *testing.T) {
 	ctl.Run()
 	eng.Run(des.TimeFromSeconds(50))
 	f.Stop()
-	n := f.Submitted()
+	n := f.next
 	eng.Run(des.TimeFromSeconds(3600))
-	if f.Submitted() != n {
+	if f.next != n {
 		t.Fatal("stopped feeder must not submit")
 	}
 	f.Stop() // idempotent

@@ -153,9 +153,6 @@ func (q SWFQuirks) Skipped() int {
 	return q.ShortLines + q.BadSubmit + q.BadRuntime + q.BadProcs + q.TooWide
 }
 
-// Any reports whether the trace carried any quirk at all.
-func (q SWFQuirks) Any() bool { return q.Skipped() > 0 || q.OutOfOrderSubmits > 0 }
-
 // String renders the non-zero counters as one compact warning line.
 func (q SWFQuirks) String() string {
 	var parts []string

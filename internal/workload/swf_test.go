@@ -269,7 +269,7 @@ func TestParseSWFOutOfOrderSorted(t *testing.T) {
 			t.Fatalf("jobs not sorted by submit: %v then %v", res.Jobs[i-1].At, res.Jobs[i].At)
 		}
 	}
-	if res.Quirks.String() == "clean" || !res.Quirks.Any() {
+	if res.Quirks.String() == "clean" || res.Quirks == (SWFQuirks{}) {
 		t.Fatalf("quirk summary: %q", res.Quirks.String())
 	}
 }

@@ -34,7 +34,7 @@ func TestWriteSyntheticSWFParses(t *testing.T) {
 	if len(res.Jobs)+res.Dropped != cfg.Jobs {
 		t.Fatalf("jobs %d + dropped %d != %d (quirks %+v)", len(res.Jobs), res.Dropped, cfg.Jobs, res.Quirks)
 	}
-	if !res.Quirks.Any() {
+	if res.Quirks == (SWFQuirks{}) {
 		t.Fatalf("QuirkEvery must inject quirks, got %+v", res.Quirks)
 	}
 	// Submit times are usable: sorted, non-negative, and the arrival-rate
