@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzParseSWFRecords -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzDecodeEncode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzParseSWFMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slurmconf -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/des -run='^$$' -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME)
 

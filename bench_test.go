@@ -13,7 +13,9 @@
 package wasched_bench
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -229,6 +231,25 @@ func BenchmarkAblation(b *testing.B) {
 				b.ReportMetric(100*r.VsBase, fmt.Sprintf("row%d-vs-base-%%", i))
 			}
 		})
+	}
+}
+
+// BenchmarkLoadSWF measures archive ingestion, the replay's set-up: the
+// bundled 10k-job SWF trace, already in memory, parsed into records and
+// converted into replay jobs.
+func BenchmarkLoadSWF(b *testing.B) {
+	raw, err := os.ReadFile("testdata/swf/synthetic-10k.swf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := workload.DefaultSWFOptions()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for b.Loop() {
+		jobs, _, err := schedcheck.LoadSWFSimJobs(bytes.NewReader(raw), opts)
+		if err != nil || len(jobs) == 0 {
+			b.Fatalf("loaded %d jobs: %v", len(jobs), err)
+		}
 	}
 }
 

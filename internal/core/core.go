@@ -128,13 +128,15 @@ func (c *Config) policy() (sched.Policy, error) {
 		if (plan || bbAware || c.Scheduler.BBAware) && c.BB.CapacityBytes <= 0 {
 			return nil, fmt.Errorf("core: %s policy with BBAware=%t plans a burst-buffer pool and needs a positive BB.CapacityBytes", name, c.Scheduler.BBAware)
 		}
-		if _, ok := p.(sched.TBFPolicy); ok && c.TBF.CapacityBytesPerSec <= 0 {
-			return nil, fmt.Errorf("core: %s policy needs a positive TBF.CapacityBytesPerSec", name)
-		}
 		wrapBB = c.Scheduler.BBAware && !plan && !bbAware
 	}
-	if tp, ok := p.(sched.TBFPolicy); ok && tp.Straggler {
-		c.TBF.Straggler = true
+	if tp, ok := p.(sched.TBFPolicy); ok {
+		if c.TBF.CapacityBytesPerSec <= 0 {
+			return nil, fmt.Errorf("core: %s policy needs a positive TBF.CapacityBytesPerSec", tp.Name())
+		}
+		if tp.Straggler {
+			c.TBF.Straggler = true
+		}
 	}
 	if wrapBB {
 		p = sched.BBAwarePolicy{Inner: p, Capacity: c.BB.CapacityBytes}

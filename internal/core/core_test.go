@@ -107,6 +107,13 @@ func TestNewSystemValidation(t *testing.T) {
 			t.Fatalf("%s without capacity must fail", name)
 		}
 	}
+	for _, straggler := range []bool{false, true} {
+		cfg = DefaultConfig()
+		cfg.Scheduler.Custom = sched.TBFPolicy{TotalNodes: cfg.Nodes, Straggler: straggler} // no token layer configured
+		if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "TBF.CapacityBytesPerSec") {
+			t.Fatalf("custom TBFPolicy (straggler %t) without capacity must fail, got %v", straggler, err)
+		}
+	}
 }
 
 // TestTBFSystemLifecycle runs a small workload under the token-bucket

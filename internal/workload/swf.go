@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -85,22 +86,6 @@ func (o SWFOptions) Validate() error {
 		return fmt.Errorf("workload: BBGiBPerNode must be positive, got %g", o.BBGiBPerNode)
 	}
 	return nil
-}
-
-// SWFBBStream is the RNG stream of the burst-buffer assignment draw. It is
-// distinct from the I/O stream ("workload/swf") on purpose: every converter
-// draws from it exactly once per surviving record, and turning BB on or off
-// leaves the I/O assignment untouched.
-const SWFBBStream = "workload/swf-bb"
-
-// SWFBBBytes is a record's synthetic burst-buffer demand under opts: zero
-// when the draw misses BBFraction, nodes × BBGiBPerNode GiB otherwise.
-// rand is this record's draw from the SWFBBStream stream.
-func SWFBBBytes(nodes int, opts SWFOptions, rand float64) float64 {
-	if rand >= opts.BBFraction {
-		return 0
-	}
-	return float64(nodes) * opts.BBGiBPerNode * pfs.GiB
 }
 
 // SWFRecord is one usable data row of an SWF trace, in the raw units of
@@ -199,47 +184,54 @@ type SWFResult struct {
 // conversions stay exact and cannot overflow.
 const swfMaxValue = 1e9
 
+// swfFields is the number of leading fields a usable SWF row needs; the
+// format's remaining six are not read.
+const swfFields = 12
+
+// swfSpace marks the ASCII whitespace strings.Fields splits on.
+var swfSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // ParseSWFRecords reads the raw rows of a Standard Workload Format trace.
 // Comment/header lines begin with ';'. Malformed rows are skipped and
 // counted by quirk rather than failing the parse — a million-job archive
 // trace routinely carries a handful of them — and rows with regressing
 // submit times are kept but counted so callers know to re-sort. An error
 // is returned only when reading itself fails.
+//
+// Fields are separated by whitespace as strings.Fields defines it, and
+// each parses as strconv.ParseFloat would, an unparseable one as -1. An
+// ASCII row is split in place, without allocating. A row with a byte
+// >= 0x80 in or before its first 12 fields goes through bytes.TrimSpace
+// and bytes.Fields, which split as their strings namesakes do, so
+// Unicode whitespace such as NEL and NBSP separates fields there too.
 func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 	var (
 		recs       []SWFRecord
 		quirks     SWFQuirks
 		prevSubmit = math.Inf(-1)
+		f          [swfFields][]byte
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, ";") {
-			continue
+		n := splitSWFLine(sc.Bytes(), &f)
+		if n == 0 || f[0][0] == ';' {
+			continue // blank or comment
 		}
-		f := strings.Fields(line)
-		if len(f) < 12 {
+		if n < swfFields {
 			quirks.ShortLines++
 			continue
 		}
-		num := func(i int) float64 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				return -1
-			}
-			return v
-		}
 		rec := SWFRecord{
-			JobNo:   int64(num(0)),
-			Submit:  num(1),
-			Runtime: num(3),
-			Procs:   num(7),
-			ReqTime: num(8),
-			UserID:  int64(num(11)),
+			JobNo:   int64(swfNum(f[0])),
+			Submit:  swfNum(f[1]),
+			Runtime: swfNum(f[3]),
+			Procs:   swfNum(f[7]),
+			ReqTime: swfNum(f[8]),
+			UserID:  int64(swfNum(f[11])),
 		}
 		if rec.Procs <= 0 {
-			rec.Procs = num(4) // fall back to allocated processors
+			rec.Procs = swfNum(f[4]) // fall back to allocated processors
 		}
 		// The negated ranges also catch NaN.
 		switch {
@@ -269,100 +261,217 @@ func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 	return recs, quirks, nil
 }
 
-// SWFNodes converts a record's processor count to a node count under opts
-// (ceil division, minimum one node).
-func SWFNodes(rec SWFRecord, opts SWFOptions) int {
-	nodes := int(math.Ceil(rec.Procs / float64(opts.CoresPerNode)))
-	if nodes < 1 {
-		nodes = 1
+// splitSWFLine stores the first len(f) whitespace-separated fields of line
+// in f, as slices of line, and returns how many it found. A byte >= 0x80
+// before the end of the last field sends the line to splitUnicodeLine;
+// past it, none can change the fields.
+func splitSWFLine(line []byte, f *[swfFields][]byte) int {
+	n, i := 0, 0
+	for n < len(f) {
+		for i < len(line) && swfSpace[line[i]] {
+			i++
+		}
+		j := i
+		for j < len(line) && !swfSpace[line[j]] && line[j] < 0x80 {
+			j++
+		}
+		if j < len(line) && line[j] >= 0x80 {
+			return splitUnicodeLine(line, f)
+		}
+		if j == i {
+			break // end of line
+		}
+		f[n] = line[i:j]
+		n++
+		i = j
 	}
-	return nodes
+	return n
 }
 
-// SWFShape is the policy-visible shape of one converted SWF job, shared
-// between the full-prototype jobs (ConvertSWF) and the lightweight replay
-// jobs (schedcheck): node count, limit, and the deterministic synthetic
-// I/O assignment.
-type SWFShape struct {
+// splitUnicodeLine is splitSWFLine for a line that is not all ASCII.
+func splitUnicodeLine(line []byte, f *[swfFields][]byte) int {
+	return copy(f[:], bytes.Fields(bytes.TrimSpace(line)))
+}
+
+// swfNum parses one field as strconv.ParseFloat does, or returns -1 when
+// it does not parse. A plain decimal integer of at most 15 digits, which a
+// float64 holds exactly, is converted by hand.
+func swfNum(b []byte) float64 {
+	d := b
+	if len(d) > 0 && d[0] == '-' {
+		d = d[1:]
+	}
+	if v, ok := swfDigits(d); ok {
+		if len(d) < len(b) {
+			return -float64(v) // "-0" is negative zero, as ParseFloat has it
+		}
+		return float64(v)
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return -1
+	}
+	return v
+}
+
+// swfDigits returns the value of d when it is 1 to 15 decimal digits.
+func swfDigits(d []byte) (int64, bool) {
+	if len(d) == 0 || len(d) > 15 {
+		return 0, false
+	}
+	var v int64
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
+}
+
+// SWFJob is one record as every converter shapes it: the node count, the
+// limit, and the deterministic synthetic I/O and burst-buffer assignment.
+type SWFJob struct {
 	Nodes   int
 	Limit   float64 // seconds, includes the 60 s scheduling margin
 	Runtime float64 // seconds
 	DoesIO  bool
 	IOTime  float64 // seconds of Runtime spent writing (0 when !DoesIO)
 	Bytes   float64 // total bytes written (0 when !DoesIO)
+	// BBBytes is the burst-buffer demand: zero when the record's draw
+	// misses BBFraction, Nodes × BBGiBPerNode GiB otherwise.
+	BBBytes float64
+	// Fingerprint is "swf-cpu-n<Nodes>" or "swf-io-n<Nodes>", with "-bb"
+	// when BBBytes > 0. Jobs of one shape share one string.
+	Fingerprint string
 }
 
-// ShapeSWF applies opts to one record that already passed the width check.
-// rand is this record's I/O-assignment draw in [0,1) — the caller draws it
-// exactly once per surviving record, so every converter consumes the
-// deterministic stream identically (the same jobs do I/O in the full
-// prototype and in a lightweight replay).
-func ShapeSWF(rec SWFRecord, opts SWFOptions, rand float64) SWFShape {
-	limit := rec.ReqTime
-	if limit <= 0 || limit < rec.Runtime {
-		limit = rec.Runtime * 2
+// The RNG streams of the I/O and the burst-buffer assignment. They are
+// distinct on purpose: turning BB on or off leaves the I/O assignment
+// untouched.
+const (
+	swfIOStream = "workload/swf"
+	swfBBStream = "workload/swf-bb"
+)
+
+// EachSWFJob is the record loop of every SWF converter, so the jobs that
+// carry synthetic I/O in a lightweight replay are the very jobs that carry
+// it in the full prototype. It drops the records wider than MaxNodes
+// after core→node conversion (ceil division, at least one node), counting
+// them in the returned quirks' TooWide; they consume no draw. Every other
+// record draws once from the I/O stream and once from the burst-buffer
+// stream and goes to keep with its job, until MaxJobs jobs are kept.
+func EachSWFJob(records []SWFRecord, opts SWFOptions, keep func(rec *SWFRecord, job SWFJob)) (SWFQuirks, error) {
+	if err := opts.Validate(); err != nil {
+		return SWFQuirks{}, err
 	}
-	sh := SWFShape{Nodes: SWFNodes(rec, opts), Limit: limit + 60, Runtime: rec.Runtime}
-	if rand < opts.IOFraction && rec.Runtime > 2 {
-		sh.DoesIO = true
-		sh.IOTime = rec.Runtime * opts.IOShare
-		sh.Bytes = sh.IOTime * opts.IORate
+	ioRng := des.NewRNG(opts.Seed, swfIOStream)
+	bbRng := des.NewRNG(opts.Seed, swfBBStream)
+	var (
+		quirks SWFQuirks
+		fps    = swfFingerprints{}
+		kept   int
+	)
+	for i := range records {
+		rec := &records[i]
+		nodes := max(int(math.Ceil(rec.Procs/float64(opts.CoresPerNode))), 1)
+		if nodes > opts.MaxNodes {
+			quirks.TooWide++
+			continue
+		}
+		limit := rec.ReqTime
+		if limit <= 0 || limit < rec.Runtime {
+			limit = rec.Runtime * 2
+		}
+		job := SWFJob{Nodes: nodes, Limit: limit + 60, Runtime: rec.Runtime}
+		if ioRng.Float64() < opts.IOFraction && rec.Runtime > 2 {
+			job.DoesIO = true
+			job.IOTime = rec.Runtime * opts.IOShare
+			job.Bytes = job.IOTime * opts.IORate
+		}
+		if bbRng.Float64() < opts.BBFraction {
+			job.BBBytes = float64(nodes) * opts.BBGiBPerNode * pfs.GiB
+		}
+		job.Fingerprint = fps.get(nodes, job.DoesIO, job.BBBytes > 0)
+		keep(rec, job)
+		if kept++; opts.MaxJobs > 0 && kept >= opts.MaxJobs {
+			break
+		}
 	}
-	return sh
+	return quirks, nil
+}
+
+// swfFingerprints interns SWFJob fingerprints by node count, I/O and
+// burst-buffer flag.
+type swfFingerprints map[int]string
+
+func (m swfFingerprints) get(nodes int, io, bb bool) string {
+	key := nodes << 2
+	if io {
+		key |= 1
+	}
+	if bb {
+		key |= 2
+	}
+	if fp, ok := m[key]; ok {
+		return fp
+	}
+	prefix := "swf-cpu-n"
+	if io {
+		prefix = "swf-io-n"
+	}
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], prefix...), int64(nodes), 10)
+	if bb {
+		b = append(b, "-bb"...)
+	}
+	m[key] = string(b)
+	return m[key]
 }
 
 // ConvertSWF turns parsed records into schedulable job specs under opts.
 // See ParseSWF for the field semantics.
 func ConvertSWF(records []SWFRecord, opts SWFOptions) (SWFResult, error) {
-	if err := opts.Validate(); err != nil {
-		return SWFResult{}, err
-	}
-	rng := des.NewRNG(opts.Seed, "workload/swf")
-	bbRng := des.NewRNG(opts.Seed, SWFBBStream)
 	var res SWFResult
-	for _, rec := range records {
-		if SWFNodes(rec, opts) > opts.MaxNodes {
-			res.Quirks.TooWide++
-			continue // too-wide jobs consume no I/O draw
-		}
-		sh := ShapeSWF(rec, opts, rng.Float64())
+	quirks, err := EachSWFJob(records, opts, func(rec *SWFRecord, job SWFJob) {
+		// The name is copied out of buf before buf holds the user.
+		var buf [32]byte
+		name := string(strconv.AppendInt(append(buf[:0], "swf-"...), rec.JobNo, 10))
 		spec := slurm.JobSpec{
-			Name:    fmt.Sprintf("swf-%d", rec.JobNo),
-			Nodes:   sh.Nodes,
-			Limit:   des.FromSeconds(sh.Limit),
-			User:    fmt.Sprintf("user%d", rec.UserID),
-			BBBytes: SWFBBBytes(sh.Nodes, opts, bbRng.Float64()),
+			Name:        name,
+			Nodes:       job.Nodes,
+			Limit:       des.FromSeconds(job.Limit),
+			User:        string(strconv.AppendInt(append(buf[:0], "user"...), rec.UserID, 10)),
+			Fingerprint: job.Fingerprint,
+			BBBytes:     job.BBBytes,
 		}
-		if sh.DoesIO {
-			spec.Fingerprint = fmt.Sprintf("swf-io-n%d", sh.Nodes)
+		if job.DoesIO {
 			spec.Program = cluster.BurstyProgram{
 				Cycles:         1,
-				Compute:        des.FromSeconds(sh.Runtime - sh.IOTime),
-				Threads:        4 * sh.Nodes,
-				BytesPerThread: sh.Bytes / float64(4*sh.Nodes),
+				Compute:        des.FromSeconds(job.Runtime - job.IOTime),
+				Threads:        4 * job.Nodes,
+				BytesPerThread: job.Bytes / float64(4*job.Nodes),
 			}
 		} else {
-			spec.Fingerprint = fmt.Sprintf("swf-cpu-n%d", sh.Nodes)
-			spec.Program = cluster.SleepProgram{D: des.FromSeconds(sh.Runtime)}
-		}
-		if spec.BBBytes > 0 {
-			spec.Fingerprint += "-bb"
+			spec.Program = cluster.SleepProgram{D: des.FromSeconds(job.Runtime)}
 		}
 		res.Jobs = append(res.Jobs, TimedSpec{At: des.TimeFromSeconds(rec.Submit), Spec: spec})
-		if opts.MaxJobs > 0 && len(res.Jobs) >= opts.MaxJobs {
-			break
-		}
+	})
+	if err != nil {
+		return SWFResult{}, err
 	}
+	res.Quirks = quirks
 	return res, nil
 }
 
 // ParseSWF converts a Standard Workload Format trace into schedulable
-// jobs. Comment/header lines begin with ';'. The fields used are: 1 job
-// number, 2 submit time, 4 run time, 8 requested processors (5 allocated
-// as fallback), 9 requested time, 12 user ID. Malformed rows — `-1`
-// sentinels, negative runtimes, truncated lines — are skipped and counted
-// in the result's Quirks instead of failing the trace, and a trace with
-// out-of-order submit times comes back sorted.
+// jobs: ParseSWFRecords, then ConvertSWF. Comment/header lines begin with
+// ';'. The fields used are: 1 job number, 2 submit time, 4 run time, 8
+// requested processors (5 allocated as fallback), 9 requested time, 12
+// user ID. Malformed rows — `-1` sentinels, negative runtimes, truncated
+// lines — are skipped and counted in the result's Quirks instead of
+// failing the trace, and a trace with out-of-order submit times comes
+// back sorted.
 func ParseSWF(r io.Reader, opts SWFOptions) (SWFResult, error) {
 	if err := opts.Validate(); err != nil {
 		return SWFResult{}, err

@@ -1,6 +1,12 @@
 package workload
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -294,5 +300,222 @@ func TestParseSWFEndToEnd(t *testing.T) {
 	}
 	if ctl.DoneCount() != len(res.Jobs) {
 		t.Fatalf("done %d of %d", ctl.DoneCount(), len(res.Jobs))
+	}
+}
+
+// referenceParseSWFRecords is the SWF row parser as it was before rows
+// were split in place: strings.TrimSpace and strings.Fields on every line,
+// strconv.ParseFloat on every field. It is the oracle ParseSWFRecords must
+// match bit for bit.
+func referenceParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
+	var (
+		recs       []SWFRecord
+		quirks     SWFQuirks
+		prevSubmit = math.Inf(-1)
+	)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, ";") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 12 {
+			quirks.ShortLines++
+			continue
+		}
+		num := func(i int) float64 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return -1
+			}
+			return v
+		}
+		rec := SWFRecord{
+			JobNo:   int64(num(0)),
+			Submit:  num(1),
+			Runtime: num(3),
+			Procs:   num(7),
+			ReqTime: num(8),
+			UserID:  int64(num(11)),
+		}
+		if rec.Procs <= 0 {
+			rec.Procs = num(4) // fall back to allocated processors
+		}
+		// The negated ranges also catch NaN.
+		switch {
+		case !(rec.Submit >= 0 && rec.Submit <= swfMaxValue):
+			quirks.BadSubmit++
+			continue
+		case !(rec.Runtime > 0 && rec.Runtime <= swfMaxValue) || des.FromSeconds(rec.Runtime) <= 0:
+			quirks.BadRuntime++
+			continue
+		case !(rec.Procs > 0 && rec.Procs <= swfMaxValue):
+			quirks.BadProcs++
+			continue
+		}
+		if !(rec.ReqTime <= swfMaxValue) {
+			rec.ReqTime = -1 // unusable: the limit falls back to twice the runtime
+		}
+		if rec.Submit < prevSubmit {
+			quirks.OutOfOrderSubmits++
+		} else {
+			prevSubmit = rec.Submit
+		}
+		recs = append(recs, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return recs, quirks, fmt.Errorf("workload: swf read: %w", err)
+	}
+	return recs, quirks, nil
+}
+
+// sameSWFRecords reports where got and want differ, comparing floats by
+// their bits, so a -0 or a NaN payload counts.
+func sameSWFRecords(got, want []SWFRecord) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d records, want %d", len(got), len(want))
+	}
+	bits := math.Float64bits
+	for i, g := range got {
+		w := want[i]
+		if g.JobNo != w.JobNo || g.UserID != w.UserID || bits(g.Submit) != bits(w.Submit) ||
+			bits(g.Runtime) != bits(w.Runtime) || bits(g.Procs) != bits(w.Procs) || bits(g.ReqTime) != bits(w.ReqTime) {
+			return fmt.Errorf("record %d: %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// checkParseMatchesReference parses data with both parsers and fails on
+// any difference in records, quirks or error.
+func checkParseMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotQ, gotErr := ParseSWFRecords(bytes.NewReader(data))
+	want, wantQ, wantErr := referenceParseSWFRecords(bytes.NewReader(data))
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("error %v, want %v", gotErr, wantErr)
+	}
+	if gotQ != wantQ {
+		t.Fatalf("quirks %+v, want %+v", gotQ, wantQ)
+	}
+	if err := sameSWFRecords(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzParseSWFMatchesReference holds ParseSWFRecords to the reference
+// parser on arbitrary input: the same records, bit for bit, the same
+// quirks and the same error.
+func FuzzParseSWFMatchesReference(f *testing.F) {
+	row := func(fields ...string) string { return strings.Join(fields, " ") + "\n" }
+	f.Add([]byte(sampleSWF))
+	// Each value in every field a kept row reads: the job and user
+	// numbers, which may hold any value, and the submit, run and
+	// requested times and processor counts, which the range checks bound.
+	for _, v := range []string{"-0", "+5", "007", "1e3", "1234567890123456", "123456789012345", "9999999999999999999",
+		"-999999999999999", "0x1p4", "1_0", "NaN", "-Inf", "1e400", "3.5", ".5", "-"} {
+		f.Add([]byte(row(v, "0", "-1", "300", "56", "-1", "-1", "56", "600", "-1", "1", v)))
+		f.Add([]byte(row("1", v, "-1", v, v, "-1", "-1", "-1", v, "-1", "1", "7")))
+		f.Add([]byte(row("1", "0", "-1", "300", "56", "-1", "-1", v, v, "-1", "1", "7")))
+	}
+	// An 11-field row is short; a 12-field one is kept.
+	f.Add([]byte(row("3", "0", "-1", "300", "56", "-1", "-1", "56", "600", "-1", "1") +
+		row("3", "0", "-1", "300", "56", "-1", "-1", "56", "600", "-1", "1", "7")))
+	f.Add([]byte("1\t0\v-1\f300 56 -1 -1 56 600 -1 1 7\r\n2 60 -1 300 56 -1 -1 56 600 -1 1\r\n"))
+	f.Add([]byte("   ; comment 1 2 3 4 5 6 7 8 9 10 11 12\n\t;\n \n"))
+	f.Add([]byte("\u00851 0 -1 300 56 -1 -1 56 600 -1 1 7\n1\u00850 -1 300 56 -1 -1 56 600 -1 1 7\n"))
+	f.Add([]byte("\u00a0;c\n1\u00a00 -1 300 56 -1 -1 56 600 -1 1 7\n1 0 -1 300 56 -1 -1 56 600 -1 1 \xff7\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkParseMatchesReference(t, data)
+	})
+}
+
+// TestParseSWFMatchesReferenceOnTraces holds ParseSWFRecords to the
+// reference parser on both bundled traces.
+func TestParseSWFMatchesReferenceOnTraces(t *testing.T) {
+	for _, path := range []string{"../../testdata/swf/synthetic-10k.swf", "../../testdata/swf/synthetic-120k.swf.gz"} {
+		t.Run(path, func(t *testing.T) {
+			checkParseMatchesReference(t, readSWFFile(t, path))
+		})
+	}
+}
+
+func readSWFFile(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := OpenSWF(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// appendGrowths is the number of allocations appending n elements one by
+// one to a nil []T makes.
+func appendGrowths[T any](n int) int {
+	var s []T
+	growths := 0
+	for range n {
+		if len(s) == cap(s) {
+			growths++
+		}
+		var zero T
+		s = append(s, zero)
+	}
+	return growths
+}
+
+// TestSWFIngestAllocationShape is an allocation-shape test of ingestion.
+// Parsing 1k and 10k rows allocates the records slice as it grows plus a
+// constant (the reader, the scanner and its buffer). ConvertSWF allocates
+// three objects per kept job (its name, its user and its boxed program),
+// one per distinct fingerprint, the growth of the job slice and a
+// constant.
+// A per-row fmt.Sprintf or strings.Fields adds an object per row and
+// fails it.
+func TestSWFIngestAllocationShape(t *testing.T) {
+	for _, rows := range []int{1_000, 10_000} {
+		var buf bytes.Buffer
+		gen := SWFGenConfig{Jobs: rows, Seed: 3, Nodes: 15, CoresPerNode: 56, Utilization: 0.7}
+		if err := WriteSyntheticSWF(&buf, gen); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		records, _, err := ParseSWFRecords(bytes.NewReader(data))
+		if err != nil || len(records) < rows*9/10 {
+			t.Fatalf("%d rows parsed to %d records: %v", rows, len(records), err)
+		}
+		parse := testing.AllocsPerRun(3, func() {
+			if _, _, err := ParseSWFRecords(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if max := appendGrowths[SWFRecord](len(records)) + 4; parse > float64(max) {
+			t.Errorf("parsing %d rows: %.0f allocations, want at most %d (slice growth + 4)", rows, parse, max)
+		}
+		res, err := ConvertSWF(records, DefaultSWFOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := len(res.Jobs)
+		fps := map[string]bool{}
+		for _, j := range res.Jobs {
+			fps[j.Spec.Fingerprint] = true
+		}
+		conv := testing.AllocsPerRun(3, func() {
+			if _, err := ConvertSWF(records, DefaultSWFOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if max := 3*kept + len(fps) + appendGrowths[TimedSpec](kept) + 16; conv > float64(max) {
+			t.Errorf("converting %d jobs: %.0f allocations, want at most %d", kept, conv, max)
+		}
+		t.Logf("%d rows: parse %.0f allocations, ConvertSWF %.0f for %d jobs", rows, parse, conv, kept)
 	}
 }
