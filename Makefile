@@ -10,7 +10,7 @@ GO      ?= go
 FUZZTIME ?= 10s
 SWEEPDIR := .sweep-smoke
 
-.PHONY: build vet fmt-check lint test race fuzz bbcheck tbfcheck sweep-smoke bench-replay bench-replay-check loc check
+.PHONY: build vet fmt-check lint test race fuzz bbcheck tbfcheck sweep-smoke loc check
 
 # cmd/wabench is its own module (replace wasched => ../..), so `./...` at
 # the root never reaches it; build and vet it too, so that a change to an
@@ -74,17 +74,6 @@ tbfcheck:
 	$(GO) run ./cmd/wasched replay testdata/swf/synthetic-10k.swf -policy tbf -checks -quiet
 	$(GO) run ./cmd/wasched replay testdata/swf/synthetic-10k.swf -policy tbf-straggler -checks -quiet
 
-# Archive-trace replay benchmark: replay the bundled 10k-job SWF trace
-# through all four policies, append the measured jobs/s to the
-# BENCH_replay.json trajectory, and fail on a >20% regression against the
-# previous entry. CI runs it with -check-only so the workflow never
-# commits trajectory entries from runner hardware.
-bench-replay:
-	$(GO) run ./cmd/benchreplay -label "make bench-replay"
-
-bench-replay-check:
-	$(GO) run ./cmd/benchreplay -check-only
-
 # Non-test Go lines per internal/* and cmd/* package and in total, counted
 # with wc -l (blank and comment lines included): the net line count a
 # change reports.
@@ -93,22 +82,17 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; sum += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", sum }'
 
-# Go allows one -fuzz target per invocation, so each runs separately.
+# Every Fuzz* target of every package, discovered with `go test -list`, so
+# a new target cannot be left out. Go allows one -fuzz target per
+# invocation, so each runs separately, its name anchored so that it
+# matches no other target (FuzzProfile, not FuzzProfileLocalCompact).
 fuzz:
-	$(GO) test ./internal/restrack -run='^$$' -fuzz='^FuzzProfile$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzProfileLocalCompact -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzTrackers -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunRound -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzDriverMatchesFresh -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzReplayMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/schedcheck -run='^$$' -fuzz=FuzzParseSWFRecords -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzDecodeEncode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzParseSWFMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/slurmconf -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/des -run='^$$' -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME)
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		names=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for name in $$(echo "$$names" | grep '^Fuzz' || true); do \
+			echo "$(GO) test $$pkg -run='^$$' -fuzz='^$$name$$' -fuzztime=$(FUZZTIME)"; \
+			$(GO) test $$pkg -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME); \
+		done; \
+	done
 
 check: build vet fmt-check lint race bbcheck tbfcheck sweep-smoke fuzz

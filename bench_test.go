@@ -23,6 +23,7 @@ import (
 
 	"wasched/internal/des"
 	"wasched/internal/experiments"
+	"wasched/internal/pfs"
 	"wasched/internal/sched"
 	"wasched/internal/schedcheck"
 	"wasched/internal/workload"
@@ -255,44 +256,72 @@ func BenchmarkLoadSWF(b *testing.B) {
 
 // BenchmarkReplaySWF measures the archive-trace scheduling hot path: the
 // bundled 10k-job synthetic SWF trace through the lightweight replayer
-// (sched.Driver on incremental session state, invariant checks off) for each paper
-// policy. The jobs/s and rounds/s metrics are the numbers `make
-// bench-replay` tracks in BENCH_replay.json; the allocs/op column is the
-// event-pool/backfill-churn regression guard.
+// (sched.Driver on incremental session state, invariant checks off) under
+// the four paper policies, the two burst-buffer policies (30% of jobs
+// reserve 4 GiB per node of a 64 GiB pool) and the two token policies (the
+// corpus token pool), each labelled with its registry name. The allocs/op
+// column is the one schedcheck's TestReplayAllocationShape bounds.
 func BenchmarkReplaySWF(b *testing.B) {
-	f, err := workload.OpenSWF("testdata/swf/synthetic-10k.swf")
-	if err != nil {
-		b.Fatal(err)
+	load := func(opts workload.SWFOptions) []schedcheck.SimJob {
+		f, err := workload.OpenSWF("testdata/swf/synthetic-10k.swf")
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs, _, err := schedcheck.LoadSWFSimJobs(f, opts)
+		//waschedlint:allow checkederr the trace is opened read-only; close cannot lose data
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return jobs
 	}
-	opts := workload.DefaultSWFOptions()
-	jobs, _, err := schedcheck.LoadSWFSimJobs(f, opts)
-	//waschedlint:allow checkederr the trace is opened read-only; close cannot lose data
-	f.Close()
-	if err != nil {
-		b.Fatal(err)
-	}
+	plain := load(workload.DefaultSWFOptions())
+	bbOpts := workload.DefaultSWFOptions()
+	bbOpts.BBFraction = 0.3
+	bbOpts.BBGiBPerNode = 4
+	withBB := load(bbOpts)
 	const nodes = 15
-	limit := 20 * 1024 * 1024 * 1024.0
+	const limit = 20 * pfs.GiB
+	const capacity = 64 * pfs.GiB
 	for _, v := range []struct {
-		label  string
-		policy sched.Policy
-		limit  float64
+		name   string // registry policy name
+		bb     bool
+		tokens bool
 	}{
-		{"default", sched.NodePolicy{TotalNodes: nodes}, 0},
-		{"io-aware", sched.IOAwarePolicy{TotalNodes: nodes, ThroughputLimit: limit}, limit},
-		{"adaptive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: true}, limit},
-		{"adaptive-naive", sched.AdaptivePolicy{TotalNodes: nodes, ThroughputLimit: limit, TwoGroup: false}, limit},
+		{"default", false, false},
+		{"io-aware", false, false},
+		{"adaptive", false, false},
+		{"adaptive-naive", false, false},
+		{"plan", true, false},
+		{"bb-io-aware", true, false},
+		{"tbf", false, true},
+		{"tbf-straggler", false, true},
 	} {
-		b.Run(v.label, func(b *testing.B) {
-			b.ReportAllocs()
+		b.Run(v.name, func(b *testing.B) {
+			p, err := sched.NewPolicy(v.name, sched.PolicyParams{Nodes: nodes, Limit: limit, BBCapacity: capacity})
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs := plain
 			cfg := schedcheck.ReplayConfig{
-				Policy:          v.policy,
+				Policy:          p,
 				Options:         sched.Options{MaxJobTest: sched.SlurmDefaultTestLimit},
 				Nodes:           nodes,
-				Limit:           v.limit,
+				Limit:           sched.ThroughputLimit(p),
 				MaxRounds:       1 << 30,
 				SkipRoundChecks: true,
 			}
+			if v.bb {
+				jobs = withBB
+				cfg.BBCapacity = capacity
+				cfg.BBStageRate = schedcheck.CorpusBBStageRate
+				cfg.BBDrainRate = schedcheck.CorpusBBDrainRate
+			}
+			if v.tokens {
+				cfg.TBFCapacity = schedcheck.CorpusTBFCapacity
+				cfg.TBFServers = schedcheck.CorpusTBFServers
+			}
+			b.ReportAllocs()
 			var res *schedcheck.ReplayResult
 			start := time.Now()
 			for i := 0; i < b.N; i++ {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	wagen -workload w1|w2|mixed|bursty [-poisson SECONDS] [-seed N] [-out FILE]
-//	wagen -swf trace.swf [-io-fraction 0.4] [-max-jobs N] [-out FILE]
+//	wagen -swf trace.swf[.gz] [-io-fraction 0.4] [-max-jobs N] [-out FILE]
 //	wagen -gen-swf N [-seed N] [-nodes 15] [-cores-per-node 56] [-quirk-every N] [-out FILE]
 //
 // By default all jobs are submitted at t=0 (the paper's batch protocol);
@@ -58,29 +58,32 @@ func encodeTo(path string, encode func(w io.Writer) error) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "wagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
-	name := flag.String("workload", "w1", "workload: w1, w2, mixed, bursty or ckpt")
-	poisson := flag.Float64("poisson", 0, "mean inter-arrival seconds (0 = batch at t=0)")
-	seed := flag.Uint64("seed", 1, "seed for the arrival process")
-	out := flag.String("out", "", "output file (default stdout)")
-	swf := flag.String("swf", "", "convert a Standard Workload Format trace instead")
-	ioFraction := flag.Float64("io-fraction", 0.4, "fraction of SWF jobs given synthetic I/O")
-	maxJobs := flag.Int("max-jobs", 0, "truncate the SWF trace (0 = all)")
-	genSWF := flag.Int("gen-swf", 0, "write a synthetic SWF trace with this many jobs instead")
-	genNodes := flag.Int("nodes", 15, "cluster size the synthetic trace's arrival rate is matched to")
-	genCores := flag.Int("cores-per-node", 56, "cores per node for synthetic SWF processor counts")
-	genUtil := flag.Float64("utilization", 0.7, "offered load of the synthetic trace as a fraction of capacity")
-	quirkEvery := flag.Int("quirk-every", 0, "inject one malformed SWF row every N jobs (0 = clean trace)")
-	bbFraction := flag.Float64("bb-fraction", 0, "fraction of jobs given a synthetic burst-buffer reservation (0 = BB off)")
-	bbPerNode := flag.Float64("bb-gib-per-node", 4, "burst-buffer reservation per node for assigned jobs, GiB")
-	prof := profiling.Register(flag.CommandLine)
-	flag.Parse()
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("wagen", flag.ContinueOnError)
+	name := fs.String("workload", "w1", "workload: w1, w2, mixed, bursty or ckpt")
+	poisson := fs.Float64("poisson", 0, "mean inter-arrival seconds (0 = batch at t=0)")
+	seed := fs.Uint64("seed", 1, "seed for the arrival process")
+	out := fs.String("out", "", "output file (default stdout)")
+	swf := fs.String("swf", "", "convert a Standard Workload Format trace instead")
+	ioFraction := fs.Float64("io-fraction", 0.4, "fraction of SWF jobs given synthetic I/O")
+	maxJobs := fs.Int("max-jobs", 0, "truncate the SWF trace (0 = all)")
+	genSWF := fs.Int("gen-swf", 0, "write a synthetic SWF trace with this many jobs instead")
+	genNodes := fs.Int("nodes", 15, "cluster size the synthetic trace's arrival rate is matched to")
+	genCores := fs.Int("cores-per-node", 56, "cores per node for synthetic SWF processor counts")
+	genUtil := fs.Float64("utilization", 0.7, "offered load of the synthetic trace as a fraction of capacity")
+	quirkEvery := fs.Int("quirk-every", 0, "inject one malformed SWF row every N jobs (0 = clean trace)")
+	bbFraction := fs.Float64("bb-fraction", 0, "fraction of jobs given a synthetic burst-buffer reservation (0 = BB off)")
+	bbPerNode := fs.Float64("bb-gib-per-node", 4, "burst-buffer reservation per node for assigned jobs, GiB")
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -118,7 +121,7 @@ func run() (err error) {
 	}
 
 	if *swf != "" {
-		f, err := os.Open(*swf)
+		f, err := workload.OpenSWF(*swf)
 		if err != nil {
 			return err
 		}

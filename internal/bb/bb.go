@@ -32,25 +32,14 @@ type Config struct {
 	// CapacityBytes is the shared pool size in bytes; zero disables the
 	// tier entirely (core.NewSystem then builds no Tier).
 	CapacityBytes float64
-	// PerNodeBytes optionally caps a job's demand per allocated node
-	// (demand/nodes must not exceed it); zero means no per-node cap.
-	PerNodeBytes float64
-	// StageNodes and DrainNodes are how many appliance node names carry
-	// stage-in (PFS reads) respectively drain (PFS writes) streams;
-	// they default to 2 each.
-	StageNodes int
-	DrainNodes int
 }
 
-func (c Config) withDefaults() Config {
-	if c.StageNodes <= 0 {
-		c.StageNodes = 2
-	}
-	if c.DrainNodes <= 0 {
-		c.DrainNodes = 2
-	}
-	return c
-}
+// stageNodes and drainNodes are how many appliance node names carry
+// stage-in (PFS reads) respectively drain (PFS writes) streams.
+const (
+	stageNodes = 2
+	drainNodes = 2
+)
 
 // ErrCapacity is returned by Admit when the request does not fit the free
 // pool right now; the caller retries on a later scheduling round.
@@ -123,10 +112,6 @@ func New(eng *des.Engine, fs *pfs.FileSystem, cfg Config) (*Tier, error) {
 	if cfg.CapacityBytes <= 0 || math.IsNaN(cfg.CapacityBytes) {
 		return nil, fmt.Errorf("bb: CapacityBytes must be positive, got %g", cfg.CapacityBytes)
 	}
-	if cfg.PerNodeBytes < 0 || math.IsNaN(cfg.PerNodeBytes) {
-		return nil, fmt.Errorf("bb: PerNodeBytes must be non-negative, got %g", cfg.PerNodeBytes)
-	}
-	cfg = cfg.withDefaults()
 	t := &Tier{
 		eng:         eng,
 		fs:          fs,
@@ -134,10 +119,10 @@ func New(eng *des.Engine, fs *pfs.FileSystem, cfg Config) (*Tier, error) {
 		active:      map[string]*entry{},
 		rateScratch: map[string]float64{},
 	}
-	for i := 0; i < cfg.StageNodes; i++ {
+	for i := 0; i < stageNodes; i++ {
 		t.stageNames = append(t.stageNames, fmt.Sprintf("bb-in%d", i))
 	}
-	for i := 0; i < cfg.DrainNodes; i++ {
+	for i := 0; i < drainNodes; i++ {
 		t.drainNames = append(t.drainNames, fmt.Sprintf("bb-out%d", i))
 	}
 	return t, nil
@@ -173,18 +158,14 @@ func (t *Tier) Rates() (stage, drain float64) {
 }
 
 // Feasible reports whether a request could ever be admitted: demand must
-// be positive, fit the whole pool, and respect the per-node cap. The
-// controller rejects infeasible requests at submission so they cannot
-// pend forever.
-func (t *Tier) Feasible(bytes float64, nodes int) error {
+// be positive and fit the whole pool. The controller rejects infeasible
+// requests at submission so they cannot pend forever.
+func (t *Tier) Feasible(bytes float64) error {
 	if bytes <= 0 || math.IsNaN(bytes) {
 		return fmt.Errorf("bb: demand must be positive, got %g", bytes)
 	}
 	if bytes > t.cfg.CapacityBytes {
 		return fmt.Errorf("bb: demand %g exceeds pool capacity %g", bytes, t.cfg.CapacityBytes)
-	}
-	if t.cfg.PerNodeBytes > 0 && nodes > 0 && bytes > t.cfg.PerNodeBytes*float64(nodes) {
-		return fmt.Errorf("bb: demand %g exceeds per-node cap %g × %d nodes", bytes, t.cfg.PerNodeBytes, nodes)
 	}
 	return nil
 }
@@ -192,8 +173,8 @@ func (t *Tier) Feasible(bytes float64, nodes int) error {
 // Admit reserves bytes for jobID, or reports ErrCapacity when the free
 // pool is too small right now (the caller retries next round). The
 // reservation is held until JobEnded's drain completes.
-func (t *Tier) Admit(jobID string, bytes float64, nodes int) error {
-	if err := t.Feasible(bytes, nodes); err != nil {
+func (t *Tier) Admit(jobID string, bytes float64) error {
+	if err := t.Feasible(bytes); err != nil {
 		return err
 	}
 	if _, ok := t.active[jobID]; ok {

@@ -30,16 +30,16 @@ func newTestTier(t *testing.T, capacity float64) (*des.Engine, *pfs.FileSystem, 
 
 func TestAdmitCapacityAccounting(t *testing.T) {
 	_, _, tier := newTestTier(t, 100)
-	if err := tier.Admit("j1", 60, 2); err != nil {
+	if err := tier.Admit("j1", 60); err != nil {
 		t.Fatal(err)
 	}
 	if tier.Occupied() != 60 {
 		t.Fatalf("occupied = %g", tier.Occupied())
 	}
-	if err := tier.Admit("j2", 50, 2); !errors.Is(err, ErrCapacity) {
+	if err := tier.Admit("j2", 50); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("over-capacity admit: %v", err)
 	}
-	if err := tier.Admit("j3", 40, 1); err != nil {
+	if err := tier.Admit("j3", 40); err != nil {
 		t.Fatal(err)
 	}
 	if tier.Occupied() != 100 {
@@ -49,32 +49,17 @@ func TestAdmitCapacityAccounting(t *testing.T) {
 
 func TestFeasibleRejectsImpossibleDemand(t *testing.T) {
 	_, _, tier := newTestTier(t, 100)
-	if err := tier.Feasible(150, 4); err == nil {
+	if err := tier.Feasible(150); err == nil {
 		t.Fatal("demand above pool capacity must be infeasible")
 	}
-	if err := tier.Feasible(0, 4); err == nil {
+	if err := tier.Feasible(0); err == nil {
 		t.Fatal("non-positive demand must be infeasible")
-	}
-	eng := des.NewEngine()
-	fs, err := pfs.New(eng, pfs.DefaultConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perNode, err := New(eng, fs, Config{CapacityBytes: 100, PerNodeBytes: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := perNode.Feasible(50, 2); err == nil {
-		t.Fatal("per-node cap must reject 25 bytes/node > 10")
-	}
-	if err := perNode.Feasible(50, 5); err != nil {
-		t.Fatalf("10 bytes/node must be feasible: %v", err)
 	}
 }
 
 func TestStageInComputeDrainLifecycle(t *testing.T) {
 	eng, fs, tier := newTestTier(t, 100*pfs.GiB)
-	if err := tier.Admit("j1", 60*pfs.GiB, 2); err != nil {
+	if err := tier.Admit("j1", 60*pfs.GiB); err != nil {
 		t.Fatal(err)
 	}
 	prog := tier.Wrap("j1", cluster.SleepProgram{D: 10 * des.Second})
@@ -118,7 +103,7 @@ func TestStageInComputeDrainLifecycle(t *testing.T) {
 
 func TestKillDuringStageInDrainsNothing(t *testing.T) {
 	eng, fs, tier := newTestTier(t, 100*pfs.GiB)
-	if err := tier.Admit("j1", 60*pfs.GiB, 2); err != nil {
+	if err := tier.Admit("j1", 60*pfs.GiB); err != nil {
 		t.Fatal(err)
 	}
 	prog := tier.Wrap("j1", cluster.SleepProgram{D: 10 * des.Second})
@@ -142,7 +127,7 @@ func TestApplianceNodesAndRates(t *testing.T) {
 	if len(names) != 4 || names[0] != "bb-in0" || names[3] != "bb-out1" {
 		t.Fatalf("appliance nodes: %v", names)
 	}
-	if err := tier.Admit("j1", 60*pfs.GiB, 2); err != nil {
+	if err := tier.Admit("j1", 60*pfs.GiB); err != nil {
 		t.Fatal(err)
 	}
 	prog := tier.Wrap("j1", cluster.SleepProgram{D: 10 * des.Second})

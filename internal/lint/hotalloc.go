@@ -30,9 +30,9 @@ const HotpathDirective = "waschedlint:hotpath"
 // is not).
 //
 // Blocks that terminate in panic/os.Exit are skipped: assertion failures
-// may format messages. The dynamic complement is the BENCH_replay.json
-// allocs/op trajectory — hotalloc catches the regression at review time,
-// the bench gate catches whatever escapes it.
+// may format messages. The dynamic complement is schedcheck's
+// TestReplayAllocationShape — hotalloc catches the regression at review
+// time, the allocation test catches whatever escapes it.
 var Hotalloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc:  "no allocation-introducing constructs in //waschedlint:hotpath functions",

@@ -202,7 +202,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		Policy: cfg.Policy.Name(),
 		// Sized up front: every job completes exactly once, and growing the
 		// slice in place keeps the replay's alloc count independent of the
-		// JobTrace footprint (the bench-replay allocs/op gate).
+		// JobTrace footprint (TestReplayAllocationShape).
 		Jobs: make([]trace.JobTrace, 0, len(workload)),
 	}
 	drv := sched.NewDriver(cfg.Policy, cfg.Options)

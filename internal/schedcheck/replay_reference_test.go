@@ -50,7 +50,7 @@ func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		Policy: cfg.Policy.Name(),
 		// Sized up front: every job completes exactly once, and growing the
 		// slice in place keeps the replay's alloc count independent of the
-		// JobTrace footprint (the bench-replay allocs/op gate).
+		// JobTrace footprint (TestReplayAllocationShape).
 		Jobs: make([]trace.JobTrace, 0, len(workload)),
 	}
 	bbState := newBBReplay(cfg)

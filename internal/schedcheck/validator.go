@@ -15,6 +15,11 @@ import (
 // simulation timestamps in trace records.
 const timeEps = 1e-6
 
+// throughputSlack is the fraction by which sampled throughput may exceed
+// the throughput limit before ValidateRun warns. The guard legitimately
+// over-books while estimates lag measurements, so this is a soft check.
+const throughputSlack = 0.25
+
 // ValidateOptions configure a schedule validation pass.
 type ValidateOptions struct {
 	// Nodes is the cluster size N; 0 skips the capacity sweep.
@@ -23,16 +28,6 @@ type ValidateOptions struct {
 	// throughput check of ValidateRun; 0 skips it (the default node policy
 	// has no limit).
 	ThroughputLimit float64
-	// ThroughputSlack is the fraction by which sampled throughput may
-	// exceed ThroughputLimit before a warning is raised. The guard
-	// legitimately over-books while estimates lag measurements, so this is
-	// a soft check; zero defaults to 0.25.
-	ThroughputSlack float64
-	// SkipOrderCheck disables the FIFO-within-class invariant. The check
-	// is requeue-aware (attempts are ordered by their eligible time, so
-	// preemption does not need this), but dynamic priorities — where queue
-	// position changes without leaving a trace — still do.
-	SkipOrderCheck bool
 	// BBCapacity is the shared burst-buffer pool size in bytes; when
 	// positive, the burst-buffer invariants (bb-capacity, bb-stage-in,
 	// bb-drain-attribution) are enforced over traces carrying BBBytes.
@@ -131,9 +126,7 @@ func ValidateJobs(jobs []trace.JobTrace, opts ValidateOptions) Result {
 		}
 	}
 	checkNodeIdentity(started, &res)
-	if !opts.SkipOrderCheck {
-		checkClassOrder(started, &res)
-	}
+	checkClassOrder(started, &res)
 	if opts.BBCapacity > 0 {
 		checkBBTraces(started, opts.BBCapacity, &res)
 	}
@@ -531,14 +524,10 @@ func ValidateRun(rec *trace.Recorder, opts ValidateOptions) Result {
 		}
 	}
 	if opts.ThroughputLimit > 0 {
-		slack := opts.ThroughputSlack
-		if slack == 0 {
-			slack = 0.25
-		}
 		limitGiBps := opts.ThroughputLimit / pfs.GiB
 		over, worst := 0, 0.0
 		for _, v := range rec.Throughput.Values {
-			if v > limitGiBps*(1+slack) {
+			if v > limitGiBps*(1+throughputSlack) {
 				over++
 				if v > worst {
 					worst = v
@@ -547,7 +536,7 @@ func ValidateRun(rec *trace.Recorder, opts ValidateOptions) Result {
 		}
 		if over > 0 {
 			res.warnf("throughput-limit", "%d/%d samples above %.1f GiB/s (+%.0f%% slack), worst %.1f GiB/s",
-				over, rec.Throughput.Len(), limitGiBps, slack*100, worst)
+				over, rec.Throughput.Len(), limitGiBps, throughputSlack*100, worst)
 		}
 	}
 	return res

@@ -97,10 +97,6 @@ func TestValidateJobsClassOrder(t *testing.T) {
 	// Different classes may reorder freely (that's what backfill is for).
 	b.Nodes = 1
 	wantClean(t, ValidateJobs([]trace.JobTrace{a, b}, ValidateOptions{Nodes: 8}))
-	// And the check can be disabled for preemptive schedulers.
-	b.Nodes = 2
-	res = ValidateJobs([]trace.JobTrace{a, b}, ValidateOptions{Nodes: 8, SkipOrderCheck: true})
-	wantClean(t, res)
 }
 
 func TestValidateJobsSkipsNeverStarted(t *testing.T) {

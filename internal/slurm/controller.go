@@ -28,8 +28,8 @@ import (
 // program with its stage-in, and JobEnded triggers the dirty-data drain
 // and eventual capacity release.
 type BurstBuffer interface {
-	Feasible(bytes float64, nodes int) error
-	Admit(jobID string, bytes float64, nodes int) error
+	Feasible(bytes float64) error
+	Admit(jobID string, bytes float64) error
 	Wrap(jobID string, inner cluster.Program) cluster.Program
 	JobEnded(jobID string, requeued bool)
 }
@@ -369,7 +369,7 @@ func (c *Controller) Submit(spec JobSpec) (*JobRecord, error) {
 		if c.bb == nil {
 			return nil, fmt.Errorf("slurm: job %q requests burst buffer but none is attached", spec.Name)
 		}
-		if err := c.bb.Feasible(spec.BBBytes, spec.Nodes); err != nil {
+		if err := c.bb.Feasible(spec.BBBytes); err != nil {
 			return nil, fmt.Errorf("slurm: job %q: %w", spec.Name, err)
 		}
 	}
@@ -578,7 +578,7 @@ func (c *Controller) scheduleRound() {
 			// of finished jobs still occupy it), and those jobs simply
 			// stay pending and are retried next round. Plan-based
 			// policies rarely hit this — they co-reserved the pool.
-			if err := c.bb.Admit(r.ID, r.Spec.BBBytes, r.Spec.Nodes); err != nil {
+			if err := c.bb.Admit(r.ID, r.Spec.BBBytes); err != nil {
 				c.drv.Refused(d.Job)
 				continue
 			}
